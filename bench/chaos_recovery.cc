@@ -194,7 +194,8 @@ RdmaResult RunRdmaDegraded(uint64_t seed, bool faulty) {
     faults.Add(LinkFaultWindow(FaultDomain::kPageCorruption, SimTime::Zero(), SimTime::Max(),
                                /*probability=*/0.05));
   }
-  FaultInjector injector(faults);
+  obs::Registry stats;
+  FaultInjector injector(faults, stats);
   Testbed bed(SystemKind::kTrEnvRdma);
   bed.BindFaultInjector(&injector);
   if (!bed.DeployTable4Functions().ok()) {

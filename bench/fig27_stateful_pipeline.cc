@@ -31,10 +31,6 @@
 //
 // Flags:
 //   --jobs=N            sweep threads; the report is byte-identical at any N
-//   --shards=N          accepted for CI parity; the pipeline driver
-//                       interleaves its own action queue with the cluster
-//                       clocks and always runs the sequential core, so the
-//                       report is byte-identical at any value
 //   --bench-json=PATH   append a JSON-lines record to the BENCH trajectory
 //   --bench-label=TEXT  label stored in the JSON record
 #include <cstdint>
@@ -188,9 +184,6 @@ struct SweepPoint {
 };
 
 int RunBench(bench::BenchEnv& env) {
-  // Accepted for CI flag parity with the other cluster benches; the driver
-  // path has no sharded core, so the value never influences the report.
-  (void)env.ExtraValue("--shards=", "1");
   std::cout << "=== Stateful pipelines: nodes x shape x data plane ===\n";
 
   std::vector<SweepPoint> points;
@@ -333,8 +326,7 @@ int RunBench(bench::BenchEnv& env) {
 int main(int argc, char** argv) {
   trenv::bench::BenchEnv env(argc, argv,
                              {{"--bench-json=", "--bench-json=<file>"},
-                              {"--bench-label=", "--bench-label=<text>"},
-                              {"--shards=", "--shards=<n>"}});
+                              {"--bench-label=", "--bench-label=<text>"}});
   const int rc = trenv::RunBench(env);
   env.Finish();
   return rc;

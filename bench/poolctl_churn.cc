@@ -190,7 +190,8 @@ HotResult RunHotShard(bool mitigation) {
   pool.pool_nodes = kHotPoolNodes;
   pool.replication = 1;
   pool.lease_ttl = SimDuration::Millis(40);  // every 50 ms round is a miss
-  PoolManager mgr(pool, kHotWorkers, &fabric, nullptr);
+  obs::Registry stats;
+  PoolManager mgr(pool, kHotWorkers, &fabric, stats);
   PoolCtlConfig ctl;
   ctl.hot_shard_mitigation = mitigation;
   ctl.hot_promote_score = 16;
@@ -199,8 +200,7 @@ HotResult RunHotShard(bool mitigation) {
   if (!mitigation) {
     ctl.policy.spread_reads = false;  // static replication reads the primary
   }
-  PoolControlPlane plane(ctl, &mgr, /*faults=*/nullptr, /*stats=*/nullptr,
-                         /*tracer=*/nullptr);
+  PoolControlPlane plane(ctl, &mgr, /*faults=*/nullptr, stats, /*tracer=*/nullptr);
   plane.Start(SimTime::Zero());
   mgr.RegisterTemplate(0, HotImage());
   SimTime t = SimTime::Zero();

@@ -14,8 +14,7 @@ TrEnvEngine::TrEnvEngine(SandboxFactory* factory, SandboxPool* pool, MmtApi* mmt
       pool_(pool),
       mmt_(mmt),
       dedup_(dedup),
-      options_(options),
-      prefetch_nic_(options.prefetch.incast_penalty) {
+      options_(options) {
   if (options_.use_mm_template) {
     name_ = "trenv";
   } else if (options_.clone_into_cgroup) {
@@ -214,10 +213,7 @@ void TrEnvEngine::PrefetchWorkingSet(const FunctionProfile& profile, RestoreOutc
     return;  // nothing recorded yet: the first invocation demand-faults
   }
   const WorkingSetProfile& ws = prepared->ws;
-  const double eager = options_.prefetch.eager_fraction;
-  uint64_t budget =
-      eager >= 1.0 ? ws.TotalPages()
-                   : static_cast<uint64_t>(eager * static_cast<double>(ws.TotalPages()));
+  uint64_t budget = ws.TotalPages();
   if (budget == 0) {
     return;
   }

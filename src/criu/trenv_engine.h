@@ -45,14 +45,12 @@ class TrEnvEngine : public RestoreEngine {
     // (function, process); later attaches of RDMA/NAS-homed templates issue
     // the recorded runs as coalesced bulk fetches through the NIC queue,
     // overlapped with the B2/B3 repurpose+restore phases, so only residual
-    // cold pages demand-fault during execution. Off by default: disabled
-    // runs are byte-identical to the pre-prefetch engine.
+    // cold pages demand-fault during execution. The whole recorded working
+    // set is fetched, through a private NIC queue with the default incast
+    // penalty. Off by default: disabled runs are byte-identical to the
+    // pre-prefetch engine.
     struct Prefetch {
       bool enabled = false;
-      // Leading fraction of the recorded working set fetched eagerly.
-      double eager_fraction = 1.0;
-      // Incast penalty of the engine's private prefetch NIC queue.
-      double incast_penalty = 0.04;
     } prefetch = {};
   };
 

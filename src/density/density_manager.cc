@@ -1,6 +1,5 @@
 #include "src/density/density_manager.h"
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -14,7 +13,7 @@ namespace trenv {
 
 DensityManager::DensityManager(const DensityConfig& config, KeepAlivePool* keep_alive,
                                FrameAllocator* frames, EventScheduler* scheduler,
-                               const BackendRegistry* backends, obs::Registry* stats)
+                               const BackendRegistry* backends, obs::Registry& stats)
     : enabled_(config.enabled),
       config_(config),
       keep_alive_(keep_alive),
@@ -30,18 +29,15 @@ DensityManager::DensityManager(const DensityConfig& config, KeepAlivePool* keep_
     enabled_ = false;
     return;
   }
-  if (stats != nullptr) {
-    demotions_counter_ = stats->GetCounter("density.demotions");
-    promotions_counter_ = stats->GetCounter("density.promotions");
-    demoted_pages_counter_ = stats->GetCounter("density.demoted_pages");
-    promoted_pages_counter_ = stats->GetCounter("density.promoted_pages");
-    pressure_storms_counter_ = stats->GetCounter("density.pressure_storms");
-    surplus_evictions_counter_ = stats->GetCounter("density.surplus_evictions");
-    for (size_t i = 0; i < kDensityTierCount; ++i) {
-      const std::string tier(DensityTierName(static_cast<DensityTier>(i)));
-      tier_count_gauges_[i] = stats->GetGauge("density.tier." + tier + ".count");
-      tier_bytes_gauges_[i] = stats->GetGauge("density.tier." + tier + ".bytes");
-    }
+  demotions_ = stats.GetCounter("density.demotions");
+  promotions_ = stats.GetCounter("density.promotions");
+  demoted_pages_ = stats.GetCounter("density.demoted_pages");
+  promoted_pages_ = stats.GetCounter("density.promoted_pages");
+  pressure_storms_ = stats.GetCounter("density.pressure_storms");
+  for (size_t i = 0; i < kDensityTierCount; ++i) {
+    const std::string tier(DensityTierName(static_cast<DensityTier>(i)));
+    tier_count_gauges_[i] = stats.GetGauge("density.tier." + tier + ".count");
+    tier_bytes_gauges_[i] = stats.GetGauge("density.tier." + tier + ".bytes");
   }
 }
 
@@ -113,12 +109,11 @@ SimDuration DensityManager::OnTake(FunctionInstance& instance) {
       instance.swap_pool = PoolKind::kLocalDram;
       instance.pending_demand_fetch = fetch;
       promote_ms_.RecordDuration(fetch);
-      promoted_pages_counter_->Add(static_cast<double>(pages));
+      promoted_pages_->Add(static_cast<double>(pages));
     } else {
       promote_ms_.Record(0.0);
     }
-    ++promotions_;
-    promotions_counter_->Add(1);
+    promotions_->Increment();
     instance.density_tier = DensityTier::kDramHot;
   }
   attach_ms_.RecordDuration(latency);
@@ -186,7 +181,7 @@ bool DensityManager::Demote(FunctionInstance& instance, DensityTier to) {
       instance.swapped_out_pages = pages;
       // Background copy cost (off any attach path) at the tier's real rate.
       demote_ms_.RecordDuration(dst->FetchLatency(pages));
-      demoted_pages_counter_->Add(static_cast<double>(pages));
+      demoted_pages_->Add(static_cast<double>(pages));
     } else {
       demote_ms_.Record(0.0);
     }
@@ -205,14 +200,13 @@ bool DensityManager::Demote(FunctionInstance& instance, DensityTier to) {
       instance.swap_pool = dst->kind();
       instance.swap_base = *base;
       demote_ms_.RecordDuration(dst->FetchLatency(pages));
-      demoted_pages_counter_->Add(static_cast<double>(pages));
+      demoted_pages_->Add(static_cast<double>(pages));
     } else {
       demote_ms_.Record(0.0);
     }
   }
   instance.density_tier = to;
-  ++demotions_;
-  demotions_counter_->Add(1);
+  demotions_->Increment();
   return true;
 }
 
@@ -265,11 +259,7 @@ uint64_t DensityManager::RelievePressure(uint64_t target_bytes) {
   return before - frames_->used_bytes();
 }
 
-void DensityManager::NotePressureStorm() {
-  if (pressure_storms_counter_ != nullptr) {
-    pressure_storms_counter_->Add(1);
-  }
-}
+void DensityManager::NotePressureStorm() { pressure_storms_->Increment(); }
 
 void DensityManager::ArmSweep() {
   if (sweep_armed_) {
@@ -322,38 +312,9 @@ void DensityManager::SweepNow() {
       pending = true;  // destination tier full — retry next sweep
     }
   }
-  EnforceSurplusCap(now);
-  if (config_.surplus_per_function >= 0 && keep_alive_->size() > 0) {
-    // The cap re-binds as the traffic score decays, so keep sweeping while
-    // anything is parked; the chain ends when TTL expiry drains the pool.
-    pending = true;
-  }
   UpdateGauges(now);
   if (pending) {
     ArmSweep();
-  }
-}
-
-void DensityManager::EnforceSurplusCap(SimTime now) {
-  if (config_.surplus_per_function < 0) {
-    return;
-  }
-  std::vector<FunctionId> fns;
-  keep_alive_->ForEachLru(
-      [&](uint32_t, FunctionInstance& instance) { fns.push_back(instance.function_id()); });
-  std::sort(fns.begin(), fns.end());
-  fns.erase(std::unique(fns.begin(), fns.end()), fns.end());
-  for (const FunctionId fn : fns) {
-    // Recent demand rounded up, plus the configured spares. A function with
-    // zero live traffic keeps at most the spares.
-    const size_t allowed = static_cast<size_t>(std::ceil(TrafficScore(fn, now))) +
-                           static_cast<size_t>(config_.surplus_per_function);
-    while (keep_alive_->CountFor(fn) > allowed && keep_alive_->EvictFnLru(fn)) {
-      ++surplus_evictions_;
-      if (surplus_evictions_counter_ != nullptr) {
-        surplus_evictions_counter_->Add(1);
-      }
-    }
   }
 }
 
@@ -362,10 +323,8 @@ void DensityManager::UpdateGauges(SimTime now) {
     const DensityTier tier = static_cast<DensityTier>(i);
     const double count = static_cast<double>(keep_alive_->CountInTier(tier));
     timeline_[i].Set(now, count);
-    if (tier_count_gauges_[i] != nullptr) {
-      tier_count_gauges_[i]->Set(count);
-      tier_bytes_gauges_[i]->Set(static_cast<double>(keep_alive_->FootprintInTier(tier)));
-    }
+    tier_count_gauges_[i]->Set(count);
+    tier_bytes_gauges_[i]->Set(static_cast<double>(keep_alive_->FootprintInTier(tier)));
   }
 }
 

@@ -70,19 +70,15 @@ struct DensityConfig {
   // instances cost the node only metadata, so the pool can hold far more
   // warm state than the DRAM budget, but not unboundedly.
   double overcommit_factor = 16.0;
-  // Per-function surplus cap (ROADMAP item 3 follow-up): a function may keep
-  // at most ceil(traffic score) + surplus_per_function instances parked —
-  // its recent demand plus this many spares. The sweep trims extras
-  // LRU-first (full eviction, not demotion: surplus beyond demand is dead
-  // weight on every tier). Negative (default) disables the cap.
-  int32_t surplus_per_function = -1;
 };
 
 class DensityManager {
  public:
+  // `stats` holds the manager's instruments; they are registered only when
+  // tiering is on, and the count accessors read 0 otherwise.
   DensityManager(const DensityConfig& config, KeepAlivePool* keep_alive,
                  FrameAllocator* frames, EventScheduler* scheduler,
-                 const BackendRegistry* backends, obs::Registry* stats);
+                 const BackendRegistry* backends, obs::Registry& stats);
   DensityManager(const DensityManager&) = delete;
   DensityManager& operator=(const DensityManager&) = delete;
 
@@ -137,9 +133,8 @@ class DensityManager {
   const TimeSeriesGauge& tier_timeline(DensityTier tier) const {
     return timeline_[static_cast<size_t>(tier)];
   }
-  uint64_t demotions() const { return demotions_; }
-  uint64_t promotions() const { return promotions_; }
-  uint64_t surplus_evictions() const { return surplus_evictions_; }
+  uint64_t demotions() const { return enabled_ ? demotions_->count() : 0; }
+  uint64_t promotions() const { return enabled_ ? promotions_->count() : 0; }
 
  private:
   struct Traffic {
@@ -161,9 +156,6 @@ class DensityManager {
 
   void ArmSweep();
   void SweepNow();
-  // Trims each function's parked population to its surplus allowance
-  // (no-op with the cap disabled).
-  void EnforceSurplusCap(SimTime now);
   void UpdateGauges(SimTime now);
 
   bool enabled_ = false;
@@ -181,18 +173,14 @@ class DensityManager {
   Histogram promote_ms_;
   Histogram demote_ms_;
   TimeSeriesGauge timeline_[kDensityTierCount];
-  uint64_t demotions_ = 0;
-  uint64_t promotions_ = 0;
-  uint64_t surplus_evictions_ = 0;
 
   // Registry instruments (owned by the platform's registry; null when the
-  // manager is disabled).
-  obs::Counter* demotions_counter_ = nullptr;
-  obs::Counter* promotions_counter_ = nullptr;
-  obs::Counter* demoted_pages_counter_ = nullptr;
-  obs::Counter* promoted_pages_counter_ = nullptr;
-  obs::Counter* pressure_storms_counter_ = nullptr;
-  obs::Counter* surplus_evictions_counter_ = nullptr;
+  // manager is disabled): the only home of each count.
+  obs::Counter* demotions_ = nullptr;
+  obs::Counter* promotions_ = nullptr;
+  obs::Counter* demoted_pages_ = nullptr;
+  obs::Counter* promoted_pages_ = nullptr;
+  obs::Counter* pressure_storms_ = nullptr;
   obs::Gauge* tier_count_gauges_[kDensityTierCount] = {};
   obs::Gauge* tier_bytes_gauges_[kDensityTierCount] = {};
 };

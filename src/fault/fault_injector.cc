@@ -13,22 +13,17 @@ constexpr uint64_t kNodePlanSeedSalt = 0x9E3779B97F4A7C15ULL;
 
 }  // namespace
 
-FaultInjector::FaultInjector(FaultSchedule schedule, obs::Registry* stats)
-    : schedule_(std::move(schedule)), rng_(schedule_.seed) {
-  BindStats(stats);
-}
-
-void FaultInjector::BindStats(obs::Registry* stats) {
-  if (stats == nullptr) return;
-  injected_counter_ = stats->GetCounter("fault.injected");
-  retries_counter_ = stats->GetCounter("fault.retries");
-  failovers_counter_ = stats->GetCounter("fault.failovers");
-  crashes_counter_ = stats->GetCounter("fault.crashes");
-  restarts_counter_ = stats->GetCounter("fault.restarts");
-  deferred_counter_ = stats->GetCounter("fault.deferred");
-  corrupt_counter_ = stats->GetCounter("fault.corrupt_fetches");
-  exhausted_counter_ = stats->GetCounter("fault.exhausted_fetches");
-}
+FaultInjector::FaultInjector(FaultSchedule schedule, obs::Registry& stats)
+    : schedule_(std::move(schedule)),
+      rng_(schedule_.seed),
+      injected_(stats.GetCounter("fault.injected")),
+      retries_(stats.GetCounter("fault.retries")),
+      failovers_(stats.GetCounter("fault.failovers")),
+      crashes_(stats.GetCounter("fault.crashes")),
+      restarts_(stats.GetCounter("fault.restarts")),
+      deferred_(stats.GetCounter("fault.deferred")),
+      corrupt_fetches_(stats.GetCounter("fault.corrupt_fetches")),
+      exhausted_fetches_(stats.GetCounter("fault.exhausted_fetches")) {}
 
 SimTime FaultInjector::Now() const {
   return clock_ != nullptr ? clock_->now() : SimTime::Zero();
@@ -159,43 +154,25 @@ std::vector<FaultInjector::NodeEvent> FaultInjector::PlanNodeEvents(uint32_t nod
 
 void FaultInjector::RecordInjection(SimTime t, FaultDomain domain, uint32_t target) {
   log_.push_back(Injection{t.nanos(), domain, target});
-  ++injected_;
-  if (injected_counter_ != nullptr) injected_counter_->Increment();
+  injected_->Increment();
   if (domain == FaultDomain::kNodeCrash) {
-    ++crashes_;
-    if (crashes_counter_ != nullptr) crashes_counter_->Increment();
+    crashes_->Increment();
   }
 }
 
-void FaultInjector::CountRetry() {
-  ++retries_;
-  if (retries_counter_ != nullptr) retries_counter_->Increment();
-}
+void FaultInjector::CountRetry() { retries_->Increment(); }
 
 void FaultInjector::CountFailover(SimDuration recovery_latency) {
-  ++failovers_;
-  if (failovers_counter_ != nullptr) failovers_counter_->Increment();
+  failovers_->Increment();
   recovery_ms_.RecordDuration(recovery_latency);
 }
 
-void FaultInjector::CountDeferred() {
-  ++deferred_;
-  if (deferred_counter_ != nullptr) deferred_counter_->Increment();
-}
+void FaultInjector::CountDeferred() { deferred_->Increment(); }
 
-void FaultInjector::CountRestart() {
-  ++restarts_;
-  if (restarts_counter_ != nullptr) restarts_counter_->Increment();
-}
+void FaultInjector::CountRestart() { restarts_->Increment(); }
 
-void FaultInjector::CountExhausted() {
-  ++exhausted_fetches_;
-  if (exhausted_counter_ != nullptr) exhausted_counter_->Increment();
-}
+void FaultInjector::CountExhausted() { exhausted_fetches_->Increment(); }
 
-void FaultInjector::CountCorrupt() {
-  ++corrupt_fetches_;
-  if (corrupt_counter_ != nullptr) corrupt_counter_->Increment();
-}
+void FaultInjector::CountCorrupt() { corrupt_fetches_->Increment(); }
 
 }  // namespace trenv

@@ -33,19 +33,19 @@ class EventScheduler;
 
 class FaultInjector {
  public:
-  explicit FaultInjector(FaultSchedule schedule, obs::Registry* stats = nullptr);
+  // `stats` holds the injector's counters, which the accessors below read.
+  FaultInjector(FaultSchedule schedule, obs::Registry& stats);
 
   bool Active() const { return !schedule_.empty(); }
   const FaultSchedule& schedule() const { return schedule_; }
 
   // The injector reads virtual time from whichever scheduler is currently
   // driving the simulation. The Cluster rebinds this as it drains node
-  // schedulers whose clocks diverge during RunAllToCompletion.
+  // schedulers whose clocks diverge during DrainAll.
   void BindClock(const EventScheduler* scheduler) { clock_ = scheduler; }
   // Node whose backends are currently fetching; scopes kCxlPortDegrade
   // windows that target a single MHD port.
   void SetActiveNode(uint32_t node) { active_node_ = node; }
-  void BindStats(obs::Registry* stats);
 
   const RetryPolicy& retry_policy() const { return retry_; }
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
@@ -108,14 +108,14 @@ class FaultInjector {
   void CountRestart();
   void RecordInjection(SimTime t, FaultDomain domain, uint32_t target);
 
-  uint64_t injected() const { return injected_; }
-  uint64_t retries() const { return retries_; }
-  uint64_t failovers() const { return failovers_; }
-  uint64_t crashes() const { return crashes_; }
-  uint64_t restarts() const { return restarts_; }
-  uint64_t deferred() const { return deferred_; }
-  uint64_t corrupt_fetches() const { return corrupt_fetches_; }
-  uint64_t exhausted_fetches() const { return exhausted_fetches_; }
+  uint64_t injected() const { return injected_->count(); }
+  uint64_t retries() const { return retries_->count(); }
+  uint64_t failovers() const { return failovers_->count(); }
+  uint64_t crashes() const { return crashes_->count(); }
+  uint64_t restarts() const { return restarts_->count(); }
+  uint64_t deferred() const { return deferred_->count(); }
+  uint64_t corrupt_fetches() const { return corrupt_fetches_->count(); }
+  uint64_t exhausted_fetches() const { return exhausted_fetches_->count(); }
   const Histogram& recovery_ms() const { return recovery_ms_; }
 
  private:
@@ -132,23 +132,15 @@ class FaultInjector {
 
   std::vector<Injection> log_;
   Histogram recovery_ms_;
-  uint64_t injected_ = 0;
-  uint64_t retries_ = 0;
-  uint64_t failovers_ = 0;
-  uint64_t crashes_ = 0;
-  uint64_t restarts_ = 0;
-  uint64_t deferred_ = 0;
-  uint64_t corrupt_fetches_ = 0;
-  uint64_t exhausted_fetches_ = 0;
-
-  obs::Counter* injected_counter_ = nullptr;
-  obs::Counter* retries_counter_ = nullptr;
-  obs::Counter* failovers_counter_ = nullptr;
-  obs::Counter* crashes_counter_ = nullptr;
-  obs::Counter* restarts_counter_ = nullptr;
-  obs::Counter* deferred_counter_ = nullptr;
-  obs::Counter* corrupt_counter_ = nullptr;
-  obs::Counter* exhausted_counter_ = nullptr;
+  // Registry instruments: the only home of each count.
+  obs::Counter* injected_;
+  obs::Counter* retries_;
+  obs::Counter* failovers_;
+  obs::Counter* crashes_;
+  obs::Counter* restarts_;
+  obs::Counter* deferred_;
+  obs::Counter* corrupt_fetches_;
+  obs::Counter* exhausted_fetches_;
 };
 
 }  // namespace trenv

@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -54,6 +55,9 @@ class Counter {
   void Reset() { value_.store(0.0, std::memory_order_relaxed); }
 
   double value() const { return value_.load(std::memory_order_relaxed); }
+  // The total of a counter that only ever takes whole deltas (events, pages,
+  // bytes), exact below 2^53.
+  uint64_t count() const { return static_cast<uint64_t>(value()); }
   const std::string& name() const { return name_; }
 
  private:

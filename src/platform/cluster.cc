@@ -22,7 +22,7 @@ Cluster::Cluster(ClusterConfig config)
   // in a parallel sweep would race on it).
   cxl_->BindStats(&stats_);
   if (!config_.faults.empty()) {
-    injector_ = std::make_unique<FaultInjector>(config_.faults, &stats_);
+    injector_ = std::make_unique<FaultInjector>(config_.faults, stats_);
     injector_->set_retry_policy(config_.retry);
     cxl_->BindFaultInjector(injector_.get());
   }
@@ -36,13 +36,13 @@ Cluster::Cluster(ClusterConfig config)
       fabric_->BindFaultInjector(injector_.get());
     }
     pool_mgr_ = std::make_unique<PoolManager>(config_.poolmgr, config_.nodes, fabric_.get(),
-                                              &stats_);
+                                              stats_);
     if (config_.poolctl.enabled) {
       // The continuous control plane runs on the pool clock from time zero;
       // it installs the continuous read/admission policy into the manager
-      // and takes over crash/restart routing (see ApplyNodeEvent).
+      // and takes over crash/restart routing (see ApplyFaultEvent).
       pool_ctl_ = std::make_unique<PoolControlPlane>(config_.poolctl, pool_mgr_.get(),
-                                                     &config_.faults, &stats_,
+                                                     &config_.faults, stats_,
                                                      config_.node_config.tracer);
       pool_ctl_->Start(SimTime());
     }
@@ -51,7 +51,7 @@ Cluster::Cluster(ClusterConfig config)
     // Shared-state regions live on the same tiered pool as templates; the
     // data plane's clock joins the lock-step advance like poolmgr's.
     shstate_ = std::make_unique<RegionManager>(config_.shstate, config_.nodes, &tiered_,
-                                               &backends_, &stats_);
+                                               &backends_, stats_);
   }
 
   for (uint32_t i = 0; i < config_.nodes; ++i) {
@@ -273,13 +273,17 @@ void Cluster::FocusNode(size_t i) {
   injector_->SetActiveNode(static_cast<uint32_t>(i));
 }
 
-void Cluster::AdvanceAllTo(SimTime t) {
+void Cluster::AdvanceClocksTo(SimTime t) {
   // Dead nodes advance too (their queue is empty; only the clock moves), so
   // a restarted node rejoins at the cluster-wide instant.
   for (size_t i = 0; i < nodes_.size(); ++i) {
     FocusNode(i);
     nodes_[i]->platform->scheduler().RunUntil(t);
   }
+  AdvanceSideClocksTo(t);
+}
+
+void Cluster::AdvanceSideClocksTo(SimTime t) {
   if (pool_mgr_ != nullptr) {
     // The control plane's clock (lease expiries, rebalances) moves in
     // lock-step with the worker nodes.
@@ -346,7 +350,7 @@ void Cluster::RestartNode(size_t i, SimTime when) {
   }
 }
 
-void Cluster::ApplyNodeEvent(const FaultInjector::NodeEvent& event) {
+void Cluster::ApplyFaultEvent(const FaultInjector::NodeEvent& event) {
   switch (event.kind) {
     case FaultInjector::NodeEvent::Kind::kCrash:
       if (event.node < nodes_.size()) {
@@ -395,32 +399,36 @@ void Cluster::ApplyNodeEvent(const FaultInjector::NodeEvent& event) {
   }
 }
 
+std::vector<FaultInjector::NodeEvent> Cluster::PlanFaultEvents() {
+  if (injector_ == nullptr) {
+    return {};
+  }
+  return injector_->PlanNodeEvents(static_cast<uint32_t>(nodes_.size()),
+                                   pool_mgr_ != nullptr ? config_.poolmgr.pool_nodes : 0);
+}
+
 Status Cluster::Run(const Schedule& schedule) {
   // Dispatch decisions use the load at submission time, so interleave:
   // advance every node up to each arrival before placing it. Node-level
   // fault events (crashes, restarts, pressure windows) merge into the same
   // timeline so their ordering against arrivals is exact.
-  std::vector<FaultInjector::NodeEvent> plan;
-  if (injector_ != nullptr) {
-    plan = injector_->PlanNodeEvents(static_cast<uint32_t>(nodes_.size()),
-                                     pool_mgr_ != nullptr ? config_.poolmgr.pool_nodes : 0);
-  }
+  const std::vector<FaultInjector::NodeEvent> plan = PlanFaultEvents();
   size_t next_event = 0;
   for (const Invocation& invocation : schedule) {
     while (next_event < plan.size() && plan[next_event].time <= invocation.arrival) {
-      AdvanceAllTo(plan[next_event].time);
-      ApplyNodeEvent(plan[next_event]);
+      AdvanceClocksTo(plan[next_event].time);
+      ApplyFaultEvent(plan[next_event]);
       ++next_event;
     }
-    AdvanceAllTo(invocation.arrival);
+    AdvanceClocksTo(invocation.arrival);
     TRENV_RETURN_IF_ERROR(Submit(invocation.arrival, invocation.function));
   }
   while (next_event < plan.size()) {
-    AdvanceAllTo(plan[next_event].time);
-    ApplyNodeEvent(plan[next_event]);
+    AdvanceClocksTo(plan[next_event].time);
+    ApplyFaultEvent(plan[next_event]);
     ++next_event;
   }
-  RunAllToCompletion();
+  DrainAll();
   return Status::Ok();
 }
 
@@ -433,14 +441,10 @@ bool Cluster::CanShardAcrossThreads() const {
 }
 
 Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& options) {
-  std::vector<FaultInjector::NodeEvent> plan;
-  if (injector_ != nullptr) {
-    plan = injector_->PlanNodeEvents(static_cast<uint32_t>(nodes_.size()),
-                                     pool_mgr_ != nullptr ? config_.poolmgr.pool_nodes : 0);
-  }
+  const std::vector<FaultInjector::NodeEvent> plan = PlanFaultEvents();
   // Shard count: clamped to the node count; degraded to one shard when a
-  // cross-node-shared component (injector, tracer, prewarm, density) is
-  // configured. Degradation changes only how much work runs concurrently —
+  // cross-node-shared component (injector, tracer, prewarm, density,
+  // shstate) is configured. Degradation changes only how much work runs concurrently —
   // the epoch algorithm below is identical, so output is still independent
   // of the requested shard count.
   uint32_t shards = std::max<uint32_t>(1, options.shards);
@@ -478,41 +482,35 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
 
   // One epoch: each shard first applies its mailbox (in global push order,
   // before any drain, so scheduler sequence numbers match an immediate
-  // submit), then drains its nodes in index order up to the target. The
-  // control plane's clock follows on the coordinator thread. Lambdas are
-  // built once; `target` is rebound per epoch.
-  SimTime target;
-  const std::function<void(size_t)> advance_shard = [&](size_t s) {
+  // submit), then drains its nodes in index order up to the target — or, in
+  // the final epoch (no target), to completion. The side clocks follow on
+  // the coordinator thread. The lambda is built once; `target` is rebound
+  // per epoch. FocusNode is a no-op without an injector, and an injector
+  // implies one shard, so it stays coordinator-serial.
+  std::optional<SimTime> target;
+  const std::function<void(size_t)> run_shard = [&](size_t s) {
     for (const size_t idx : sink.inboxes[s]) {
       const SubmitCmd& cmd = sink.cmds[idx];
       sink.statuses[idx] =
           nodes_[cmd.node]->platform->Submit(cmd.start, cmd.function, cmd.on_complete);
     }
     for (size_t i = shard_range[s].first; i < shard_range[s].second; ++i) {
-      if (injector_ != nullptr) {
-        FocusNode(i);  // injector implies shards == 1: still coordinator-serial
+      FocusNode(i);
+      if (target.has_value()) {
+        nodes_[i]->platform->scheduler().RunUntil(*target);
+      } else {
+        nodes_[i]->platform->RunToCompletion();
       }
-      nodes_[i]->platform->scheduler().RunUntil(target);
     }
   };
-  const std::function<void(size_t)> finish_shard = [&](size_t s) {
-    for (const size_t idx : sink.inboxes[s]) {
-      const SubmitCmd& cmd = sink.cmds[idx];
-      sink.statuses[idx] =
-          nodes_[cmd.node]->platform->Submit(cmd.start, cmd.function, cmd.on_complete);
-    }
-    for (size_t i = shard_range[s].first; i < shard_range[s].second; ++i) {
-      if (injector_ != nullptr) {
-        FocusNode(i);
-      }
-      nodes_[i]->platform->RunToCompletion();
-    }
-  };
-
-  // Scans mailbox outcomes in global sequence order (the deterministic
-  // (time, shard, seq) drain order), clears the epoch's mailboxes, and
-  // surfaces the first rejection exactly as the sequential Dispatch would.
-  const auto settle_mailbox = [&]() -> Status {
+  // Runs one epoch, then scans mailbox outcomes in global sequence order (the
+  // deterministic (time, shard, seq) drain order), clears the epoch's
+  // mailboxes, and surfaces the first rejection exactly as the sequential
+  // Dispatch would.
+  const auto run_epoch = [&](std::optional<SimTime> t) -> Status {
+    target = t;
+    sink.statuses.resize(sink.cmds.size());
+    coordinator.RunEpoch(run_shard);
     Status first = Status::Ok();
     for (size_t idx = 0; idx < sink.cmds.size(); ++idx) {
       const Status& status = sink.statuses[idx];
@@ -531,13 +529,8 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
     return first;
   };
   const auto epoch_advance = [&](SimTime t) -> Status {
-    target = t;
-    sink.statuses.resize(sink.cmds.size());
-    coordinator.RunEpoch(advance_shard);
-    TRENV_RETURN_IF_ERROR(settle_mailbox());
-    if (pool_mgr_ != nullptr) {
-      pool_mgr_->clock().RunUntil(t);
-    }
+    TRENV_RETURN_IF_ERROR(run_epoch(t));
+    AdvanceSideClocksTo(t);
     if (windowed) {
       // A sync point refreshes the real load state; the window's provisional
       // placement counts are now visible as concurrent startups.
@@ -554,7 +547,7 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
     if (next_event < plan.size() &&
         (!pending.has_value() || plan[next_event].time <= pending->arrival)) {
       TRENV_RETURN_IF_ERROR(epoch_advance(plan[next_event].time));
-      ApplyNodeEvent(plan[next_event]);
+      ApplyFaultEvent(plan[next_event]);
       ++next_event;
       continue;
     }
@@ -579,33 +572,28 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
   }
 
   // Final epoch: flush the last window's mailboxes, then drain every node to
-  // completion (nodes diverge in time here, exactly like RunAllToCompletion —
-  // no cross-node interaction remains).
-  sink.statuses.resize(sink.cmds.size());
-  coordinator.RunEpoch(finish_shard);
-  TRENV_RETURN_IF_ERROR(settle_mailbox());
-  if (pool_ctl_ != nullptr) {
-    // Stop the periodic heartbeat/rebalance ticks or the pool clock never
-    // drains. No final converge: replication at trace end is whatever the
-    // continuous loop actually restored.
-    pool_ctl_->Quiesce();
-  }
-  if (pool_mgr_ != nullptr) {
-    pool_mgr_->clock().RunUntilIdle();
-  }
+  // completion (nodes diverge in time here, exactly like DrainAll — no
+  // cross-node interaction remains), then the side clocks.
+  TRENV_RETURN_IF_ERROR(run_epoch(std::nullopt));
+  DrainSideClocks();
   sharded_epochs_ = coordinator.epochs();
   sharded_barrier_wait_ = coordinator.barrier_wait_seconds();
   return Status::Ok();
 }
 
-void Cluster::RunAllToCompletion() {
+void Cluster::DrainAll() {
   for (size_t i = 0; i < nodes_.size(); ++i) {
     FocusNode(i);
     nodes_[i]->platform->RunToCompletion();
   }
+  DrainSideClocks();
+}
+
+void Cluster::DrainSideClocks() {
   if (pool_ctl_ != nullptr) {
     // Cancel the periodic ticks (heartbeats, rebalancing) so the drain
-    // below terminates; lease expiries still lapse on their own.
+    // below terminates. No final converge: replication at trace end is
+    // whatever the continuous loop actually restored.
     pool_ctl_->Quiesce();
   }
   if (pool_mgr_ != nullptr) {
@@ -637,20 +625,6 @@ std::optional<SimTime> Cluster::NextEventTime() {
   }
   return earliest;
 }
-
-void Cluster::AdvanceClocksTo(SimTime t) { AdvanceAllTo(t); }
-
-std::vector<FaultInjector::NodeEvent> Cluster::PlanFaultEvents() {
-  if (injector_ == nullptr) {
-    return {};
-  }
-  return injector_->PlanNodeEvents(static_cast<uint32_t>(nodes_.size()),
-                                   pool_mgr_ != nullptr ? config_.poolmgr.pool_nodes : 0);
-}
-
-void Cluster::ApplyFaultEvent(const FaultInjector::NodeEvent& event) { ApplyNodeEvent(event); }
-
-void Cluster::DrainAll() { RunAllToCompletion(); }
 
 uint64_t Cluster::NodeDramBytes() const {
   uint64_t total = 0;

@@ -126,9 +126,9 @@ class Cluster {
   // lookahead zero it is byte-identical to Run() on the collected schedule.
   //
   // Preconditions for cross-thread sharding: no fault injector, no tracer,
-  // no prewarm policy, density off. When any of those is configured the run
-  // degrades to one shard (same epoch algorithm, same output at any
-  // requested shard count) — see docs/simulation_model.md.
+  // no prewarm policy, density off, no shstate plane. When any of those is
+  // configured the run degrades to one shard (same epoch algorithm, same
+  // output at any requested shard count) — see docs/simulation_model.md.
   [[nodiscard]] Status RunSharded(ArrivalStream& arrivals,
                                   const ShardedRunOptions& options = {});
 
@@ -155,20 +155,20 @@ class Cluster {
   RegionManager* shared_state() { return shstate_.get(); }
   const RegionManager* shared_state() const { return shstate_.get(); }
 
-  // --- pipeline-driver hooks -------------------------------------------------
-  // An external driver (shstate::PipelineDriver) interleaves its own action
-  // queue with the cluster's timeline through these instead of Run().
+  // --- timeline steps ---------------------------------------------------------
+  // Run() is built from these; shstate::PipelineDriver interleaves its own
+  // action queue with the cluster's timeline through them.
   //
   // Earliest pending event across node schedulers and control-plane clocks.
   std::optional<SimTime> NextEventTime();
-  // Runs every clock up to t in lock-step (wraps the private AdvanceAllTo).
+  // Runs every node scheduler, then the side clocks (poolmgr, shstate), up to
+  // t in lock-step, so cross-node ordering stays deterministic.
   void AdvanceClocksTo(SimTime t);
   // Node-level fault plan (empty without an injector) and its application,
-  // so a driver can merge crash/restart events into its own loop exactly
-  // like Run() does.
+  // merged into the arrival timeline by Run(), RunSharded() and PipelineDriver.
   std::vector<FaultInjector::NodeEvent> PlanFaultEvents();
   void ApplyFaultEvent(const FaultInjector::NodeEvent& event);
-  // Drains every scheduler (wraps the private RunAllToCompletion).
+  // Drains every node scheduler to completion, then the side clocks.
   void DrainAll();
   // Invocations the cluster accepted via Submit — the chaos bench's
   // zero-loss check compares this against completed counts.
@@ -242,16 +242,15 @@ class Cluster {
   Status Dispatch(SimTime arrival, const std::string& function,
                   SubmitOptions options);
   // Points the injector's clock and CXL-port scope at node i before its
-  // scheduler is drained (node clocks diverge during RunAllToCompletion).
+  // scheduler is drained (node clocks diverge during DrainAll).
   void FocusNode(size_t i);
-  // Runs every node's scheduler up to t in lock-step.
-  void AdvanceAllTo(SimTime t);
-  void ApplyNodeEvent(const FaultInjector::NodeEvent& event);
+  // The control-plane clocks that follow the node schedulers: advanced by
+  // AdvanceClocksTo and each RunSharded epoch, drained (after quiescing the
+  // pool control plane's periodic ticks) by DrainAll and RunSharded's end.
+  void AdvanceSideClocksTo(SimTime t);
+  void DrainSideClocks();
   void CrashNode(size_t i, SimTime when);
   void RestartNode(size_t i, SimTime when);
-  // One virtual timeline shared by all nodes: Run drains schedulers in
-  // lock-step so cross-node ordering stays deterministic.
-  void RunAllToCompletion();
 
   ClusterConfig config_;
   obs::Registry stats_;

@@ -119,10 +119,8 @@ void KeepAlivePool::Retier(uint32_t slot, DensityTier tier, uint64_t footprint_b
 
 std::unique_ptr<FunctionInstance> KeepAlivePool::TakeWarm(FunctionId function) {
   if (function >= by_function_.size() || by_function_[function].tail == kNil) {
-    ++warm_misses_;
     return nullptr;
   }
-  ++warm_hits_;
   return Detach(by_function_[function].tail);
 }
 
@@ -131,14 +129,6 @@ bool KeepAlivePool::EvictLru() {
     return false;
   }
   evict_(Detach(lru_head_));
-  return true;
-}
-
-bool KeepAlivePool::EvictFnLru(FunctionId function) {
-  if (function >= by_function_.size() || by_function_[function].head == kNil) {
-    return false;
-  }
-  evict_(Detach(by_function_[function].head));
   return true;
 }
 

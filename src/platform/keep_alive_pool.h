@@ -43,11 +43,6 @@ class KeepAlivePool {
   // Evicts the single least-recently-used idle instance. Returns false if
   // the pool is empty.
   bool EvictLru();
-  // Evicts `function`'s least-recently-used idle instance. Returns false if
-  // the function has nothing parked. The density manager's per-function
-  // surplus cap trims with this so the victim is always the entry that
-  // function would reuse last.
-  bool EvictFnLru(FunctionId function);
   // Evicts every instance idle since before `now - ttl`.
   size_t ExpireStale(SimTime now);
   void EvictAll();
@@ -64,8 +59,6 @@ class KeepAlivePool {
   size_t CountFor(const std::string& function) const {
     return CountFor(GlobalFunctionInterner().Find(function));
   }
-  uint64_t warm_hits() const { return warm_hits_; }
-  uint64_t warm_misses() const { return warm_misses_; }
 
   SimDuration ttl() const { return ttl_; }
 
@@ -173,8 +166,6 @@ class KeepAlivePool {
   uint32_t tier_tail_[kDensityTierCount] = {kNil, kNil, kNil};
   size_t size_ = 0;
   size_t peak_size_ = 0;
-  uint64_t warm_hits_ = 0;
-  uint64_t warm_misses_ = 0;
   size_t tier_counts_[kDensityTierCount] = {};
   uint64_t tier_bytes_[kDensityTierCount] = {};
   uint64_t footprint_bytes_ = 0;

@@ -19,7 +19,7 @@ ServerlessPlatform::ServerlessPlatform(PlatformConfig config, RestoreEngine* eng
                   }),
       exec_model_(config.seed ^ 0xE1EC),
       density_(config.density, &keep_alive_, &frames_, &scheduler_, backends,
-               &metrics_.registry()) {
+               metrics_.registry()) {
   if (config_.tracer != nullptr) {
     tracer_ = config_.tracer;
     trace_pid_ = tracer_->RegisterProcess(config_.trace_process,

@@ -55,11 +55,10 @@ struct PlatformConfig {
   // crash re-dispatch that differs from where it was submitted).
   uint32_t node_index = 0;
   // Working-set-guided batched prefetch on the TrEnv attach path (only
-  // meaningful for mm-template systems; Testbed threads these into
+  // meaningful for mm-template systems; Testbed threads it into
   // TrEnvEngine::Options::prefetch). Off by default: disabled runs take the
   // historical code paths byte-identically.
   bool trenv_prefetch = false;
-  double trenv_prefetch_eager_fraction = 1.0;
 };
 
 // Invoked when an invocation completes successfully: the completing node's

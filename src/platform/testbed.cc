@@ -128,7 +128,6 @@ Testbed::Testbed(SystemKind system, PlatformConfig config)
     case SystemKind::kTrEnvDramLive: {
       TrEnvEngine::Options opts;
       opts.prefetch.enabled = config.trenv_prefetch;
-      opts.prefetch.eager_fraction = config.trenv_prefetch_eager_fraction;
       engine_ = std::make_unique<TrEnvEngine>(&sandbox_factory_, &sandbox_pool_, mmt_.get(),
                                               dedup_.get(), opts);
       break;

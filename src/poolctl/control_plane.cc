@@ -27,12 +27,17 @@ double FlapLossAt(const FaultSchedule* faults, SimTime now, uint32_t node) {
 }  // namespace
 
 PoolControlPlane::PoolControlPlane(PoolCtlConfig config, PoolManager* mgr,
-                                   const FaultSchedule* faults, obs::Registry* stats,
+                                   const FaultSchedule* faults, obs::Registry& stats,
                                    obs::Tracer* tracer)
     : config_(config),
       mgr_(mgr),
       membership_(config.membership, mgr->pool_node_count(), &mgr->clock(), stats),
-      tracer_(tracer) {
+      tracer_(tracer),
+      rebalance_ticks_(stats.GetCounter("poolctl.rebalance_ticks")),
+      pages_moved_(stats.GetCounter("poolctl.rebalance_pages")),
+      hot_promotions_(stats.GetCounter("poolctl.hot_promotions")),
+      hot_demotions_(stats.GetCounter("poolctl.hot_demotions")),
+      under_replicated_gauge_(stats.GetGauge("poolctl.under_replicated_shards")) {
   mgr_->EnableContinuousControl(config_.policy);
   membership_.SetListener(
       [this](const GossipMembership::Transition& transition) { OnTransition(transition); });
@@ -40,13 +45,6 @@ PoolControlPlane::PoolControlPlane(PoolCtlConfig config, PoolManager* mgr,
     membership_.SetHeartbeatLoss([faults](SimTime now, uint32_t node) {
       return FlapLossAt(faults, now, node);
     });
-  }
-  if (stats != nullptr) {
-    ticks_counter_ = stats->GetCounter("poolctl.rebalance_ticks");
-    moved_counter_ = stats->GetCounter("poolctl.rebalance_pages");
-    promotions_counter_ = stats->GetCounter("poolctl.hot_promotions");
-    demotions_counter_ = stats->GetCounter("poolctl.hot_demotions");
-    under_replicated_gauge_ = stats->GetGauge("poolctl.under_replicated_shards");
   }
   if (tracer_ != nullptr) {
     trace_pid_ = tracer_->RegisterProcess(
@@ -129,15 +127,9 @@ void PoolControlPlane::RebalanceTick() {
     const uint32_t want = static_cast<uint32_t>(
         std::min<uint64_t>(config_.max_extra_replicas, scores_[s] / config_.hot_promote_score));
     if (want > extra_[s]) {
-      hot_promotions_ += want - extra_[s];
-      if (promotions_counter_ != nullptr) {
-        promotions_counter_->Add(static_cast<double>(want - extra_[s]));
-      }
+      hot_promotions_->Add(static_cast<double>(want - extra_[s]));
     } else if (want < extra_[s]) {
-      hot_demotions_ += extra_[s] - want;
-      if (demotions_counter_ != nullptr) {
-        demotions_counter_->Add(static_cast<double>(extra_[s] - want));
-      }
+      hot_demotions_->Add(static_cast<double>(extra_[s] - want));
     }
     extra_[s] = want;
   }
@@ -177,18 +169,10 @@ void PoolControlPlane::RebalanceTick() {
     cursor_ = 0;
   }
 
-  ++rebalance_ticks_;
-  pages_moved_ += moved;
+  rebalance_ticks_->Increment();
+  pages_moved_->Add(static_cast<double>(moved));
   tick_pages_.Record(static_cast<double>(moved));
-  if (ticks_counter_ != nullptr) {
-    ticks_counter_->Add(1);
-  }
-  if (moved_counter_ != nullptr) {
-    moved_counter_->Add(static_cast<double>(moved));
-  }
-  if (under_replicated_gauge_ != nullptr) {
-    under_replicated_gauge_->Set(static_cast<double>(mgr_->UnderReplicatedShards()));
-  }
+  under_replicated_gauge_->Set(static_cast<double>(mgr_->UnderReplicatedShards()));
   if (tracer_ != nullptr && moved > 0) {
     const obs::SpanId id = tracer_->RecordSpanAt({trace_pid_, 0}, "rebalance.tick", "poolctl",
                                                  now, SimDuration::Zero());

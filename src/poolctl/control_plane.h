@@ -66,9 +66,10 @@ struct PoolCtlConfig {
 class PoolControlPlane {
  public:
   // `mgr` must outlive the plane; `faults` (nullable) supplies the RDMA-flap
-  // windows that drive heartbeat loss; `stats`/`tracer` may be null.
+  // windows that drive heartbeat loss; `stats` holds the plane's and the
+  // detector's counters, which the accessors read; `tracer` may be null.
   PoolControlPlane(PoolCtlConfig config, PoolManager* mgr, const FaultSchedule* faults,
-                   obs::Registry* stats, obs::Tracer* tracer);
+                   obs::Registry& stats, obs::Tracer* tracer);
   PoolControlPlane(const PoolControlPlane&) = delete;
   PoolControlPlane& operator=(const PoolControlPlane&) = delete;
 
@@ -87,10 +88,10 @@ class PoolControlPlane {
   // membership view is degraded (cold pulls risk dead-read timeouts).
   uint64_t DispatchPenaltyMs(uint32_t worker, SimTime now) const;
 
-  uint64_t rebalance_ticks() const { return rebalance_ticks_; }
-  uint64_t pages_moved() const { return pages_moved_; }
-  uint64_t hot_promotions() const { return hot_promotions_; }
-  uint64_t hot_demotions() const { return hot_demotions_; }
+  uint64_t rebalance_ticks() const { return rebalance_ticks_->count(); }
+  uint64_t pages_moved() const { return pages_moved_->count(); }
+  uint64_t hot_promotions() const { return hot_promotions_->count(); }
+  uint64_t hot_demotions() const { return hot_demotions_->count(); }
   // Extra replicas currently promoted for a shard (0 when not hot).
   uint32_t ExtraReplicas(uint32_t shard_index) const {
     return shard_index < extra_.size() ? extra_[shard_index] : 0;
@@ -117,17 +118,14 @@ class PoolControlPlane {
   // Round-robin resume point for the budget-bound alignment pass.
   uint32_t cursor_ = 0;
 
-  uint64_t rebalance_ticks_ = 0;
-  uint64_t pages_moved_ = 0;
-  uint64_t hot_promotions_ = 0;
-  uint64_t hot_demotions_ = 0;
   Histogram tick_pages_;
 
-  obs::Counter* ticks_counter_ = nullptr;
-  obs::Counter* moved_counter_ = nullptr;
-  obs::Counter* promotions_counter_ = nullptr;
-  obs::Counter* demotions_counter_ = nullptr;
-  obs::Gauge* under_replicated_gauge_ = nullptr;
+  // Registry instruments: the only home of each count.
+  obs::Counter* rebalance_ticks_;
+  obs::Counter* pages_moved_;
+  obs::Counter* hot_promotions_;
+  obs::Counter* hot_demotions_;
+  obs::Gauge* under_replicated_gauge_;
 };
 
 }  // namespace trenv

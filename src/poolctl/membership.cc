@@ -3,18 +3,18 @@
 namespace trenv {
 
 GossipMembership::GossipMembership(MembershipConfig config, uint32_t fleet,
-                                   EventScheduler* clock, obs::Registry* stats)
-    : config_(config), clock_(clock), rng_(config.seed) {
+                                   EventScheduler* clock, obs::Registry& stats)
+    : config_(config),
+      clock_(clock),
+      rng_(config.seed),
+      heartbeats_sent_(stats.GetCounter("poolctl.heartbeats")),
+      heartbeats_dropped_(stats.GetCounter("poolctl.heartbeats_dropped")),
+      suspicions_(stats.GetCounter("poolctl.suspicions")),
+      false_suspicions_(stats.GetCounter("poolctl.false_suspicions")),
+      deaths_(stats.GetCounter("poolctl.deaths")),
+      rejoins_(stats.GetCounter("poolctl.rejoins")),
+      epoch_gauge_(stats.GetGauge("poolctl.membership_epoch")) {
   nodes_.resize(fleet);
-  if (stats != nullptr) {
-    heartbeats_counter_ = stats->GetCounter("poolctl.heartbeats");
-    dropped_counter_ = stats->GetCounter("poolctl.heartbeats_dropped");
-    suspicions_counter_ = stats->GetCounter("poolctl.suspicions");
-    false_suspicions_counter_ = stats->GetCounter("poolctl.false_suspicions");
-    deaths_counter_ = stats->GetCounter("poolctl.deaths");
-    rejoins_counter_ = stats->GetCounter("poolctl.rejoins");
-    epoch_gauge_ = stats->GetGauge("poolctl.membership_epoch");
-  }
 }
 
 void GossipMembership::Start(SimTime now) {
@@ -63,16 +63,10 @@ void GossipMembership::Tick() {
     if (!nodes_[n].up) {
       continue;  // a down node sends nothing; silence accrues suspicion
     }
-    ++heartbeats_sent_;
-    if (heartbeats_counter_ != nullptr) {
-      heartbeats_counter_->Add(1);
-    }
+    heartbeats_sent_->Increment();
     const double loss = loss_ ? loss_(now, n) : 0.0;
     if (loss > 0.0 && rng_.NextBool(loss)) {
-      ++heartbeats_dropped_;
-      if (dropped_counter_ != nullptr) {
-        dropped_counter_->Add(1);
-      }
+      heartbeats_dropped_->Increment();
       continue;  // the fabric ate it: indistinguishable from a dead node
     }
     Deliver(n, now);
@@ -97,10 +91,7 @@ void GossipMembership::Deliver(uint32_t node, SimTime now) {
       // since we suspected it, the network dropped its beats: a false
       // suspicion — the failure-detector cost of RDMA flaps.
       if (state.was_up_at_suspicion && state.downs == state.downs_at_suspicion) {
-        ++false_suspicions_;
-        if (false_suspicions_counter_ != nullptr) {
-          false_suspicions_counter_->Add(1);
-        }
+        false_suspicions_->Increment();
       }
       Announce(node, State::kSuspect, State::kAlive, now);
       state.state = State::kAlive;
@@ -108,33 +99,15 @@ void GossipMembership::Deliver(uint32_t node, SimTime now) {
     }
     case State::kDead:
       state.state = State::kJoining;
-      state.join_streak = 1;
+      state.join_streak = 0;
       Announce(node, State::kDead, State::kJoining, now);
-      if (state.join_streak >= config_.join_beats) {
-        state.state = State::kAlive;
-        ++rejoins_;
-        ++epoch_;
-        if (rejoins_counter_ != nullptr) {
-          rejoins_counter_->Add(1);
-        }
-        if (epoch_gauge_ != nullptr) {
-          epoch_gauge_->Set(static_cast<double>(epoch_));
-        }
-        Announce(node, State::kJoining, State::kAlive, now);
-      }
-      break;
+      [[fallthrough]];  // this beat is the first of the join streak
     case State::kJoining:
       ++state.join_streak;
       if (state.join_streak >= config_.join_beats) {
         state.state = State::kAlive;
-        ++rejoins_;
-        ++epoch_;
-        if (rejoins_counter_ != nullptr) {
-          rejoins_counter_->Add(1);
-        }
-        if (epoch_gauge_ != nullptr) {
-          epoch_gauge_->Set(static_cast<double>(epoch_));
-        }
+        rejoins_->Increment();
+        BumpEpoch();
         Announce(node, State::kJoining, State::kAlive, now);
       }
       break;
@@ -162,29 +135,25 @@ void GossipMembership::Evaluate(uint32_t node, SimTime now) {
     state.state = State::kSuspect;
     state.was_up_at_suspicion = state.up;
     state.downs_at_suspicion = state.downs;
-    ++suspicions_;
-    if (suspicions_counter_ != nullptr) {
-      suspicions_counter_->Add(1);
-    }
+    suspicions_->Increment();
     Announce(node, State::kAlive, State::kSuspect, now);
   }
   if (state.state == State::kSuspect && phi >= config_.phi_dead) {
     state.state = State::kDead;
     state.join_streak = 0;
-    ++deaths_;
-    ++epoch_;
-    if (deaths_counter_ != nullptr) {
-      deaths_counter_->Add(1);
-    }
-    if (epoch_gauge_ != nullptr) {
-      epoch_gauge_->Set(static_cast<double>(epoch_));
-    }
+    deaths_->Increment();
+    BumpEpoch();
     if (!state.up) {
       // True death: record how long the fleet served reads toward a corpse.
       detection_ms_.RecordDuration(now - state.down_since);
     }
     Announce(node, State::kSuspect, State::kDead, now);
   }
+}
+
+void GossipMembership::BumpEpoch() {
+  ++epoch_;
+  epoch_gauge_->Set(static_cast<double>(epoch_));
 }
 
 void GossipMembership::Announce(uint32_t node, State from, State to, SimTime when) {

@@ -61,10 +61,11 @@ class GossipMembership {
   };
   using Listener = std::function<void(const Transition&)>;
 
-  // `clock` is the control plane's scheduler (not owned); `stats` may be
-  // null. Nothing is scheduled until Start().
+  // `clock` is the control plane's scheduler (not owned); `stats` holds the
+  // detector's counters, which the accessors below read. Nothing is
+  // scheduled until Start().
   GossipMembership(MembershipConfig config, uint32_t fleet, EventScheduler* clock,
-                   obs::Registry* stats);
+                   obs::Registry& stats);
   GossipMembership(const GossipMembership&) = delete;
   GossipMembership& operator=(const GossipMembership&) = delete;
 
@@ -100,12 +101,12 @@ class GossipMembership {
   // cheap "membership changed" signal.
   uint64_t epoch() const { return epoch_; }
 
-  uint64_t heartbeats_sent() const { return heartbeats_sent_; }
-  uint64_t heartbeats_dropped() const { return heartbeats_dropped_; }
-  uint64_t suspicions() const { return suspicions_; }
-  uint64_t false_suspicions() const { return false_suspicions_; }
-  uint64_t deaths() const { return deaths_; }
-  uint64_t rejoins() const { return rejoins_; }
+  uint64_t heartbeats_sent() const { return heartbeats_sent_->count(); }
+  uint64_t heartbeats_dropped() const { return heartbeats_dropped_->count(); }
+  uint64_t suspicions() const { return suspicions_->count(); }
+  uint64_t false_suspicions() const { return false_suspicions_->count(); }
+  uint64_t deaths() const { return deaths_->count(); }
+  uint64_t rejoins() const { return rejoins_->count(); }
   // Down -> declared-dead lag per true death (the detector's latency).
   const Histogram& detection_ms() const { return detection_ms_; }
 
@@ -127,6 +128,8 @@ class GossipMembership {
   void Tick();
   void Deliver(uint32_t node, SimTime now);
   void Evaluate(uint32_t node, SimTime now);
+  // Bumps the membership epoch (a death or a completed rejoin).
+  void BumpEpoch();
   void Announce(uint32_t node, State from, State to, SimTime when);
 
   MembershipConfig config_;
@@ -138,22 +141,16 @@ class GossipMembership {
   EventId tick_event_ = kInvalidEventId;
   bool running_ = false;
   uint64_t epoch_ = 0;
-
-  uint64_t heartbeats_sent_ = 0;
-  uint64_t heartbeats_dropped_ = 0;
-  uint64_t suspicions_ = 0;
-  uint64_t false_suspicions_ = 0;
-  uint64_t deaths_ = 0;
-  uint64_t rejoins_ = 0;
   Histogram detection_ms_;
 
-  obs::Counter* heartbeats_counter_ = nullptr;
-  obs::Counter* dropped_counter_ = nullptr;
-  obs::Counter* suspicions_counter_ = nullptr;
-  obs::Counter* false_suspicions_counter_ = nullptr;
-  obs::Counter* deaths_counter_ = nullptr;
-  obs::Counter* rejoins_counter_ = nullptr;
-  obs::Gauge* epoch_gauge_ = nullptr;
+  // Registry instruments: the only home of each count.
+  obs::Counter* heartbeats_sent_;
+  obs::Counter* heartbeats_dropped_;
+  obs::Counter* suspicions_;
+  obs::Counter* false_suspicions_;
+  obs::Counter* deaths_;
+  obs::Counter* rejoins_;
+  obs::Gauge* epoch_gauge_;
 };
 
 }  // namespace trenv

@@ -7,8 +7,25 @@
 namespace trenv {
 
 PoolManager::PoolManager(PoolManagerConfig config, uint32_t worker_nodes,
-                         MemoryBackend* fabric, obs::Registry* stats)
-    : config_(config), fabric_(fabric), ring_(config.vnodes_per_node) {
+                         MemoryBackend* fabric, obs::Registry& stats)
+    : config_(config),
+      fabric_(fabric),
+      ring_(config.vnodes_per_node),
+      attaches_(stats.GetCounter("poolmgr.attaches")),
+      lease_hits_(stats.GetCounter("poolmgr.lease_hits")),
+      lease_misses_(stats.GetCounter("poolmgr.lease_misses")),
+      leases_expired_(stats.GetCounter("poolmgr.leases_expired")),
+      leases_revoked_(stats.GetCounter("poolmgr.leases_revoked")),
+      replica_promotions_(stats.GetCounter("poolmgr.replica_promotions")),
+      remote_fetch_pages_(stats.GetCounter("poolmgr.remote_fetch_pages")),
+      remote_fetch_ops_(stats.GetCounter("poolmgr.remote_fetch_ops")),
+      coalesced_requests_(stats.GetCounter("poolmgr.coalesced_requests")),
+      rebalance_moves_(stats.GetCounter("poolmgr.rebalance_moves")),
+      reseeded_shards_(stats.GetCounter("poolmgr.reseeded_shards")),
+      shed_attaches_(stats.GetCounter("poolmgr.shed_attaches")),
+      shed_pages_(stats.GetCounter("poolmgr.shed_pages")),
+      dead_read_hops_(stats.GetCounter("poolmgr.dead_read_hops")),
+      nas_fallback_pages_(stats.GetCounter("poolmgr.nas_fallback_pages")) {
   alive_.assign(config_.pool_nodes, true);
   served_pages_.assign(config_.pool_nodes, 0);
   for (uint32_t n = 0; n < config_.pool_nodes; ++n) {
@@ -19,23 +36,6 @@ PoolManager::PoolManager(PoolManagerConfig config, uint32_t worker_nodes,
     nics_.emplace_back(config_.incast_penalty);
   }
   leases_.resize(worker_nodes);
-  if (stats != nullptr) {
-    attaches_counter_ = stats->GetCounter("poolmgr.attaches");
-    lease_hits_counter_ = stats->GetCounter("poolmgr.lease_hits");
-    lease_misses_counter_ = stats->GetCounter("poolmgr.lease_misses");
-    expired_counter_ = stats->GetCounter("poolmgr.leases_expired");
-    revoked_counter_ = stats->GetCounter("poolmgr.leases_revoked");
-    promotions_counter_ = stats->GetCounter("poolmgr.replica_promotions");
-    fetch_pages_counter_ = stats->GetCounter("poolmgr.remote_fetch_pages");
-    fetch_ops_counter_ = stats->GetCounter("poolmgr.remote_fetch_ops");
-    coalesced_counter_ = stats->GetCounter("poolmgr.coalesced_requests");
-    rebalance_counter_ = stats->GetCounter("poolmgr.rebalance_moves");
-    reseed_counter_ = stats->GetCounter("poolmgr.reseeded_shards");
-    shed_counter_ = stats->GetCounter("poolmgr.shed_attaches");
-    shed_pages_counter_ = stats->GetCounter("poolmgr.shed_pages");
-    dead_read_counter_ = stats->GetCounter("poolmgr.dead_read_hops");
-    nas_fallback_counter_ = stats->GetCounter("poolmgr.nas_fallback_pages");
-  }
 }
 
 void PoolManager::EnableContinuousControl(const ContinuousPoolPolicy& policy) {
@@ -89,14 +89,13 @@ bool PoolManager::EnsureLivePrimary(uint32_t shard_index) {
   if (shard.replicas.empty()) {
     return false;  // no pool node alive at all
   }
-  ++reseeded_shards_;
-  Count(reseed_counter_);
+  reseeded_shards_->Increment();
   return true;
 }
 
 PoolManager::AttachOutcome PoolManager::Attach(uint32_t worker, FunctionId fid, SimTime now) {
   AttachOutcome outcome;
-  Count(attaches_counter_);
+  attaches_->Increment();
   const std::vector<uint32_t>* shard_ids =
       fid < templates_.size() && !templates_[fid].empty() ? &templates_[fid] : nullptr;
   if (worker >= leases_.size() || shard_ids == nullptr) {
@@ -110,16 +109,14 @@ PoolManager::AttachOutcome PoolManager::Attach(uint32_t worker, FunctionId fid, 
   if (lease_it != leases_[worker].end() && lease_it->second.refs > 0) {
     // Lease hit: the shards are already mapped on this worker; renew only.
     outcome.lease_hit = true;
-    ++lease_hits_;
-    Count(lease_hits_counter_);
+    lease_hits_->Increment();
     GrantLease(worker, fid, now);
     attach_ms_.RecordDuration(outcome.latency);
     return outcome;
   }
   // Lease miss: pull every shard through this worker's NIC — from its
   // primary (legacy) or a hashed live replica (continuous spread reads).
-  ++lease_misses_;
-  Count(lease_misses_counter_);
+  lease_misses_->Increment();
   std::vector<FetchRequest> requests;
   requests.reserve(shard_ids->size());
   uint64_t nas_pages = 0;   // shards with no reachable replica (continuous)
@@ -148,15 +145,13 @@ PoolManager::AttachOutcome PoolManager::Attach(uint32_t worker, FunctionId fid, 
   // drops: the invocation pays the fallback latency and still gets a lease.
   if (continuous_ && policy_.shed_queue_threshold > SimDuration::Zero() &&
       !requests.empty() && NicBacklog(worker, now) > policy_.shed_queue_threshold) {
-    ++shed_attaches_;
-    Count(shed_counter_);
+    shed_attaches_->Increment();
     uint64_t batch_pages = 0;
     for (const FetchRequest& request : requests) {
       batch_pages += request.npages;
     }
-    shed_pages_ += batch_pages;
+    shed_pages_->Add(static_cast<double>(batch_pages));
     nas_pages += batch_pages;
-    Count(shed_pages_counter_, static_cast<double>(batch_pages));
     requests.clear();
   }
   if (!requests.empty()) {
@@ -168,21 +163,16 @@ PoolManager::AttachOutcome PoolManager::Attach(uint32_t worker, FunctionId fid, 
     const FetchOutcome fetch = nics_[worker].Issue(now, std::move(requests), fabric_);
     outcome.latency += fetch.Total();
     outcome.fetched_pages = fetch.pages;
-    remote_fetch_pages_ += fetch.pages;
-    remote_fetch_ops_ += fetch.ops;
-    coalesced_requests_ += fetch.coalesced;
-    Count(fetch_pages_counter_, static_cast<double>(fetch.pages));
-    Count(fetch_ops_counter_, static_cast<double>(fetch.ops));
-    Count(coalesced_counter_, static_cast<double>(fetch.coalesced));
+    remote_fetch_pages_->Add(static_cast<double>(fetch.pages));
+    remote_fetch_ops_->Add(static_cast<double>(fetch.ops));
+    coalesced_requests_->Add(static_cast<double>(fetch.coalesced));
   }
   if (dead_hops > 0) {
-    dead_read_hops_ += dead_hops;
-    Count(dead_read_counter_, static_cast<double>(dead_hops));
+    dead_read_hops_->Add(static_cast<double>(dead_hops));
     outcome.latency += policy_.dead_read_timeout * static_cast<double>(dead_hops);
   }
   if (nas_pages > 0) {
-    nas_fallback_pages_ += nas_pages;
-    Count(nas_fallback_counter_, static_cast<double>(nas_pages));
+    nas_fallback_pages_->Add(static_cast<double>(nas_pages));
     outcome.latency += policy_.nas_fallback_base +
                        policy_.nas_fallback_per_page * static_cast<double>(nas_pages);
   }
@@ -225,8 +215,7 @@ void PoolManager::GrantLease(uint32_t worker, FunctionId fid, SimTime now) {
     }
     if (--it->second.refs == 0) {
       leases_[worker].erase(it);
-      ++leases_expired_;
-      Count(expired_counter_);
+      leases_expired_->Increment();
     }
   });
 }
@@ -275,8 +264,7 @@ void PoolManager::RemoveFromPlacement(uint32_t pool_node) {
     } else if (was_primary) {
       // Replica promotion: the next live replica serves reads; leases stay
       // valid because placement metadata is all that changes.
-      ++replica_promotions_;
-      Count(promotions_counter_);
+      replica_promotions_->Increment();
     }
   }
   // Revoke leases on templates that lost a shard entirely (replication 1):
@@ -296,8 +284,7 @@ void PoolManager::RemoveFromPlacement(uint32_t pool_node) {
       const auto it = worker_leases.find(fid);
       if (it != worker_leases.end()) {
         worker_leases.erase(it);
-        ++leases_revoked_;
-        Count(revoked_counter_);
+        leases_revoked_->Increment();
       }
     }
   }
@@ -395,13 +382,11 @@ void PoolManager::RunRebalance(SimTime now) {
       }
     }
     if (additions > 0) {
-      rebalance_moves_ += additions;
+      rebalance_moves_->Add(static_cast<double>(additions));
       rebalanced_pages_ += additions * shard.npages;
-      Count(rebalance_counter_, static_cast<double>(additions));
     }
     if (was_lost) {
-      ++reseeded_shards_;
-      Count(reseed_counter_);
+      reseeded_shards_->Increment();
     }
     // Keep a surviving primary in place when the ring still lists it —
     // promotion already redirected readers there; demoting it back would
@@ -454,13 +439,11 @@ PoolManager::ReconcileResult PoolManager::ReconcileShard(uint32_t shard_index,
     ++added;
   }
   if (added > 0) {
-    rebalance_moves_ += added;
+    rebalance_moves_->Add(static_cast<double>(added));
     rebalanced_pages_ += result.pages_moved;
-    Count(rebalance_counter_, static_cast<double>(added));
   }
   if (was_lost && !shard.replicas.empty()) {
-    ++reseeded_shards_;
-    Count(reseed_counter_);
+    reseeded_shards_->Increment();
   }
   for (const uint32_t node : desired) {
     if (std::find(shard.replicas.begin(), shard.replicas.end(), node) ==
@@ -486,8 +469,7 @@ PoolManager::ReconcileResult PoolManager::ReconcileShard(uint32_t shard_index,
     }
     shard.replicas = std::move(kept);
     if (!shard.replicas.empty() && shard.replicas.front() != old_primary && !was_lost) {
-      ++replica_promotions_;
-      Count(promotions_counter_);
+      replica_promotions_->Increment();
     }
   }
   return result;

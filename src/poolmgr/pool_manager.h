@@ -89,10 +89,11 @@ struct ContinuousPoolPolicy {
 
 class PoolManager {
  public:
-  // `fabric` models the inter-node transfer path (not owned); `stats` may be
-  // null. Worker NICs are indexed [0, worker_nodes).
+  // `fabric` models the inter-node transfer path (not owned); `stats` holds
+  // the manager's counters, which the accessors below read. Worker NICs are
+  // indexed [0, worker_nodes).
   PoolManager(PoolManagerConfig config, uint32_t worker_nodes, MemoryBackend* fabric,
-              obs::Registry* stats);
+              obs::Registry& stats);
   PoolManager(const PoolManager&) = delete;
   PoolManager& operator=(const PoolManager&) = delete;
 
@@ -173,21 +174,21 @@ class PoolManager {
 
   // --- accounting -----------------------------------------------------------
   const Histogram& attach_ms() const { return attach_ms_; }
-  uint64_t remote_fetch_pages() const { return remote_fetch_pages_; }
-  uint64_t remote_fetch_ops() const { return remote_fetch_ops_; }
-  uint64_t coalesced_requests() const { return coalesced_requests_; }
-  uint64_t lease_hits() const { return lease_hits_; }
-  uint64_t lease_misses() const { return lease_misses_; }
-  uint64_t leases_expired() const { return leases_expired_; }
-  uint64_t leases_revoked() const { return leases_revoked_; }
-  uint64_t replica_promotions() const { return replica_promotions_; }
-  uint64_t rebalance_moves() const { return rebalance_moves_; }
+  uint64_t remote_fetch_pages() const { return remote_fetch_pages_->count(); }
+  uint64_t remote_fetch_ops() const { return remote_fetch_ops_->count(); }
+  uint64_t coalesced_requests() const { return coalesced_requests_->count(); }
+  uint64_t lease_hits() const { return lease_hits_->count(); }
+  uint64_t lease_misses() const { return lease_misses_->count(); }
+  uint64_t leases_expired() const { return leases_expired_->count(); }
+  uint64_t leases_revoked() const { return leases_revoked_->count(); }
+  uint64_t replica_promotions() const { return replica_promotions_->count(); }
+  uint64_t rebalance_moves() const { return rebalance_moves_->count(); }
   uint64_t rebalanced_pages() const { return rebalanced_pages_; }
-  uint64_t reseeded_shards() const { return reseeded_shards_; }
-  uint64_t shed_attaches() const { return shed_attaches_; }
-  uint64_t shed_pages() const { return shed_pages_; }
-  uint64_t dead_read_hops() const { return dead_read_hops_; }
-  uint64_t nas_fallback_pages() const { return nas_fallback_pages_; }
+  uint64_t reseeded_shards() const { return reseeded_shards_->count(); }
+  uint64_t shed_attaches() const { return shed_attaches_->count(); }
+  uint64_t shed_pages() const { return shed_pages_->count(); }
+  uint64_t dead_read_hops() const { return dead_read_hops_->count(); }
+  uint64_t nas_fallback_pages() const { return nas_fallback_pages_->count(); }
   size_t shard_count() const { return shards_.size(); }
   uint32_t base_replication() const { return config_.replication; }
   // Lease-miss fetches this shard has served (the hot-shard signal).
@@ -247,11 +248,6 @@ class PoolManager {
   // Ensures the shard has a live primary, reseeding from the dedup store if
   // every replica died. Returns false only when no pool node is alive.
   bool EnsureLivePrimary(uint32_t shard_index);
-  void Count(obs::Counter* counter, double delta = 1.0) {
-    if (counter != nullptr) {
-      counter->Add(delta);
-    }
-  }
 
   PoolManagerConfig config_;
   MemoryBackend* fabric_;
@@ -274,37 +270,25 @@ class PoolManager {
   std::vector<uint64_t> served_pages_;
 
   Histogram attach_ms_;
-  uint64_t remote_fetch_pages_ = 0;
-  uint64_t remote_fetch_ops_ = 0;
-  uint64_t coalesced_requests_ = 0;
-  uint64_t lease_hits_ = 0;
-  uint64_t lease_misses_ = 0;
-  uint64_t leases_expired_ = 0;
-  uint64_t leases_revoked_ = 0;
-  uint64_t replica_promotions_ = 0;
-  uint64_t rebalance_moves_ = 0;
+  // Background copy pages; no registry instrument counts them.
   uint64_t rebalanced_pages_ = 0;
-  uint64_t reseeded_shards_ = 0;
-  uint64_t shed_attaches_ = 0;
-  uint64_t shed_pages_ = 0;
-  uint64_t dead_read_hops_ = 0;
-  uint64_t nas_fallback_pages_ = 0;
 
-  obs::Counter* attaches_counter_ = nullptr;
-  obs::Counter* lease_hits_counter_ = nullptr;
-  obs::Counter* lease_misses_counter_ = nullptr;
-  obs::Counter* expired_counter_ = nullptr;
-  obs::Counter* revoked_counter_ = nullptr;
-  obs::Counter* promotions_counter_ = nullptr;
-  obs::Counter* fetch_pages_counter_ = nullptr;
-  obs::Counter* fetch_ops_counter_ = nullptr;
-  obs::Counter* coalesced_counter_ = nullptr;
-  obs::Counter* rebalance_counter_ = nullptr;
-  obs::Counter* reseed_counter_ = nullptr;
-  obs::Counter* shed_counter_ = nullptr;
-  obs::Counter* shed_pages_counter_ = nullptr;
-  obs::Counter* dead_read_counter_ = nullptr;
-  obs::Counter* nas_fallback_counter_ = nullptr;
+  // Registry instruments: the only home of each count.
+  obs::Counter* attaches_;
+  obs::Counter* lease_hits_;
+  obs::Counter* lease_misses_;
+  obs::Counter* leases_expired_;
+  obs::Counter* leases_revoked_;
+  obs::Counter* replica_promotions_;
+  obs::Counter* remote_fetch_pages_;
+  obs::Counter* remote_fetch_ops_;
+  obs::Counter* coalesced_requests_;
+  obs::Counter* rebalance_moves_;
+  obs::Counter* reseeded_shards_;
+  obs::Counter* shed_attaches_;
+  obs::Counter* shed_pages_;
+  obs::Counter* dead_read_hops_;
+  obs::Counter* nas_fallback_pages_;
 };
 
 }  // namespace trenv

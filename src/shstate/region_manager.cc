@@ -16,13 +16,24 @@ constexpr uint64_t kScratchFrameBytes = 64ULL * kMiB;
 }  // namespace
 
 RegionManager::RegionManager(ShStateConfig config, uint32_t workers, TieredPool* pool,
-                             const BackendRegistry* backends, obs::Registry* stats)
+                             const BackendRegistry* backends, obs::Registry& stats)
     : config_(config),
       pool_(pool),
       backends_(backends),
       frames_(kScratchFrameBytes),
-      fault_handler_(&frames_, backends, stats),
-      next_window_(AddrToVpn(kWindowVmaStart)) {
+      fault_handler_(&frames_, backends, &stats),
+      next_window_(AddrToVpn(kWindowVmaStart)),
+      regions_created_(stats.GetCounter("shstate.regions_created")),
+      writes_(stats.GetCounter("shstate.writes")),
+      reads_(stats.GetCounter("shstate.reads")),
+      transfers_(stats.GetCounter("shstate.transfers")),
+      migrations_(stats.GetCounter("shstate.migrations")),
+      moved_bytes_(stats.GetCounter("shstate.moved_bytes")),
+      pool_write_bytes_(stats.GetCounter("shstate.pool_write_bytes")),
+      invalidations_(stats.GetCounter("shstate.invalidations")),
+      lease_grants_(stats.GetCounter("shstate.lease_grants")),
+      leases_expired_(stats.GetCounter("shstate.leases_expired")),
+      ownership_recoveries_(stats.GetCounter("shstate.ownership_recoveries")) {
   if (config_.pool_nodes == 0) {
     config_.pool_nodes = 1;
   }
@@ -32,19 +43,6 @@ RegionManager::RegionManager(ShStateConfig config, uint32_t workers, TieredPool*
     Status st = mms_.back().AddVma(MakeAnonVma(kWindowVmaStart, kWindowVmaBytes,
                                                Protection::ReadWrite(), "[shstate]"));
     (void)st;  // a fresh mm cannot have an overlapping VMA
-  }
-  if (stats != nullptr) {
-    regions_counter_ = stats->GetCounter("shstate.regions_created");
-    writes_counter_ = stats->GetCounter("shstate.writes");
-    reads_counter_ = stats->GetCounter("shstate.reads");
-    transfers_counter_ = stats->GetCounter("shstate.transfers");
-    migrations_counter_ = stats->GetCounter("shstate.migrations");
-    moved_bytes_counter_ = stats->GetCounter("shstate.moved_bytes");
-    pool_write_bytes_counter_ = stats->GetCounter("shstate.pool_write_bytes");
-    invalidations_counter_ = stats->GetCounter("shstate.invalidations");
-    lease_grants_counter_ = stats->GetCounter("shstate.lease_grants");
-    lease_expired_counter_ = stats->GetCounter("shstate.leases_expired");
-    recoveries_counter_ = stats->GetCounter("shstate.ownership_recoveries");
   }
 }
 
@@ -122,7 +120,7 @@ Result<RegionId> RegionManager::CreateRegion(const std::string& name, uint64_t n
   next_window_ = window_end;
   regions_.push_back(std::move(region));
   MapOwner(regions_.back(), owner);
-  Count(regions_counter_);
+  regions_created_->Increment();
   return static_cast<RegionId>(regions_.size() - 1);
 }
 
@@ -134,8 +132,7 @@ SimDuration RegionManager::RevokeReaders(RegionId id, int32_t keep, SimTime now)
       continue;
     }
     reader.mapped = false;
-    ++invalidations_;
-    Count(invalidations_counter_);
+    invalidations_->Increment();
     cost += config_.invalidate_per_reader;
     // The unmap itself lands asynchronously on the data plane's timeline —
     // modeled after a TLB-shootdown IPI. The reader sees the revocation once
@@ -178,9 +175,8 @@ Result<RegionOp> RegionManager::WriteRegion(RegionId id, uint32_t worker, SimTim
   // symmetric with the fetch direction, same link.
   op.latency += Backend(*region)->FetchLatency(region->npages);
   region->version += 1;
-  pool_write_bytes_ += region->npages * kPageSize;
-  Count(writes_counter_);
-  Count(pool_write_bytes_counter_, static_cast<double>(region->npages * kPageSize));
+  writes_->Increment();
+  pool_write_bytes_->Add(static_cast<double>(region->npages * kPageSize));
   return op;
 }
 
@@ -188,8 +184,7 @@ void RegionManager::GrantLease(RegionId id, uint32_t worker, SimTime now) {
   Region& region = regions_[id];
   Reader& reader = region.readers[worker];
   reader.lease_expires = now + config_.lease_ttl;
-  ++lease_grants_;
-  Count(lease_grants_counter_);
+  lease_grants_->Increment();
   // One expiry event per grant window (poolmgr's scheme): renewals push
   // lease_expires forward, so earlier events find the lease still live.
   clock_.ScheduleAt(reader.lease_expires, [this, id, worker] {
@@ -205,8 +200,7 @@ void RegionManager::GrantLease(RegionId id, uint32_t worker, SimTime now) {
       UnmapWindow(r, worker);
     }
     r.readers.erase(it);
-    ++leases_expired_;
-    Count(lease_expired_counter_);
+    leases_expired_->Increment();
   });
 }
 
@@ -257,7 +251,7 @@ Result<RegionOp> RegionManager::ReadRegion(RegionId id, uint32_t worker, SimTime
       fault_handler_.AccessRange(mms_[worker], WindowAddr(*region), region->npages,
                                  /*write=*/false));
   op.latency += stats.latency;
-  Count(reads_counter_);
+  reads_->Increment();
   read_ms_.RecordDuration(op.latency);
   return op;
 }
@@ -282,10 +276,8 @@ Result<RegionOp> RegionManager::MoveOwnership(RegionId id, uint32_t to, SimTime 
     op.latency += SimDuration::FromSecondsF(static_cast<double>(bytes) /
                                             config_.pool_to_pool_bytes_per_sec);
     region.home = to_home;
-    ++migrations_;
-    moved_bytes_ += bytes;
-    Count(migrations_counter_);
-    Count(moved_bytes_counter_, static_cast<double>(bytes));
+    migrations_->Increment();
+    moved_bytes_->Add(static_cast<double>(bytes));
   }
   region.owner = static_cast<int32_t>(to);
   MapOwner(region, to);
@@ -305,8 +297,7 @@ Result<RegionOp> RegionManager::Transfer(RegionId id, uint32_t from, uint32_t to
     return RegionOp{};
   }
   TRENV_ASSIGN_OR_RETURN(RegionOp op, MoveOwnership(id, to, now));
-  ++transfers_;
-  Count(transfers_counter_);
+  transfers_->Increment();
   transfer_ms_.RecordDuration(op.latency);
   return op;
 }
@@ -322,8 +313,7 @@ Result<RegionOp> RegionManager::AcquireOwnership(RegionId id, uint32_t worker, S
   const bool recovery = region->owner < 0;
   TRENV_ASSIGN_OR_RETURN(RegionOp op, MoveOwnership(id, worker, now));
   if (recovery) {
-    ++ownership_recoveries_;
-    Count(recoveries_counter_);
+    ownership_recoveries_->Increment();
   }
   transfer_ms_.RecordDuration(op.latency);
   return op;

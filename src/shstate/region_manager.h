@@ -79,9 +79,10 @@ struct RegionOp {
 class RegionManager {
  public:
   // `pool` places region pages (not owned); `backends` resolves their tier's
-  // latency model; `stats` may be null.
+  // latency model; `stats` holds the plane's counters, which the accessors
+  // below read.
   RegionManager(ShStateConfig config, uint32_t workers, TieredPool* pool,
-                const BackendRegistry* backends, obs::Registry* stats);
+                const BackendRegistry* backends, obs::Registry& stats);
   RegionManager(const RegionManager&) = delete;
   RegionManager& operator=(const RegionManager&) = delete;
 
@@ -141,15 +142,15 @@ class RegionManager {
   const MmStruct& worker_mm(uint32_t worker) const { return mms_[worker]; }
 
   // --- accounting ------------------------------------------------------------
-  uint64_t transfers() const { return transfers_; }
-  uint64_t migrations() const { return migrations_; }
-  uint64_t moved_bytes() const { return moved_bytes_; }        // pool-to-pool
-  uint64_t pool_write_bytes() const { return pool_write_bytes_; }
+  uint64_t transfers() const { return transfers_->count(); }
+  uint64_t migrations() const { return migrations_->count(); }
+  uint64_t moved_bytes() const { return moved_bytes_->count(); }  // pool-to-pool
+  uint64_t pool_write_bytes() const { return pool_write_bytes_->count(); }
   uint64_t refetch_bytes() const { return refetch_bytes_; }
-  uint64_t invalidations() const { return invalidations_; }
-  uint64_t lease_grants() const { return lease_grants_; }
-  uint64_t leases_expired() const { return leases_expired_; }
-  uint64_t ownership_recoveries() const { return ownership_recoveries_; }
+  uint64_t invalidations() const { return invalidations_->count(); }
+  uint64_t lease_grants() const { return lease_grants_->count(); }
+  uint64_t leases_expired() const { return leases_expired_->count(); }
+  uint64_t ownership_recoveries() const { return ownership_recoveries_->count(); }
   const Histogram& transfer_ms() const { return transfer_ms_; }
   const Histogram& read_ms() const { return read_ms_; }
 
@@ -183,11 +184,6 @@ class RegionManager {
   // Ownership movement shared by Transfer / AcquireOwnership.
   Result<RegionOp> MoveOwnership(RegionId id, uint32_t to, SimTime now);
   void GrantLease(RegionId id, uint32_t worker, SimTime now);
-  void Count(obs::Counter* counter, double delta = 1.0) {
-    if (counter != nullptr) {
-      counter->Add(delta);
-    }
-  }
 
   ShStateConfig config_;
   TieredPool* pool_;
@@ -204,29 +200,23 @@ class RegionManager {
 
   std::vector<Region> regions_;
 
-  uint64_t transfers_ = 0;
-  uint64_t migrations_ = 0;
-  uint64_t moved_bytes_ = 0;
-  uint64_t pool_write_bytes_ = 0;
+  // Re-fetch traffic after revocation; no registry instrument counts it.
   uint64_t refetch_bytes_ = 0;
-  uint64_t invalidations_ = 0;
-  uint64_t lease_grants_ = 0;
-  uint64_t leases_expired_ = 0;
-  uint64_t ownership_recoveries_ = 0;
   Histogram transfer_ms_;
   Histogram read_ms_;
 
-  obs::Counter* regions_counter_ = nullptr;
-  obs::Counter* writes_counter_ = nullptr;
-  obs::Counter* reads_counter_ = nullptr;
-  obs::Counter* transfers_counter_ = nullptr;
-  obs::Counter* migrations_counter_ = nullptr;
-  obs::Counter* moved_bytes_counter_ = nullptr;
-  obs::Counter* pool_write_bytes_counter_ = nullptr;
-  obs::Counter* invalidations_counter_ = nullptr;
-  obs::Counter* lease_grants_counter_ = nullptr;
-  obs::Counter* lease_expired_counter_ = nullptr;
-  obs::Counter* recoveries_counter_ = nullptr;
+  // Registry instruments: the only home of each count.
+  obs::Counter* regions_created_;
+  obs::Counter* writes_;
+  obs::Counter* reads_;
+  obs::Counter* transfers_;
+  obs::Counter* migrations_;
+  obs::Counter* moved_bytes_;
+  obs::Counter* pool_write_bytes_;
+  obs::Counter* invalidations_;
+  obs::Counter* lease_grants_;
+  obs::Counter* leases_expired_;
+  obs::Counter* ownership_recoveries_;
 };
 
 }  // namespace trenv

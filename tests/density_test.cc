@@ -133,33 +133,6 @@ TEST(DensityTest, PressureDemotesInsteadOfEvicting) {
   EXPECT_GE(warm_on, warm_off);
 }
 
-// The per-function surplus cap trims each function's parked population to
-// its recent demand plus the configured spares; with the knob at its
-// negative default the sweep never evicts on its behalf.
-TEST(DensityTest, SurplusCapTrimsIdleWarmInstancesPerFunction) {
-  // A one-function burst parks several concurrent instances, then the idle
-  // tail decays the traffic score: with no spares allowed, sweeps trim the
-  // parked population down to the shrinking allowance before TTL expiry.
-  auto run = [](int32_t surplus) {
-    PlatformConfig config = FastDensityConfig(true);
-    config.density.surplus_per_function = surplus;
-    Testbed bed(SystemKind::kTrEnvCxl, config);
-    EXPECT_TRUE(bed.DeployTable4Functions().ok());
-    Rng rng(17);
-    Schedule schedule = MakePoissonWorkload({kFns[0]}, /*rate_per_sec=*/10.0,
-                                            SimDuration::Seconds(30), 0.5, rng);
-    EXPECT_TRUE(bed.platform().Run(schedule).ok());
-    return bed.platform().density().surplus_evictions();
-  };
-  // Negative default: the knob is off, the sweep never evicts on its behalf.
-  EXPECT_EQ(run(-1), 0u);
-  // Zero spares: the decayed allowance falls below the parked population.
-  EXPECT_GT(run(0), 0u);
-  // Generous spares: demand + 8 never binds for this burst, so the cap is
-  // demand-aware rather than a flat per-function limit.
-  EXPECT_EQ(run(8), 0u);
-}
-
 // A node crash mid-run drops every swap block along with the warm pool.
 TEST(DensityTest, CrashReleasesAllSwapBlocks) {
   Testbed bed(SystemKind::kTrEnvCxl, FastDensityConfig(true));

@@ -56,7 +56,8 @@ TEST(FaultInjectorTest, SameSeedYieldsIdenticalInjectionSequence) {
 
   auto draw_sequence = [&schedule] {
     EventScheduler clock;
-    FaultInjector injector(schedule);
+    obs::Registry stats;
+    FaultInjector injector(schedule, stats);
     injector.BindClock(&clock);
     std::vector<std::tuple<bool, bool, double>> outcomes;
     for (int i = 0; i < 200; ++i) {
@@ -81,7 +82,8 @@ TEST(FaultInjectorTest, DrawsNothingOutsideWindowsOrForOtherPools) {
                                SimTime::Zero() + SimDuration::Seconds(5),
                                SimTime::Zero() + SimDuration::Seconds(6), 1.0));
   EventScheduler clock;
-  FaultInjector injector(schedule);
+  obs::Registry stats;
+  FaultInjector injector(schedule, stats);
   injector.BindClock(&clock);
   // Before the window: p=1.0 flap must NOT fire (clock is at 0).
   for (int i = 0; i < 50; ++i) {
@@ -106,8 +108,10 @@ TEST(FaultInjectorTest, NodePlanIsDeterministicAndSorted) {
   schedule.Add(PoolPressureWindow(SimTime::Zero() + SimDuration::Seconds(2),
                                   SimTime::Zero() + SimDuration::Seconds(30), 0.5));
 
-  FaultInjector a(schedule);
-  FaultInjector b(schedule);
+  obs::Registry stats_a;
+  FaultInjector a(schedule, stats_a);
+  obs::Registry stats_b;
+  FaultInjector b(schedule, stats_b);
   // Perturb injector a's fetch RNG first: the node plan must not shift.
   EventScheduler clock;
   a.BindClock(&clock);
@@ -145,7 +149,8 @@ TEST(FaultBackendTest, RetryBoundsFetchLatencyUnderRdmaFlaps) {
   schedule.seed = 7;
   schedule.Add(LinkFaultWindow(FaultDomain::kRdmaFlap, SimTime::Zero(),
                                SimTime::Max(), 0.3));
-  FaultInjector injector(schedule);
+  obs::Registry stats;
+  FaultInjector injector(schedule, stats);
   EventScheduler clock;
   injector.BindClock(&clock);
   RdmaPool rdma(kGiB);
@@ -165,7 +170,8 @@ TEST(FaultBackendTest, CorruptionWastesTransfersThenFailsOpen) {
   FaultSchedule schedule;
   schedule.Add(LinkFaultWindow(FaultDomain::kPageCorruption, SimTime::Zero(),
                                SimTime::Max(), 1.0));
-  FaultInjector injector(schedule);
+  obs::Registry stats;
+  FaultInjector injector(schedule, stats);
   EventScheduler clock;
   injector.BindClock(&clock);
   NasPool nas(kGiB);
@@ -192,7 +198,8 @@ TEST(FaultBackendTest, EmptyScheduleIsByteIdenticalToNoInjector) {
   // of simulation output — no RNG draws, no latency scaling.
   auto digest = [](bool bind_idle_injector) {
     FaultSchedule empty;
-    FaultInjector injector(empty);
+    obs::Registry stats;
+    FaultInjector injector(empty, stats);
     Testbed bed(SystemKind::kTrEnvRdma);
     if (bind_idle_injector) {
       bed.BindFaultInjector(&injector);

@@ -26,7 +26,8 @@ SimTime At(double seconds) { return SimTime::Zero() + SimDuration::FromMicrosF(s
 
 TEST(MembershipTest, FaultFreeFleetStaysAlive) {
   EventScheduler clock;
-  GossipMembership membership(MembershipConfig{}, 4, &clock, nullptr);
+  obs::Registry stats;
+  GossipMembership membership(MembershipConfig{}, 4, &clock, stats);
   membership.Start(SimTime::Zero());
   clock.RunUntil(At(10.0));
   for (uint32_t n = 0; n < 4; ++n) {
@@ -46,7 +47,8 @@ TEST(MembershipTest, FaultFreeFleetStaysAlive) {
 
 TEST(MembershipTest, DeathIsDetectedDeclaredAndRejoined) {
   EventScheduler clock;
-  GossipMembership membership(MembershipConfig{}, 4, &clock, nullptr);
+  obs::Registry stats;
+  GossipMembership membership(MembershipConfig{}, 4, &clock, stats);
   std::vector<GossipMembership::Transition> log;
   membership.SetListener(
       [&log](const GossipMembership::Transition& t) { log.push_back(t); });
@@ -94,7 +96,8 @@ TEST(MembershipTest, DeathIsDetectedDeclaredAndRejoined) {
 
 TEST(MembershipTest, FlapWindowCausesFalseSuspicionNotDeath) {
   EventScheduler clock;
-  GossipMembership membership(MembershipConfig{}, 4, &clock, nullptr);
+  obs::Registry stats;
+  GossipMembership membership(MembershipConfig{}, 4, &clock, stats);
   // Node 1's beats are eaten by the fabric for [1.0s, 3.5s) — the node
   // itself never goes down.
   membership.SetHeartbeatLoss([](SimTime now, uint32_t node) {
@@ -117,7 +120,8 @@ TEST(MembershipTest, FlapWindowCausesFalseSuspicionNotDeath) {
 
 TEST(MembershipTest, ShortBlipNeverReachesSuspicion) {
   EventScheduler clock;
-  GossipMembership membership(MembershipConfig{}, 4, &clock, nullptr);
+  obs::Registry stats;
+  GossipMembership membership(MembershipConfig{}, 4, &clock, stats);
   membership.Start(SimTime::Zero());
   clock.RunUntil(At(1.1));
   membership.NodeDown(3);
@@ -153,7 +157,8 @@ PoolManagerConfig ContinuousPoolConfig(uint32_t replication, uint32_t pool_nodes
 
 TEST(PoolCtlTest, BackloggedNicShedsColdAttachToNas) {
   RdmaPool fabric(kGiB);
-  PoolManager mgr(ContinuousPoolConfig(2), /*worker_nodes=*/2, &fabric, nullptr);
+  obs::Registry stats;
+  PoolManager mgr(ContinuousPoolConfig(2), /*worker_nodes=*/2, &fabric, stats);
   ContinuousPoolPolicy policy;
   policy.shed_queue_threshold = SimDuration::FromMicrosF(10.0);
   mgr.EnableContinuousControl(policy);
@@ -182,7 +187,8 @@ TEST(PoolCtlTest, BackloggedNicShedsColdAttachToNas) {
 
 TEST(PoolCtlTest, DeadReadsSkipToLiveReplica) {
   RdmaPool fabric(kGiB);
-  PoolManager mgr(ContinuousPoolConfig(2), /*worker_nodes=*/2, &fabric, nullptr);
+  obs::Registry stats;
+  PoolManager mgr(ContinuousPoolConfig(2), /*worker_nodes=*/2, &fabric, stats);
   ContinuousPoolPolicy policy;
   policy.spread_reads = false;  // always start at the primary: the dead hop
                                 // below is then deterministic
@@ -205,7 +211,8 @@ TEST(PoolCtlTest, DeadReadsSkipToLiveReplica) {
 
 TEST(PoolCtlTest, AllReplicasDownFallsBackToNas) {
   RdmaPool fabric(kGiB);
-  PoolManager mgr(ContinuousPoolConfig(2), /*worker_nodes=*/2, &fabric, nullptr);
+  obs::Registry stats;
+  PoolManager mgr(ContinuousPoolConfig(2), /*worker_nodes=*/2, &fabric, stats);
   mgr.EnableContinuousControl(ContinuousPoolPolicy{});
   mgr.RegisterTemplate(0, TwoChunkImage(0xAA, 0xBB));
   for (uint32_t n = 0; n < 4; ++n) {
@@ -224,7 +231,8 @@ TEST(PoolCtlTest, AllReplicasDownFallsBackToNas) {
 
 TEST(PoolCtlTest, ReconcileShardHonorsBudgetAndConverges) {
   RdmaPool fabric(kGiB);
-  PoolManager mgr(ContinuousPoolConfig(1), /*worker_nodes=*/2, &fabric, nullptr);
+  obs::Registry stats;
+  PoolManager mgr(ContinuousPoolConfig(1), /*worker_nodes=*/2, &fabric, stats);
   mgr.EnableContinuousControl(ContinuousPoolPolicy{});
   mgr.RegisterTemplate(0, TwoChunkImage(0xAA, 0xBB));
   ASSERT_EQ(mgr.ShardReplicas(0).size(), 1u);
@@ -255,12 +263,13 @@ TEST(PoolCtlTest, HotShardGainsExtraReplicasAndDecaysBack) {
   RdmaPool fabric(kGiB);
   auto pool_config = ContinuousPoolConfig(1, /*pool_nodes=*/8);
   pool_config.lease_ttl = SimDuration::Millis(40);  // every round is a miss
-  PoolManager mgr(pool_config, /*worker_nodes=*/4, &fabric, nullptr);
+  obs::Registry stats;
+  PoolManager mgr(pool_config, /*worker_nodes=*/4, &fabric, stats);
   PoolCtlConfig ctl;
   ctl.enabled = true;
   ctl.hot_promote_score = 4;
   ctl.max_extra_replicas = 2;
-  PoolControlPlane plane(ctl, &mgr, nullptr, nullptr, nullptr);
+  PoolControlPlane plane(ctl, &mgr, nullptr, stats, nullptr);
   plane.Start(SimTime::Zero());
   mgr.RegisterTemplate(0, TwoChunkImage(0xAA, 0xBB));
   // Hammer the template from every worker: each 100ms round is 4 fresh

@@ -226,8 +226,9 @@ ConsolidatedImage TwoChunkImage(uint64_t fp_a, uint64_t fp_b) {
 
 struct PoolManagerFixture {
   explicit PoolManagerFixture(PoolManagerConfig config, uint32_t workers = 2)
-      : fabric(kGiB), mgr(config, workers, &fabric, nullptr) {}
+      : fabric(kGiB), mgr(config, workers, &fabric, stats) {}
   RdmaPool fabric;
+  obs::Registry stats;
   PoolManager mgr;
 };
 

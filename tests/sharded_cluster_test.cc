@@ -168,6 +168,34 @@ TEST(ShardedClusterTest, FaultedRunDegradesToOneShardAndMatchesLegacy) {
   }
 }
 
+TEST(ShardedClusterTest, SharedStateClockFollowsRunShardedAsRun) {
+  // The shstate plane's clock is a side clock like poolmgr's: a reader lease
+  // opened at t=0 must lapse mid-trace under RunSharded exactly as under Run.
+  ClusterConfig config = BaseConfig();
+  config.shstate.enabled = true;
+  config.shstate.lease_ttl = SimDuration::Seconds(5);
+  const Schedule schedule = TestSchedule(5);
+  const auto run = [&](bool sharded) {
+    Cluster cluster(config);
+    EXPECT_TRUE(cluster.DeployTable4Functions().ok());
+    RegionManager& plane = *cluster.shared_state();
+    const Result<RegionId> id = plane.CreateRegion("state", 16, /*owner=*/0, SimTime::Zero());
+    EXPECT_TRUE(id.ok());
+    EXPECT_TRUE(plane.OpenReader(*id, /*worker=*/1, SimTime::Zero()).ok());
+    if (sharded) {
+      ScheduleStream stream(schedule);
+      ShardedRunOptions options;
+      options.shards = 2;
+      EXPECT_TRUE(cluster.RunSharded(stream, options).ok());
+    } else {
+      EXPECT_TRUE(cluster.Run(schedule).ok());
+    }
+    EXPECT_EQ(plane.leases_expired(), 1u) << (sharded ? "RunSharded" : "Run");
+    return Fingerprint(cluster);
+  };
+  EXPECT_EQ(run(false), run(true));
+}
+
 TEST(ShardedClusterTest, StreamingTraceMatchesMaterializedSchedule) {
   // Feeding the generator stream straight into RunSharded must equal
   // materializing the same seed's schedule and running it — the 10M-trace

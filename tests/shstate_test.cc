@@ -36,11 +36,12 @@ class ShStateTest : public ::testing::Test {
 
   CxlPool cxl_;
   BackendRegistry backends_;
+  obs::Registry stats_;
   TieredPool tiered_;
 };
 
 TEST_F(ShStateTest, CreateMapsOwnerWithSharedOwnerFlags) {
-  RegionManager mgr(Config(), /*workers=*/4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), /*workers=*/4, &tiered_, &backends_, stats_);
   auto id_or = mgr.CreateRegion("r", kPages, /*owner=*/1, SimTime::Zero());
   ASSERT_TRUE(id_or.ok());
   const RegionId id = *id_or;
@@ -68,14 +69,14 @@ TEST_F(ShStateTest, LocalDramCannotBackARegion) {
   registry.Register(&dram);
   TieredPool local_only;
   local_only.AddTier(&dram);
-  RegionManager mgr(Config(), 2, &local_only, &registry, nullptr);
+  RegionManager mgr(Config(), 2, &local_only, &registry, stats_);
   auto id_or = mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   EXPECT_FALSE(id_or.ok());
   EXPECT_EQ(id_or.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST_F(ShStateTest, OwnerWriteSetsDirtyAndBumpsVersion) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   auto op = mgr.WriteRegion(id, 0, SimTime::Zero());
   ASSERT_TRUE(op.ok());
@@ -89,7 +90,7 @@ TEST_F(ShStateTest, OwnerWriteSetsDirtyAndBumpsVersion) {
 }
 
 TEST_F(ShStateTest, NonOwnerWriteIsRefused) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
   auto op = mgr.WriteRegion(id, 1, SimTime::Zero());
@@ -98,7 +99,7 @@ TEST_F(ShStateTest, NonOwnerWriteIsRefused) {
 }
 
 TEST_F(ShStateTest, ReaderMappingIsWriteProtectedShared) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 2, SimTime::Zero()).ok());
   EXPECT_TRUE(mgr.ReaderMapped(id, 2));
@@ -111,7 +112,7 @@ TEST_F(ShStateTest, ReaderMappingIsWriteProtectedShared) {
 }
 
 TEST_F(ShStateTest, OwnerWriteRevokesReadersAndReadRefetches) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
   ASSERT_TRUE(mgr.OpenReader(id, 2, SimTime::Zero()).ok());
@@ -139,7 +140,7 @@ TEST_F(ShStateTest, OwnerWriteRevokesReadersAndReadRefetches) {
 }
 
 TEST_F(ShStateTest, ReopenBeforeShootdownEventKeepsWindowMapped) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
   ASSERT_TRUE(mgr.WriteRegion(id, 0, SimTime::Zero()).ok());  // revokes reader 1
@@ -154,7 +155,7 @@ TEST_F(ShStateTest, ReopenBeforeShootdownEventKeepsWindowMapped) {
 }
 
 TEST_F(ShStateTest, SameHomeTransferIsMetadataOnly) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   // Workers 0 and 2 share pool home 0 (2 pool nodes).
   auto op = mgr.Transfer(id, 0, 2, SimTime::Zero());
@@ -172,7 +173,7 @@ TEST_F(ShStateTest, SameHomeTransferIsMetadataOnly) {
 }
 
 TEST_F(ShStateTest, CrossHomeTransferMigratesPoolToPool) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   auto meta = mgr.Transfer(id, 0, 2, SimTime::Zero());
   ASSERT_TRUE(meta.ok());
@@ -186,7 +187,7 @@ TEST_F(ShStateTest, CrossHomeTransferMigratesPoolToPool) {
 }
 
 TEST_F(ShStateTest, TransferRequiresOwnership) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   auto op = mgr.Transfer(id, 1, 2, SimTime::Zero());
   EXPECT_FALSE(op.ok());
@@ -194,7 +195,7 @@ TEST_F(ShStateTest, TransferRequiresOwnership) {
 }
 
 TEST_F(ShStateTest, LeaseExpiryUnmapsIdleReader) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 3, SimTime::Zero()).ok());
   EXPECT_EQ(mgr.lease_grants(), 1u);
@@ -205,7 +206,7 @@ TEST_F(ShStateTest, LeaseExpiryUnmapsIdleReader) {
 }
 
 TEST_F(ShStateTest, ReadRenewsLeaseAcrossTheOriginalWindow) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 3, SimTime::Zero()).ok());
   // Renew at t=8s; the original grant's expiry event at t=10s must see the
@@ -223,7 +224,7 @@ TEST_F(ShStateTest, ReadRenewsLeaseAcrossTheOriginalWindow) {
 }
 
 TEST_F(ShStateTest, CrashVacatesOwnershipAndRecoveryReacquires) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.WriteRegion(id, 0, SimTime::Zero()).ok());
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
@@ -243,7 +244,7 @@ TEST_F(ShStateTest, CrashVacatesOwnershipAndRecoveryReacquires) {
 }
 
 TEST_F(ShStateTest, CrashedReaderLosesItsLease) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
   mgr.ReleaseWorker(1);
@@ -255,7 +256,7 @@ TEST_F(ShStateTest, CrashedReaderLosesItsLease) {
 }
 
 TEST_F(ShStateTest, DestroyFreesPoolPagesAndUnmapsEverything) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, nullptr);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
   const uint64_t before = cxl_.used_bytes();
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());

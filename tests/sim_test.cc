@@ -1,12 +1,10 @@
-// Tests for the discrete-event core: scheduler, processor-sharing CPU,
-// counting resources.
+// Tests for the discrete-event core: scheduler and processor-sharing CPU.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "src/sim/cpu.h"
 #include "src/sim/event_scheduler.h"
-#include "src/sim/semaphore.h"
 
 namespace trenv {
 namespace {
@@ -264,49 +262,6 @@ TEST(FairShareCpuTest, ZeroWorkCompletesImmediately) {
   sched.RunUntilIdle();
   EXPECT_TRUE(done);
   EXPECT_EQ(sched.now(), SimTime(0));
-}
-
-TEST(CountingResourceTest, TryAcquireRespectsCapacity) {
-  CountingResource res(10);
-  EXPECT_TRUE(res.TryAcquire(6));
-  EXPECT_FALSE(res.TryAcquire(5));
-  EXPECT_TRUE(res.TryAcquire(4));
-  EXPECT_EQ(res.available(), 0u);
-}
-
-TEST(CountingResourceTest, WaitersGrantedFifoOnRelease) {
-  CountingResource res(10);
-  ASSERT_TRUE(res.TryAcquire(10));
-  std::vector<int> grants;
-  res.Acquire(5, [&] { grants.push_back(1); });
-  res.Acquire(3, [&] { grants.push_back(2); });
-  EXPECT_TRUE(grants.empty());
-  res.Release(6);
-  EXPECT_EQ(grants, (std::vector<int>{1}));
-  res.Release(4);
-  EXPECT_EQ(grants, (std::vector<int>{1, 2}));
-}
-
-TEST(CountingResourceTest, FifoHeadOfLineBlocks) {
-  CountingResource res(10);
-  ASSERT_TRUE(res.TryAcquire(8));
-  std::vector<int> grants;
-  res.Acquire(5, [&] { grants.push_back(1); });  // needs 5, only 2 free
-  res.Acquire(1, [&] { grants.push_back(2); });  // would fit but queued FIFO
-  EXPECT_TRUE(grants.empty());
-  res.Release(3);  // 5 free -> waiter 1 granted, resource full again
-  EXPECT_EQ(grants, (std::vector<int>{1}));
-  res.Release(1);
-  EXPECT_EQ(grants, (std::vector<int>{1, 2}));
-}
-
-TEST(CountingResourceTest, CapacityGrowthDrainsWaiters) {
-  CountingResource res(2);
-  ASSERT_TRUE(res.TryAcquire(2));
-  bool granted = false;
-  res.Acquire(2, [&] { granted = true; });
-  res.SetCapacity(4);
-  EXPECT_TRUE(granted);
 }
 
 }  // namespace
