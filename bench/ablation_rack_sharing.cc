@@ -11,7 +11,6 @@
 // shows how evenly the ring spreads them (primary min..max per pool node)
 // and how much attach traffic each dispatch policy actually pulls.
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <numeric>
 
@@ -59,17 +58,20 @@ Schedule ClusterSchedule(uint32_t nodes) {
   return schedule;
 }
 
+// Deploys Table 4 on every node and runs ClusterSchedule through RunSharded.
+Status DeployAndRun(Cluster& cluster, uint32_t shards) {
+  TRENV_RETURN_IF_ERROR(cluster.DeployTable4Functions());
+  const Schedule schedule = ClusterSchedule(static_cast<uint32_t>(cluster.node_count()));
+  ScheduleStream arrivals(schedule);
+  return cluster.RunSharded(arrivals, {.shards = shards});
+}
+
 RackRow RunCluster(uint32_t nodes, uint32_t shards) {
   RackRow row;
   ClusterConfig config;
   config.nodes = nodes;
   Cluster cluster(config);
-  if (const Status status = cluster.DeployTable4Functions(); !status.ok()) {
-    row.error = status.message();
-    return row;
-  }
-  if (const Status status = bench::RunCluster(cluster, ClusterSchedule(nodes), shards);
-      !status.ok()) {
+  if (const Status status = DeployAndRun(cluster, shards); !status.ok()) {
     row.error = status.message();
     return row;
   }
@@ -107,12 +109,7 @@ PoolRow RunPoolCluster(uint32_t nodes, ClusterConfig::Dispatch dispatch, uint32_
   config.dispatch = dispatch;
   config.poolmgr.enabled = true;
   Cluster cluster(config);
-  if (const Status status = cluster.DeployTable4Functions(); !status.ok()) {
-    row.error = status.message();
-    return row;
-  }
-  if (const Status status = bench::RunCluster(cluster, ClusterSchedule(nodes), shards);
-      !status.ok()) {
+  if (const Status status = DeployAndRun(cluster, shards); !status.ok()) {
     row.error = status.message();
     return row;
   }
@@ -135,9 +132,8 @@ PoolRow RunPoolCluster(uint32_t nodes, ClusterConfig::Dispatch dispatch, uint32_
 
 void Run(bench::BenchEnv& env) {
   // Cluster runs execute sharded when --shards > 1; the report is identical
-  // at any value (zero-lookahead RunSharded == Run).
-  const uint32_t shards =
-      static_cast<uint32_t>(std::atoi(env.ExtraValue("--shards=", "1").c_str()));
+  // at any value.
+  const uint32_t shards = env.PositiveValue<uint32_t>("--shards=", 1);
   PrintBanner(std::cout, "Ablation: rack-level sharing across nodes (GiB)");
 
   // Slot 0 is the CRIU baseline; slots 1..N are the cluster sizes.

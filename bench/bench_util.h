@@ -2,12 +2,18 @@
 #ifndef TRENV_BENCH_BENCH_UTIL_H_
 #define TRENV_BENCH_BENCH_UTIL_H_
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <ctime>
+#include <deque>
+#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -87,13 +93,45 @@ struct BenchEnv {
     tracer.set_enabled(!trace_out.empty());
   }
 
-  // Last value given for an ExtraFlag prefix, or `fallback` if absent.
-  std::string ExtraValue(std::string_view prefix, std::string_view fallback = "") const {
-    std::string value(fallback);
+  // Last value given for an ExtraFlag prefix, or null if absent.
+  const std::string* LastExtra(std::string_view prefix) const {
+    const std::string* value = nullptr;
     for (const auto& [p, v] : extra_args) {
       if (p == prefix) {
-        value = v;
+        value = &v;
       }
+    }
+    return value;
+  }
+
+  // Last value given for an ExtraFlag prefix, or `fallback` if absent.
+  std::string ExtraValue(std::string_view prefix, std::string_view fallback = "") const {
+    const std::string* value = LastExtra(prefix);
+    return value != nullptr ? *value : std::string(fallback);
+  }
+
+  // Last value given for a numeric ExtraFlag, or `fallback` if absent. A
+  // value that is not wholly a positive T ("four", "8x", "0", "", out of
+  // range) exits 2 naming the flag, as --jobs does, so a typo cannot quietly
+  // run a different configuration.
+  template <typename T>
+  T PositiveValue(std::string_view prefix, T fallback) const {
+    const std::string* text = LastExtra(prefix);
+    if (text == nullptr) {
+      return fallback;
+    }
+    T value{};
+    const char* end = text->data() + text->size();
+    const auto parsed = std::from_chars(text->data(), end, value);
+    bool ok = parsed.ec == std::errc() && parsed.ptr == end && value > 0;
+    if constexpr (std::is_floating_point_v<T>) {
+      ok = ok && std::isfinite(value);
+    }
+    if (!ok) {
+      std::cerr << "invalid " << prefix.substr(0, prefix.size() - 1) << " value: " << prefix
+                << *text << " (want "
+                << (std::is_integral_v<T> ? "an integer >= 1" : "a number > 0") << ")\n";
+      std::exit(2);
     }
     return value;
   }
@@ -167,6 +205,165 @@ struct BenchEnv {
       }
     }
   }
+};
+
+// One JSON-lines record of the perf trajectory (BENCH_micro.json; the schema
+// and the guard that reads it are in docs/performance.md):
+//
+//   {"utc":"...","label":"...","host":{"jobs":N,"cores":N,"compiler":"..."},
+//    "benchmarks":{"<name>":{<fields>}, ...}}
+//
+// Every guarded number is filed under its clock, because the guard
+// (tools/check_bench_regression.py) compares wall-clock numbers only against
+// baselines from the same host and virtual-time numbers on any host. A bench
+// writes a record only when given --bench-json=<file>; Append then prints one
+// confirmation or failure line on stderr, so stdout stays the bench's report.
+class Record {
+ public:
+  static constexpr std::string_view kPathFlag = "--bench-json=";
+  static constexpr std::string_view kLabelFlag = "--bench-label=";
+
+  enum class Clock { kWall, kSim };
+
+  // One benchmark entry. Each adder appends one field; chain them.
+  class Entry {
+   public:
+    // A wall-clock time in ns: the guarded number of a host timing.
+    Entry& RealNs(double ns) { return Field("real_ns", ns); }
+    // A virtual-time latency in ms, filed as whole ns under "sim_ns".
+    Entry& SimMs(double ms) { return Field("sim_ns", static_cast<uint64_t>(ms * 1e6)); }
+    // A higher-is-better gauge on `clock`.
+    Entry& HigherIsBetter(double value, Clock clock) {
+      Field("value", value);
+      Text("direction", "higher_is_better");
+      return Text("clock", clock == Clock::kSim ? "sim" : "wall");
+    }
+    // An unguarded number kept for reference.
+    template <typename T>
+    Entry& Field(std::string_view key, T value) {
+      static_assert(std::is_arithmetic_v<T>);
+      Key(key);
+      if constexpr (std::is_integral_v<T>) {
+        body_ += std::to_string(value);
+      } else if (!std::isfinite(value)) {
+        body_ += "null";  // JSON has no NaN or infinity
+      } else {
+        char buf[32];
+        body_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+      }
+      return *this;
+    }
+
+   private:
+    friend class Record;
+    explicit Entry(std::string name) : name_(std::move(name)) {}
+    void Key(std::string_view key) {
+      body_ += body_.empty() ? "\"" : ",\"";
+      body_ += obs::JsonEscape(key);
+      body_ += "\":";
+    }
+    Entry& Text(std::string_view key, std::string_view value) {
+      Key(key);
+      body_ += '"';
+      body_ += obs::JsonEscape(value);
+      body_ += '"';
+      return *this;
+    }
+
+    std::string name_;
+    std::string body_;  // the entry's fields, without the enclosing braces
+  };
+
+  // The flags a recording bench passes to BenchEnv, after its own `flags`.
+  static std::vector<ExtraFlag> Flags(std::vector<ExtraFlag> flags = {}) {
+    flags.push_back({std::string(kPathFlag), std::string(kPathFlag) + "<file>"});
+    flags.push_back({std::string(kLabelFlag), std::string(kLabelFlag) + "<text>"});
+    return flags;
+  }
+
+  Record() = default;
+  // Reads the two flags from a BenchEnv built with Record::Flags().
+  explicit Record(const BenchEnv& env) {
+    for (const auto& [prefix, value] : env.extra_args) {
+      TakeFlag(prefix + value);
+    }
+  }
+
+  // For benches that parse argv themselves: consumes `arg` and returns true
+  // when it is --bench-json=<file> or --bench-label=<text>.
+  bool TakeFlag(std::string_view arg) {
+    if (arg.rfind(kPathFlag, 0) == 0) {
+      path_ = std::string(arg.substr(kPathFlag.size()));
+    } else if (arg.rfind(kLabelFlag, 0) == 0) {
+      label_ = std::string(arg.substr(kLabelFlag.size()));
+    } else {
+      return false;
+    }
+    return true;
+  }
+
+  // Starts an entry; the reference stays valid for the Record's lifetime.
+  Entry& Add(std::string name) { return entries_.emplace_back(Entry(std::move(name))); }
+
+  // Appends the record as one line to the --bench-json file. `jobs` is the
+  // sweep width the bench ran at (informational to the guard). Returns the
+  // bench's exit code: 0 when written or when there is nothing to write (no
+  // file asked for, or no entries), 1 when the file could not be opened or
+  // written.
+  [[nodiscard]] int Append(unsigned jobs) const {
+    if (path_.empty() || entries_.empty()) {
+      return 0;
+    }
+    std::ofstream out(path_, std::ios::app);
+    out << Line(jobs) << '\n';
+    out.close();  // flushes, so a failed write is seen below
+    if (!out) {
+      std::cerr << "failed to append record to " << path_ << "\n";
+      return 1;
+    }
+    std::cerr << "appended record to " << path_ << "\n";
+    return 0;
+  }
+
+ private:
+  std::string Line(unsigned jobs) const {
+    std::string line = "{\"utc\":\"" + UtcNow() + "\",\"label\":\"" + obs::JsonEscape(label_) +
+                       "\",\"host\":{\"jobs\":" + std::to_string(jobs) +
+                       ",\"cores\":" + std::to_string(std::thread::hardware_concurrency()) +
+                       ",\"compiler\":\"" + Compiler() + "\"},\"benchmarks\":{";
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      line += i == 0 ? "\"" : ",\"";
+      line += obs::JsonEscape(entries_[i].name_);
+      line += "\":{";
+      line += entries_[i].body_;
+      line += '}';
+    }
+    return line + "}}";
+  }
+
+  static std::string UtcNow() {
+    char buf[32];
+    const std::time_t t = std::time(nullptr);
+    std::tm tm_utc{};
+    gmtime_r(&t, &tm_utc);
+    std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
+    return buf;
+  }
+
+  static std::string Compiler() {
+#if defined(__clang__)
+    return "clang " + std::to_string(__clang_major__) + "." + std::to_string(__clang_minor__);
+#elif defined(__GNUC__)
+    return "gcc " + std::to_string(__GNUC__) + "." + std::to_string(__GNUC_MINOR__) + "." +
+           std::to_string(__GNUC_PATCHLEVEL__);
+#else
+    return "unknown";
+#endif
+  }
+
+  std::string path_;
+  std::string label_;
+  std::deque<Entry> entries_;
 };
 
 // Runs fn(0), ..., fn(count-1) concurrently on up to `jobs` threads and
@@ -253,41 +450,6 @@ inline ContainerRunResult RunContainerWorkload(SystemKind kind, const Schedule& 
   (void)result.bed->platform().Run(shifted);
   result.peak_memory = result.bed->platform().metrics().peak_memory_bytes();
   return result;
-}
-
-// Runs a materialized schedule on a cluster, sharded when shards > 1. The
-// cluster benches expose this behind a --shards flag: RunSharded with zero
-// lookahead is byte-identical to Run(), so every bench report doubles as a
-// determinism check for the sharded core.
-inline Status RunCluster(Cluster& cluster, const Schedule& schedule, uint32_t shards) {
-  if (shards <= 1) {
-    return cluster.Run(schedule);
-  }
-  ScheduleStream stream(schedule);
-  ShardedRunOptions options;
-  options.shards = shards;
-  return cluster.RunSharded(stream, options);
-}
-
-// Host metadata stamped into every BENCH_micro.json record so
-// tools/check_bench_regression.py can refuse to compare wall-clock numbers
-// measured on different machines (different core counts or compilers make
-// the ratio meaningless).
-inline std::string CompilerVersionString() {
-#if defined(__clang__)
-  return "clang " + std::to_string(__clang_major__) + "." + std::to_string(__clang_minor__);
-#elif defined(__GNUC__)
-  return "gcc " + std::to_string(__GNUC__) + "." + std::to_string(__GNUC_MINOR__) + "." +
-         std::to_string(__GNUC_PATCHLEVEL__);
-#else
-  return "unknown";
-#endif
-}
-
-inline std::string HostJson(unsigned jobs) {
-  return "{\"jobs\":" + std::to_string(jobs) +
-         ",\"cores\":" + std::to_string(std::thread::hardware_concurrency()) +
-         ",\"compiler\":\"" + CompilerVersionString() + "\"}";
 }
 
 inline std::vector<std::string> Table4Names() {

@@ -23,8 +23,6 @@
 // so for a fixed --seeds list the report is bitwise-stable across runs and
 // across --jobs values. Wall-clock (utc) appears only in the JSON file.
 #include <cstdlib>
-#include <ctime>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -46,8 +44,7 @@ struct ChaosFlags {
   // an effective shard count of 1, so the report must stay byte-identical —
   // which makes this flag a determinism probe for the degraded path.
   uint32_t shards = 1;
-  std::string json_path;
-  std::string label;
+  bench::Record record;
 };
 
 ChaosFlags ParseFlags(int argc, char** argv) {
@@ -81,11 +78,7 @@ ChaosFlags ParseFlags(int argc, char** argv) {
         std::exit(2);
       }
       flags.shards = static_cast<uint32_t>(parsed);
-    } else if (arg.rfind("--bench-json=", 0) == 0) {
-      flags.json_path = std::string(arg.substr(13));
-    } else if (arg.rfind("--bench-label=", 0) == 0) {
-      flags.label = std::string(arg.substr(14));
-    } else {
+    } else if (!flags.record.TakeFlag(arg)) {
       std::cerr << "unknown flag: " << arg
                 << " (supported: --seeds=a,b,c --jobs=<n> --shards=<n> "
                    "--bench-json=<file> --bench-label=<text>)\n";
@@ -148,7 +141,9 @@ RackResult RunRack(uint64_t seed, bool trenv_failover, uint32_t shards) {
   if (!cluster.DeployTable4Functions().ok()) {
     return result;
   }
-  const Status run = bench::RunCluster(cluster, RackWorkload(seed), shards);
+  const Schedule schedule = RackWorkload(seed);
+  ScheduleStream arrivals(schedule);
+  const Status run = cluster.RunSharded(arrivals, {.shards = shards});
   if (!run.ok()) {
     std::cerr << "chaos run failed: " << run << "\n";
     return result;
@@ -218,26 +213,6 @@ RdmaResult RunRdmaDegraded(uint64_t seed, bool faulty) {
   return result;
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string UtcNow() {
-  char buf[32];
-  const std::time_t t = std::time(nullptr);
-  std::tm tm_utc{};
-  gmtime_r(&t, &tm_utc);
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  return buf;
-}
-
 // One (seed, mode) sweep slot: the two rack modes plus the two fetch-path
 // runs, all independent simulations.
 struct SeedResults {
@@ -247,7 +222,7 @@ struct SeedResults {
   RdmaResult rdma_faulty;
 };
 
-int RunBench(const ChaosFlags& flags) {
+int RunBench(ChaosFlags& flags) {
   std::cout << "=== Chaos recovery: TrEnv failover vs cold re-deploy ===\n";
 
   const std::vector<SeedResults> results =
@@ -280,6 +255,15 @@ int RunBench(const ChaosFlags& flags) {
                    std::to_string(r.failovers), Table::Num(r.recovery_p50_ms, 2),
                    Table::Num(r.recovery_p99_ms, 2), Table::Num(r.e2e_mean_ms, 2),
                    Table::Num(r.e2e_p99_ms, 2)});
+      flags.record
+          .Add("chaos/seed" + std::to_string(flags.seeds[i]) +
+               (trenv ? "/trenv_failover" : "/cold_redeploy"))
+          .Field("accepted", r.accepted)
+          .Field("completed", r.completed)
+          .Field("failovers", r.failovers)
+          .Field("recovery_p50_ms", r.recovery_p50_ms)
+          .Field("recovery_p99_ms", r.recovery_p99_ms)
+          .Field("e2e_p99_ms", r.e2e_p99_ms);
     }
   }
   rack.Print(std::cout);
@@ -301,55 +285,24 @@ int RunBench(const ChaosFlags& flags) {
                    std::to_string(r.corrupt), std::to_string(r.exhausted),
                    Table::Num(r.e2e_mean_ms, 2), Table::Num(r.e2e_p99_ms, 2)});
     }
+    const RdmaResult& r = results[i].rdma_faulty;
+    flags.record.Add("chaos/seed" + std::to_string(flags.seeds[i]) + "/rdma_degraded")
+        .Field("injections", r.injections)
+        .Field("retries", r.retries)
+        .Field("corrupt", r.corrupt)
+        .Field("e2e_p99_ms", r.e2e_p99_ms);
   }
   rdma.Print(std::cout);
   std::cout << "Retries are bounded by the retry policy (capped exponential backoff "
                "+ deadline); corruption is caught by the dedup content hash.\n";
 
-  if (!flags.json_path.empty()) {
-    std::ofstream out(flags.json_path, std::ios::app);
-    if (!out) {
-      std::cerr << "failed to append record to " << flags.json_path << "\n";
-      return 1;
-    }
-    out << "{\"utc\":\"" << UtcNow() << "\",\"label\":\"" << JsonEscape(flags.label)
-        << "\",\"host\":" << bench::HostJson(flags.jobs) << ",\"benchmarks\":{";
-    bool first = true;
-    for (size_t i = 0; i < flags.seeds.size(); ++i) {
-      for (const bool trenv : {true, false}) {
-        const RackResult& r = trenv ? results[i].failover : results[i].redeploy;
-        if (!first) {
-          out << ",";
-        }
-        first = false;
-        out << "\"chaos/seed" << flags.seeds[i] << "/"
-            << (trenv ? "trenv_failover" : "cold_redeploy")
-            << "\":{\"accepted\":" << r.accepted << ",\"completed\":" << r.completed
-            << ",\"failovers\":" << r.failovers
-            << ",\"recovery_p50_ms\":" << r.recovery_p50_ms
-            << ",\"recovery_p99_ms\":" << r.recovery_p99_ms
-            << ",\"e2e_p99_ms\":" << r.e2e_p99_ms << "}";
-      }
-      out << ",\"chaos/seed" << flags.seeds[i]
-          << "/rdma_degraded\":{\"injections\":" << results[i].rdma_faulty.injections
-          << ",\"retries\":" << results[i].rdma_faulty.retries
-          << ",\"corrupt\":" << results[i].rdma_faulty.corrupt
-          << ",\"e2e_p99_ms\":" << results[i].rdma_faulty.e2e_p99_ms << "}";
-    }
-    out << "}}\n";
-    if (!out) {
-      std::cerr << "failed to append record to " << flags.json_path << "\n";
-      return 1;
-    }
-    std::cout << "appended record to " << flags.json_path << "\n";
-  }
-  return 0;
+  return flags.record.Append(flags.jobs);
 }
 
 }  // namespace
 }  // namespace trenv
 
 int main(int argc, char** argv) {
-  const trenv::ChaosFlags flags = trenv::ParseFlags(argc, argv);
+  trenv::ChaosFlags flags = trenv::ParseFlags(argc, argv);
   return trenv::RunBench(flags);
 }

@@ -34,11 +34,8 @@
 //   --bench-json=PATH   append a JSON-lines record to the BENCH trajectory
 //   --bench-label=TEXT  label stored in the JSON record
 #include <cstdint>
-#include <ctime>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -155,26 +152,6 @@ RunResult RunCrashDrill() {
   return Collect(cluster, driver, kJobsPerRun);
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string UtcNow() {
-  char buf[32];
-  const std::time_t t = std::time(nullptr);
-  std::tm tm_utc{};
-  gmtime_r(&t, &tm_utc);
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  return buf;
-}
-
 double ToMiB(uint64_t bytes) { return static_cast<double>(bytes) / static_cast<double>(kMiB); }
 
 struct SweepPoint {
@@ -185,6 +162,7 @@ struct SweepPoint {
 
 int RunBench(bench::BenchEnv& env) {
   std::cout << "=== Stateful pipelines: nodes x shape x data plane ===\n";
+  bench::Record record(env);
 
   std::vector<SweepPoint> points;
   for (const uint32_t nodes : {2u, 4u, 8u}) {
@@ -217,6 +195,15 @@ int RunBench(bench::BenchEnv& env) {
                   Table::Num(ToMiB(r.refetch_bytes), 1), std::to_string(r.transfers),
                   std::to_string(r.migrations), std::to_string(r.invalidations),
                   Table::Num(r.job_p50_ms, 2), Table::Num(r.job_p99_ms, 2)});
+    if (points[i].nodes == 4) {  // the trajectory tracks the headline 4-node rows
+      record
+          .Add(std::string("fig27_stateful_pipeline/") + ShapeName(points[i].shape) + "_" +
+               DataPlaneModeName(points[i].mode))
+          .SimMs(r.job_p99_ms)
+          .Field("handoff_bytes", r.handoff_bytes)
+          .Field("pool_write_bytes", r.pool_write_bytes)
+          .Field("migrations", r.migrations);
+    }
   }
   table.Print(std::cout);
   std::cout << "Handoff MiB counts fabric crossings only: trenv-shared keeps payloads in "
@@ -280,53 +267,18 @@ int RunBench(bench::BenchEnv& env) {
   std::cout << "Crash drill: every accepted invocation completed (" << crash.recoveries
             << " vacant-ownership recoveries from the durable pool copy).\n";
 
-  const std::string json_path = env.ExtraValue("--bench-json=");
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::app);
-    if (!out) {
-      std::cerr << "failed to append record to " << json_path << "\n";
-      return 1;
-    }
-    out << "{\"utc\":\"" << UtcNow() << "\",\"label\":\""
-        << JsonEscape(env.ExtraValue("--bench-label=")) << "\",\"host\":"
-        << bench::HostJson(env.jobs) << ",\"benchmarks\":{";
-    bool first = true;
-    for (size_t i = 0; i < points.size(); ++i) {
-      if (points[i].nodes != 4) {
-        continue;  // the trajectory tracks the headline 4-node rows
-      }
-      const RunResult& r = sweep[i];
-      if (!first) {
-        out << ",";
-      }
-      first = false;
-      out << "\"fig27_stateful_pipeline/" << ShapeName(points[i].shape) << "_"
-          << DataPlaneModeName(points[i].mode)
-          << "\":{\"real_ns\":" << static_cast<uint64_t>(r.job_p99_ms * 1e6)
-          << ",\"handoff_bytes\":" << r.handoff_bytes
-          << ",\"pool_write_bytes\":" << r.pool_write_bytes
-          << ",\"migrations\":" << r.migrations << "}";
-    }
-    out << ",\"fig27_stateful_pipeline/crash_drill\":{\"accepted\":" << crash.accepted
-        << ",\"completed\":" << crash.stages_completed
-        << ",\"recoveries\":" << crash.recoveries << "}";
-    out << "}}\n";
-    if (!out) {
-      std::cerr << "failed to append record to " << json_path << "\n";
-      return 1;
-    }
-    std::cout << "appended record to " << json_path << "\n";
-  }
-  return 0;
+  record.Add("fig27_stateful_pipeline/crash_drill")
+      .Field("accepted", crash.accepted)
+      .Field("completed", crash.stages_completed)
+      .Field("recoveries", crash.recoveries);
+  return record.Append(env.jobs);
 }
 
 }  // namespace
 }  // namespace trenv
 
 int main(int argc, char** argv) {
-  trenv::bench::BenchEnv env(argc, argv,
-                             {{"--bench-json=", "--bench-json=<file>"},
-                              {"--bench-label=", "--bench-label=<text>"}});
+  trenv::bench::BenchEnv env(argc, argv, trenv::bench::Record::Flags());
   const int rc = trenv::RunBench(env);
   env.Finish();
   return rc;

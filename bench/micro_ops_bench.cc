@@ -4,17 +4,12 @@
 // simulator's own performance; the paper-figure benches above depend on them
 // being fast.
 //
-// Besides the console output, every run appends one JSON-lines record to
-// BENCH_micro.json (override with --bench-json=PATH, disable with
-// --bench-json=), so the performance trajectory across PRs accumulates in
-// one comparable file. See docs/performance.md.
+// Besides the console output, --bench-json=PATH appends one JSON-lines
+// record of the wall-clock timings to PATH (the BENCH_micro.json perf
+// trajectory; see docs/performance.md). Without it nothing is written.
 #include <benchmark/benchmark.h>
 
-#include <ctime>
-#include <fstream>
-#include <iostream>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -354,99 +349,40 @@ void BM_FairShareCpuChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_FairShareCpuChurn);
 
-// Collects per-benchmark results while delegating display to the console
-// reporter, so the run can be appended to the BENCH_micro.json trajectory.
-class CollectingReporter : public benchmark::ConsoleReporter {
+// Files each benchmark's wall-clock timings in the record while delegating
+// display to the console reporter.
+class RecordingReporter : public benchmark::ConsoleReporter {
  public:
-  struct Entry {
-    std::string name;
-    double real_ns = 0;
-    double cpu_ns = 0;
-    int64_t iterations = 0;
-  };
+  explicit RecordingReporter(bench::Record* record) : record_(record) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.error_occurred) {
         continue;
       }
-      Entry entry;
-      entry.name = run.benchmark_name();
-      entry.real_ns = run.GetAdjustedRealTime();
-      entry.cpu_ns = run.GetAdjustedCPUTime();
-      entry.iterations = run.iterations;
-      entries_.push_back(std::move(entry));
+      record_->Add(run.benchmark_name())
+          .RealNs(run.GetAdjustedRealTime())
+          .Field("cpu_ns", run.GetAdjustedCPUTime())
+          .Field("iterations", run.iterations);
     }
     ConsoleReporter::ReportRuns(runs);
   }
 
-  const std::vector<Entry>& entries() const { return entries_; }
-
  private:
-  std::vector<Entry> entries_;
+  bench::Record* record_;
 };
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string UtcNow() {
-  char buf[32];
-  const std::time_t t = std::time(nullptr);
-  std::tm tm_utc{};
-  gmtime_r(&t, &tm_utc);
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  return buf;
-}
-
-// Appends one JSON-lines record: {"utc":...,"label":...,"benchmarks":{name:
-// {"real_ns":...,"cpu_ns":...,"iterations":...}}}.
-bool AppendJsonRecord(const std::string& path, const std::string& label,
-                      const std::vector<CollectingReporter::Entry>& entries) {
-  std::ofstream out(path, std::ios::app);
-  if (!out) {
-    return false;
-  }
-  out << "{\"utc\":\"" << UtcNow() << "\",\"label\":\"" << JsonEscape(label)
-      << "\",\"host\":" << bench::HostJson(std::thread::hardware_concurrency())
-      << ",\"benchmarks\":{";
-  bool first = true;
-  for (const auto& entry : entries) {
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    out << "\"" << JsonEscape(entry.name) << "\":{\"real_ns\":" << entry.real_ns
-        << ",\"cpu_ns\":" << entry.cpu_ns << ",\"iterations\":" << entry.iterations << "}";
-  }
-  out << "}}\n";
-  return static_cast<bool>(out);
-}
 
 }  // namespace
 }  // namespace trenv
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_micro.json";
-  std::string label;
-  // Peel off our flags; everything else goes to google-benchmark (which
-  // rejects unknown flags itself).
+  // Peel off the record flags; everything else goes to google-benchmark
+  // (which rejects unknown flags itself).
+  trenv::bench::Record record;
   std::vector<char*> passthrough;
   passthrough.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.rfind("--bench-json=", 0) == 0) {
-      json_path = std::string(arg.substr(13));
-    } else if (arg.rfind("--bench-label=", 0) == 0) {
-      label = std::string(arg.substr(14));
-    } else {
+    if (!record.TakeFlag(argv[i])) {
       passthrough.push_back(argv[i]);
     }
   }
@@ -455,16 +391,8 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(pass_argc, passthrough.data())) {
     return 1;
   }
-  trenv::CollectingReporter reporter;
+  trenv::RecordingReporter reporter(&record);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  if (!json_path.empty() && !reporter.entries().empty()) {
-    if (trenv::AppendJsonRecord(json_path, label, reporter.entries())) {
-      std::cout << "appended record to " << json_path << "\n";
-    } else {
-      std::cerr << "failed to append record to " << json_path << "\n";
-      return 1;
-    }
-  }
-  return 0;
+  return record.Append(std::thread::hardware_concurrency());
 }

@@ -28,20 +28,19 @@
 //   * it completes every accepted invocation, and
 //   * byte-identical output at any --jobs.
 //
-// Flags (beyond the shared --jobs/--trace-out/--metrics-out):
-//   --functions=N     synthetic catalog size (default 1024)
+// Flags (beyond the shared --jobs/--trace-out/--metrics-out); the numeric
+// ones must be positive:
+//   --functions=N     synthetic catalog size (default 8192)
 //   --minutes=M       trace duration (default 30)
-//   --peak-rate=R     diurnal peak arrivals/s (default 24)
+//   --peak-rate=R     diurnal peak arrivals/s (default 8)
 //   --slo-ms=S        warm-attach p99 SLO (default 15)
 //   --overcommit=F    parked-footprint ceiling as a multiple of the cap
+//                     (default 16)
 //   --bench-json=PATH append a JSON-lines record to the BENCH trajectory
 //   --bench-label=TXT label stored in the JSON record
 #include <cstdint>
-#include <ctime>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -187,26 +186,6 @@ RunResult RunSystem(const SystemSpec& spec, const Scale& scale,
   return r;
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string UtcNow() {
-  char buf[32];
-  const std::time_t t = std::time(nullptr);
-  std::tm tm_utc{};
-  gmtime_r(&t, &tm_utc);
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  return buf;
-}
-
 int RunBench(bench::BenchEnv& env, const Scale& scale) {
   PrintBanner(std::cout, "Peak warm-environment density @ attach-latency SLO");
   std::cout << "catalog " << scale.functions << " functions, diurnal "
@@ -294,55 +273,35 @@ int RunBench(bench::BenchEnv& env, const Scale& scale) {
     return 1;
   }
 
-  const std::string json_path = env.ExtraValue("--bench-json=");
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::app);
-    if (!out) {
-      std::cerr << "failed to append record to " << json_path << "\n";
-      return 1;
-    }
-    out << "{\"utc\":\"" << UtcNow() << "\",\"label\":\""
-        << JsonEscape(env.ExtraValue("--bench-label=")) << "\",\"host\":"
-        << bench::HostJson(env.jobs) << ",\"benchmarks\":{"
-        << "\"peak_density/warm_envs\":{\"value\":" << density.peak_warm_envs
-        << ",\"direction\":\"higher_is_better\"},"
-        << "\"peak_density/warm_envs_baseline\":{\"value\":" << baseline
-        << ",\"direction\":\"higher_is_better\"},"
-        << "\"peak_density/attach_p99\":{\"real_ns\":"
-        << static_cast<uint64_t>(density.attach_p99_ms * 1e6)
-        << ",\"promotions\":" << density.promotions
-        << ",\"demotions\":" << density.demotions << "}}}\n";
-    std::cout << "bench record appended to " << json_path << "\n";
-  }
-  return 0;
+  bench::Record record(env);
+  record.Add("peak_density/warm_envs")
+      .HigherIsBetter(density.peak_warm_envs, bench::Record::Clock::kSim);
+  record.Add("peak_density/warm_envs_baseline")
+      .HigherIsBetter(baseline, bench::Record::Clock::kSim);
+  record.Add("peak_density/attach_p99")
+      .SimMs(density.attach_p99_ms)
+      .Field("promotions", density.promotions)
+      .Field("demotions", density.demotions);
+  return record.Append(env.jobs);
 }
 
 }  // namespace
 }  // namespace trenv
 
 int main(int argc, char** argv) {
-  std::vector<trenv::bench::ExtraFlag> flags = {
-      {"--functions=", "--functions=<n>"}, {"--minutes=", "--minutes=<m>"},
-      {"--peak-rate=", "--peak-rate=<r>"}, {"--slo-ms=", "--slo-ms=<ms>"},
-      {"--overcommit=", "--overcommit=<f>"}, {"--bench-json=", "--bench-json=<path>"},
-      {"--bench-label=", "--bench-label=<text>"}};
-  trenv::bench::BenchEnv env(argc, argv, flags);
+  trenv::bench::BenchEnv env(
+      argc, argv,
+      trenv::bench::Record::Flags({{"--functions=", "--functions=<n>"},
+                                   {"--minutes=", "--minutes=<m>"},
+                                   {"--peak-rate=", "--peak-rate=<r>"},
+                                   {"--slo-ms=", "--slo-ms=<ms>"},
+                                   {"--overcommit=", "--overcommit=<f>"}}));
   trenv::Scale scale;
-  if (const std::string v = env.ExtraValue("--functions="); !v.empty()) {
-    scale.functions = static_cast<uint32_t>(std::atoi(v.c_str()));
-  }
-  if (const std::string v = env.ExtraValue("--minutes="); !v.empty()) {
-    scale.minutes = std::atof(v.c_str());
-  }
-  if (const std::string v = env.ExtraValue("--peak-rate="); !v.empty()) {
-    scale.peak_rate = std::atof(v.c_str());
-  }
-  if (const std::string v = env.ExtraValue("--slo-ms="); !v.empty()) {
-    scale.slo_ms = std::atof(v.c_str());
-  }
-  if (const std::string v = env.ExtraValue("--overcommit="); !v.empty()) {
-    scale.overcommit = std::atof(v.c_str());
-  }
+  scale.functions = env.PositiveValue("--functions=", scale.functions);
+  scale.minutes = env.PositiveValue("--minutes=", scale.minutes);
+  scale.peak_rate = env.PositiveValue("--peak-rate=", scale.peak_rate);
+  scale.slo_ms = env.PositiveValue("--slo-ms=", scale.slo_ms);
+  scale.overcommit = env.PositiveValue("--overcommit=", scale.overcommit);
   const int rc = trenv::RunBench(env, scale);
   env.Finish();
   return rc;

@@ -34,11 +34,8 @@
 //   --bench-json=PATH   append a JSON-lines record to the BENCH trajectory
 //   --bench-label=TEXT  label stored in the JSON record
 #include <cstdint>
-#include <ctime>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -122,10 +119,10 @@ ChurnResult RunChurn(uint32_t pool_nodes, bool continuous, uint32_t shards) {
   config.poolctl.rebalance_budget_pages = kRebalanceBudget;
   config.faults = ChurnFaults(pool_nodes);
   Cluster cluster(config);
-  if (!cluster.DeployTable4Functions().ok()) {
-    return {};
-  }
-  if (!bench::RunCluster(cluster, ChurnWorkload(), shards).ok()) {
+  const Schedule schedule = ChurnWorkload();
+  ScheduleStream arrivals(schedule);
+  if (!cluster.DeployTable4Functions().ok() ||
+      !cluster.RunSharded(arrivals, {.shards = shards}).ok()) {
     return {};
   }
   ChurnResult r;
@@ -223,29 +220,9 @@ HotResult RunHotShard(bool mitigation) {
   return r;
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string UtcNow() {
-  char buf[32];
-  const std::time_t t = std::time(nullptr);
-  std::tm tm_utc{};
-  gmtime_r(&t, &tm_utc);
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  return buf;
-}
-
 int RunBench(bench::BenchEnv& env) {
-  const uint32_t shards =
-      static_cast<uint32_t>(std::atoi(env.ExtraValue("--shards=", "1").c_str()));
+  const uint32_t shards = env.PositiveValue<uint32_t>("--shards=", 1);
+  bench::Record record(env);
   std::cout << "=== Continuous pool control under churn: rolling restarts + long outage "
                "+ flap storms ===\n";
 
@@ -279,6 +256,16 @@ int RunBench(bench::BenchEnv& env) {
                   std::to_string(r.shed),
                   Table::Num(static_cast<double>(r.nas_pages) / kPagesPerMiB, 1),
                   std::to_string(r.under_replicated), Table::Num(r.attach_p99_ms, 3)});
+    record
+        .Add("poolctl_churn/n" + std::to_string(points[i].pool_nodes) +
+             (points[i].continuous ? "_continuous" : "_static"))
+        .Field("accepted", r.accepted)
+        .Field("completed", r.completed)
+        .Field("deaths", r.deaths)
+        .Field("rejoins", r.rejoins)
+        .Field("moved_pages", r.moved_pages)
+        .Field("under_replicated", r.under_replicated)
+        .SimMs(r.attach_p99_ms);
   }
   table.Print(std::cout);
 
@@ -342,36 +329,11 @@ int RunBench(bench::BenchEnv& env) {
     return 1;
   }
 
-  const std::string json_path = env.ExtraValue("--bench-json=");
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::app);
-    if (!out) {
-      std::cerr << "failed to append record to " << json_path << "\n";
-      return 1;
-    }
-    out << "{\"utc\":\"" << UtcNow() << "\",\"label\":\""
-        << JsonEscape(env.ExtraValue("--bench-label=")) << "\",\"host\":"
-        << bench::HostJson(env.jobs) << ",\"benchmarks\":{";
-    for (size_t i = 0; i < points.size(); ++i) {
-      const ChurnResult& r = sweep[i];
-      out << "\"poolctl_churn/n" << points[i].pool_nodes << "_"
-          << (points[i].continuous ? "continuous" : "static")
-          << "\":{\"accepted\":" << r.accepted << ",\"completed\":" << r.completed
-          << ",\"deaths\":" << r.deaths << ",\"rejoins\":" << r.rejoins
-          << ",\"moved_pages\":" << r.moved_pages
-          << ",\"under_replicated\":" << r.under_replicated
-          << ",\"real_ns\":" << static_cast<uint64_t>(r.attach_p99_ms * 1e6) << "},";
-    }
-    out << "\"poolctl_churn/hot_shard\":{\"peak_static\":" << flat.peak_pages
-        << ",\"peak_mitigated\":" << mitigated.peak_pages << ",\"ratio\":"
-        << Table::Num(ratio, 3) << "}}}\n";
-    if (!out) {
-      std::cerr << "failed to append record to " << json_path << "\n";
-      return 1;
-    }
-    std::cout << "appended record to " << json_path << "\n";
-  }
-  return 0;
+  record.Add("poolctl_churn/hot_shard")
+      .Field("peak_static", flat.peak_pages)
+      .Field("peak_mitigated", mitigated.peak_pages)
+      .Field("ratio", ratio);
+  return record.Append(env.jobs);
 }
 
 }  // namespace
@@ -379,9 +341,7 @@ int RunBench(bench::BenchEnv& env) {
 
 int main(int argc, char** argv) {
   trenv::bench::BenchEnv env(argc, argv,
-                             {{"--bench-json=", "--bench-json=<file>"},
-                              {"--bench-label=", "--bench-label=<text>"},
-                              {"--shards=", "--shards=<n>"}});
+                             trenv::bench::Record::Flags({{"--shards=", "--shards=<n>"}}));
   const int rc = trenv::RunBench(env);
   env.Finish();
   return rc;

@@ -29,14 +29,12 @@
 //
 // Flags:
 //   --jobs=N            sweep threads; the report is byte-identical at any N
+//   --shards=N          sharded cluster execution (byte-identical)
 //   --bench-json=PATH   append a JSON-lines record to the BENCH trajectory
 //   --bench-label=TEXT  label stored in the JSON record
 #include <cstdint>
-#include <ctime>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -111,6 +109,18 @@ RunResult Collect(Cluster& cluster) {
   return r;
 }
 
+// Runs the sweep workload on a rack built from `config`.
+RunResult RunRack(const ClusterConfig& config, uint32_t shards) {
+  Cluster cluster(config);
+  const Schedule schedule = SweepWorkload();
+  ScheduleStream arrivals(schedule);
+  if (!cluster.DeployTable4Functions().ok() ||
+      !cluster.RunSharded(arrivals, {.shards = shards}).ok()) {
+    return {};
+  }
+  return Collect(cluster);
+}
+
 RunResult RunScale(uint32_t nodes, uint32_t replication, Dispatch dispatch, uint32_t shards) {
   ClusterConfig config;
   config.nodes = nodes;
@@ -118,14 +128,7 @@ RunResult RunScale(uint32_t nodes, uint32_t replication, Dispatch dispatch, uint
   config.poolmgr.enabled = true;
   config.poolmgr.pool_nodes = kPoolNodes;
   config.poolmgr.replication = replication;
-  Cluster cluster(config);
-  if (!cluster.DeployTable4Functions().ok()) {
-    return {};
-  }
-  if (!bench::RunCluster(cluster, SweepWorkload(), shards).ok()) {
-    return {};
-  }
-  return Collect(cluster);
+  return RunRack(config, shards);
 }
 
 // One pool node dies mid-run and returns 30 s later. The workload and the
@@ -150,34 +153,7 @@ RunResult RunChaos(uint32_t replication, bool continuous, uint32_t shards) {
                                     SimTime::Zero() + SimDuration::Seconds(46), 1.0,
                                     /*pool_node=*/1,
                                     /*restart_after=*/SimDuration::Seconds(30)));
-  Cluster cluster(config);
-  if (!cluster.DeployTable4Functions().ok()) {
-    return {};
-  }
-  if (!bench::RunCluster(cluster, SweepWorkload(), shards).ok()) {
-    return {};
-  }
-  return Collect(cluster);
-}
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string UtcNow() {
-  char buf[32];
-  const std::time_t t = std::time(nullptr);
-  std::tm tm_utc{};
-  gmtime_r(&t, &tm_utc);
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  return buf;
+  return RunRack(config, shards);
 }
 
 struct SweepPoint {
@@ -187,11 +163,10 @@ struct SweepPoint {
 };
 
 int RunBench(bench::BenchEnv& env) {
-  // Sharded execution of each run; the report is byte-identical at any value
-  // (zero-lookahead RunSharded == Run), so this doubles as a determinism
-  // check over the sharded core.
-  const uint32_t shards =
-      static_cast<uint32_t>(std::atoi(env.ExtraValue("--shards=", "1").c_str()));
+  // Sharded execution of each run; the report is byte-identical at any value,
+  // so this doubles as a determinism check over the sharded core.
+  const uint32_t shards = env.PositiveValue<uint32_t>("--shards=", 1);
+  bench::Record record(env);
   std::cout << "=== Pool control plane: nodes x replication x dispatch ===\n";
 
   std::vector<SweepPoint> points;
@@ -228,6 +203,18 @@ int RunBench(bench::BenchEnv& env) {
                              3),
                   Table::Num(r.attach_p50_ms, 3), Table::Num(r.attach_p99_ms, 3),
                   Table::Num(r.e2e_p99_ms, 2)});
+    if (points[i].nodes == 4) {  // the trajectory tracks the headline 4-node rows
+      record
+          .Add(std::string("poolmgr_scale/") +
+               (points[i].dispatch == Dispatch::kTemplateLocality ? "locality"
+                                                                  : "least_loaded") +
+               "_n" + std::to_string(points[i].nodes) + "_r" +
+               std::to_string(points[i].replication))
+          .SimMs(r.attach_p99_ms)
+          .Field("fetch_pages", r.fetch_pages)
+          .Field("lease_hits", r.lease_hits)
+          .Field("lease_misses", r.lease_misses);
+    }
   }
   table.Print(std::cout);
   std::cout << "Replication changes placement only — lease misses read the primary, so "
@@ -286,6 +273,20 @@ int RunBench(bench::BenchEnv& env) {
                   std::to_string(r.rejoins), std::to_string(r.under_replicated),
                   Table::Num(static_cast<double>(r.fetch_pages) / kPagesPerMiB, 1),
                   Table::Num(r.attach_p99_ms, 3)});
+    bench::Record::Entry& entry =
+        record
+            .Add("poolmgr_scale/chaos_r" + std::to_string(chaos_points[i].replication) +
+                 (chaos_points[i].continuous ? "_continuous" : ""))
+            .Field("accepted", r.accepted)
+            .Field("completed", r.completed)
+            .Field("promotions", r.promotions)
+            .Field("revoked", r.revoked)
+            .Field("reseeded", r.reseeded);
+    if (chaos_points[i].continuous) {
+      entry.Field("deaths", r.deaths)
+          .Field("rejoins", r.rejoins)
+          .Field("under_replicated", r.under_replicated);
+    }
   }
   crash.Print(std::cout);
 
@@ -322,55 +323,7 @@ int RunBench(bench::BenchEnv& env) {
                "0 lost) under both static and gossip membership; replication 1 pays "
                "revocations + reseeds.\n";
 
-  const std::string json_path = env.ExtraValue("--bench-json=");
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::app);
-    if (!out) {
-      std::cerr << "failed to append record to " << json_path << "\n";
-      return 1;
-    }
-    out << "{\"utc\":\"" << UtcNow() << "\",\"label\":\""
-        << JsonEscape(env.ExtraValue("--bench-label=")) << "\",\"host\":"
-        << bench::HostJson(env.jobs) << ",\"benchmarks\":{";
-    bool first = true;
-    for (size_t i = 0; i < points.size(); ++i) {
-      if (points[i].nodes != 4) {
-        continue;  // the trajectory tracks the headline 4-node rows
-      }
-      const RunResult& r = sweep[i];
-      if (!first) {
-        out << ",";
-      }
-      first = false;
-      out << "\"poolmgr_scale/"
-          << (points[i].dispatch == Dispatch::kTemplateLocality ? "locality"
-                                                                : "least_loaded")
-          << "_n" << points[i].nodes << "_r" << points[i].replication
-          << "\":{\"real_ns\":" << static_cast<uint64_t>(r.attach_p99_ms * 1e6)
-          << ",\"fetch_pages\":" << r.fetch_pages << ",\"lease_hits\":" << r.lease_hits
-          << ",\"lease_misses\":" << r.lease_misses << "}";
-    }
-    for (size_t i = 0; i < chaos.size(); ++i) {
-      out << ",\"poolmgr_scale/chaos_r" << chaos_points[i].replication
-          << (chaos_points[i].continuous ? "_continuous" : "")
-          << "\":{\"accepted\":" << chaos[i].accepted
-          << ",\"completed\":" << chaos[i].completed
-          << ",\"promotions\":" << chaos[i].promotions
-          << ",\"revoked\":" << chaos[i].revoked << ",\"reseeded\":" << chaos[i].reseeded;
-      if (chaos_points[i].continuous) {
-        out << ",\"deaths\":" << chaos[i].deaths << ",\"rejoins\":" << chaos[i].rejoins
-            << ",\"under_replicated\":" << chaos[i].under_replicated;
-      }
-      out << "}";
-    }
-    out << "}}\n";
-    if (!out) {
-      std::cerr << "failed to append record to " << json_path << "\n";
-      return 1;
-    }
-    std::cout << "appended record to " << json_path << "\n";
-  }
-  return 0;
+  return record.Append(env.jobs);
 }
 
 }  // namespace
@@ -378,9 +331,7 @@ int RunBench(bench::BenchEnv& env) {
 
 int main(int argc, char** argv) {
   trenv::bench::BenchEnv env(argc, argv,
-                             {{"--bench-json=", "--bench-json=<file>"},
-                              {"--bench-label=", "--bench-label=<text>"},
-                              {"--shards=", "--shards=<n>"}});
+                             trenv::bench::Record::Flags({{"--shards=", "--shards=<n>"}}));
   const int rc = trenv::RunBench(env);
   env.Finish();
   return rc;

@@ -31,13 +31,10 @@
 
 #include <chrono>
 #include <cstdint>
-#include <ctime>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -50,26 +47,6 @@ namespace {
 
 constexpr uint64_t kSeed = 42;
 constexpr double kRatePerSec = 400.0;
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string UtcNow() {
-  char buf[32];
-  const std::time_t t = std::time(nullptr);
-  std::tm tm_utc{};
-  gmtime_r(&t, &tm_utc);
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  return buf;
-}
 
 std::vector<uint32_t> ParseCsv(const std::string& csv) {
   std::vector<uint32_t> out;
@@ -175,15 +152,13 @@ uint64_t MaxRssKb() {
 }
 
 int RunBench(bench::BenchEnv& env) {
-  const uint32_t nodes =
-      static_cast<uint32_t>(std::atoi(env.ExtraValue("--nodes=", "8").c_str()));
+  const uint32_t nodes = env.PositiveValue<uint32_t>("--nodes=", 8);
   const std::vector<uint32_t> shard_counts = ParseCsv(env.ExtraValue("--shards=", "1,2,4"));
-  const uint64_t invocations =
-      static_cast<uint64_t>(std::atoll(env.ExtraValue("--invocations=", "200000").c_str()));
+  const uint64_t invocations = env.PositiveValue<uint64_t>("--invocations=", 200000);
   const double lookahead_ms = std::atof(env.ExtraValue("--lookahead-ms=", "20").c_str());
   const double require_speedup = std::atof(env.ExtraValue("--require-speedup=", "0").c_str());
-  if (nodes < 1 || shard_counts.empty() || invocations < 1) {
-    std::cerr << "invalid --nodes/--shards/--invocations\n";
+  if (shard_counts.empty()) {
+    std::cerr << "invalid --shards\n";
     return 2;
   }
 
@@ -223,10 +198,15 @@ int RunBench(bench::BenchEnv& env) {
   }
 
   // Speedup relative to the 1-shard run (or the smallest swept count).
+  bench::Record record(env);
   const double base_wall = runs.front().wall_s;
   double best_speedup = 1.0;
   uint32_t best_shards = shard_counts.front();
   for (size_t i = 0; i < runs.size(); ++i) {
+    record.Add("sharded_scale/shards_" + std::to_string(shard_counts[i]))
+        .RealNs(runs[i].wall_s * 1e9)
+        .Field("epochs", runs[i].epochs)
+        .Field("barrier_ns", static_cast<uint64_t>(runs[i].barrier_s * 1e9));
     const double speedup = runs[i].wall_s > 0 ? base_wall / runs[i].wall_s : 0.0;
     std::cerr << "speedup shards=" << shard_counts[i] << ": " << std::fixed
               << std::setprecision(2) << speedup << "x\n";
@@ -248,35 +228,9 @@ int RunBench(bench::BenchEnv& env) {
     }
   }
 
-  const std::string json_path = env.ExtraValue("--bench-json=");
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::app);
-    if (!out) {
-      std::cerr << "failed to append record to " << json_path << "\n";
-      return 1;
-    }
-    out << "{\"utc\":\"" << UtcNow() << "\",\"label\":\""
-        << JsonEscape(env.ExtraValue("--bench-label=")) << "\",\"host\":"
-        << bench::HostJson(env.jobs) << ",\"benchmarks\":{";
-    for (size_t i = 0; i < runs.size(); ++i) {
-      if (i != 0) {
-        out << ",";
-      }
-      out << "\"sharded_scale/shards_" << shard_counts[i]
-          << "\":{\"real_ns\":" << static_cast<uint64_t>(runs[i].wall_s * 1e9)
-          << ",\"epochs\":" << runs[i].epochs << ",\"barrier_ns\":"
-          << static_cast<uint64_t>(runs[i].barrier_s * 1e9) << "}";
-    }
-    out << ",\"sharded_scale/best_speedup\":{\"value\":" << std::setprecision(4)
-        << best_speedup << ",\"direction\":\"higher_is_better\"}";
-    out << "}}\n";
-    if (!out) {
-      std::cerr << "failed to append record to " << json_path << "\n";
-      return 1;
-    }
-    std::cerr << "appended record to " << json_path << "\n";
-  }
-  return 0;
+  record.Add("sharded_scale/best_speedup")
+      .HigherIsBetter(best_speedup, bench::Record::Clock::kWall);
+  return record.Append(env.jobs);
 }
 
 }  // namespace
@@ -284,13 +238,12 @@ int RunBench(bench::BenchEnv& env) {
 
 int main(int argc, char** argv) {
   trenv::bench::BenchEnv env(argc, argv,
-                             {{"--nodes=", "--nodes=<n>"},
-                              {"--shards=", "--shards=a,b,c"},
-                              {"--invocations=", "--invocations=<n>"},
-                              {"--lookahead-ms=", "--lookahead-ms=<x>"},
-                              {"--require-speedup=", "--require-speedup=<x>"},
-                              {"--bench-json=", "--bench-json=<file>"},
-                              {"--bench-label=", "--bench-label=<text>"}});
+                             trenv::bench::Record::Flags(
+                                 {{"--nodes=", "--nodes=<n>"},
+                                  {"--shards=", "--shards=a,b,c"},
+                                  {"--invocations=", "--invocations=<n>"},
+                                  {"--lookahead-ms=", "--lookahead-ms=<x>"},
+                                  {"--require-speedup=", "--require-speedup=<x>"}}));
   const int rc = trenv::RunBench(env);
   env.Finish();
   return rc;

@@ -34,8 +34,7 @@ class Checkpointer {
   // Step A1: synthesize the post-initialization snapshot for a function.
   FunctionSnapshot Checkpoint(const FunctionProfile& profile) const;
 
-  // Dumps a live process's memory state (used in tests and by Groundhog-
-  // style full-state restoration).
+  // Dumps a live process's memory state (used in tests).
   ProcessImage CheckpointProcess(const Process& process) const;
 
   const ImageLayoutModel& layout() const { return layout_; }

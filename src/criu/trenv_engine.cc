@@ -326,30 +326,6 @@ void TrEnvEngine::PrefetchWorkingSet(const FunctionProfile& profile, RestoreOutc
 Result<ExecutionOverheads> TrEnvEngine::OnExecute(const FunctionProfile& profile,
                                                   FunctionInstance& instance,
                                                   RestoreContext& ctx) {
-  SimDuration rollback_cost;
-  if (options_.groundhog_restore && options_.use_mm_template && instance.invocations > 0) {
-    // Roll the memory state back to the pristine template before reuse.
-    const std::vector<MmtId>& ids = PreparedFor(profile)->templates;
-    size_t p = 0;
-    for (auto& process : instance.processes()) {
-      MmStruct& mm = process->mm();
-      ctx.frames->FreePages(mm.ResidentLocalPages());
-      std::vector<Vaddr> starts;
-      for (const auto& [start, vma] : mm.vmas()) {
-        starts.push_back(start);
-      }
-      for (Vaddr start : starts) {
-        TRENV_RETURN_IF_ERROR(mm.RemoveVma(start));
-      }
-      TRENV_ASSIGN_OR_RETURN(MmtAttachResult attach, mmt_->MmtAttach(ids[p++], &mm));
-      rollback_cost += attach.latency;
-    }
-    if (ctx.tracer != nullptr && rollback_cost > SimDuration::Zero()) {
-      ctx.tracer->RecordSpanAt(ctx.trace_loc, "mmt.rollback", "restore",
-                               ctx.tracer->now(ctx.trace_loc.pid), rollback_cost,
-                               ctx.trace_parent);
-    }
-  }
   // Open fetch streams on any message-model pools backing this instance, so
   // the pool's contention model sees the concurrent load.
   std::vector<MemoryBackend*> streams;
@@ -413,7 +389,6 @@ Result<ExecutionOverheads> TrEnvEngine::OnExecute(const FunctionProfile& profile
     overheads.cpu_multiplier =
         1.0 + (ExecutionModel::CxlCpuMultiplier(profile) - 1.0) * remote_fraction;
   }
-  overheads.added_latency += rollback_cost;
   // Heat accounting for the tiered-promotion policy.
   if (promotion_ != nullptr) {
     const Prepared* prepared = PreparedFor(profile);

@@ -35,11 +35,6 @@ class TrEnvEngine : public RestoreEngine {
     // Uses mm-template attach; when false, falls back to CRIU-style memory
     // copy (the "Cgroup"-only ablation configuration).
     bool use_mm_template = true;
-    // Groundhog-style sequential-request isolation (section 10): before a
-    // warm instance serves a new invocation, its memory state is rolled back
-    // to the pristine template (drop CoW pages, re-attach). Costs one extra
-    // attach per reuse but guarantees no state flows between requests.
-    bool groundhog_restore = false;
     // Working-set-guided batched prefetch on the attach fast path. The first
     // invocation after an attach records its major-fault footprint per
     // (function, process); later attaches of RDMA/NAS-homed templates issue

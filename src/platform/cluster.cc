@@ -408,28 +408,8 @@ std::vector<FaultInjector::NodeEvent> Cluster::PlanFaultEvents() {
 }
 
 Status Cluster::Run(const Schedule& schedule) {
-  // Dispatch decisions use the load at submission time, so interleave:
-  // advance every node up to each arrival before placing it. Node-level
-  // fault events (crashes, restarts, pressure windows) merge into the same
-  // timeline so their ordering against arrivals is exact.
-  const std::vector<FaultInjector::NodeEvent> plan = PlanFaultEvents();
-  size_t next_event = 0;
-  for (const Invocation& invocation : schedule) {
-    while (next_event < plan.size() && plan[next_event].time <= invocation.arrival) {
-      AdvanceClocksTo(plan[next_event].time);
-      ApplyFaultEvent(plan[next_event]);
-      ++next_event;
-    }
-    AdvanceClocksTo(invocation.arrival);
-    TRENV_RETURN_IF_ERROR(Submit(invocation.arrival, invocation.function));
-  }
-  while (next_event < plan.size()) {
-    AdvanceClocksTo(plan[next_event].time);
-    ApplyFaultEvent(plan[next_event]);
-    ++next_event;
-  }
-  DrainAll();
-  return Status::Ok();
+  ScheduleStream arrivals(schedule);
+  return RunSharded(arrivals);
 }
 
 bool Cluster::CanShardAcrossThreads() const {
@@ -539,8 +519,9 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
     return Status::Ok();
   };
 
-  // The main loop mirrors Run(): node-level fault events merge into the
-  // arrival timeline at exactly the sequential interleaving.
+  // Node-level fault events (crashes, restarts, pressure windows) merge into
+  // the arrival timeline at exactly the sequential interleaving: every node
+  // advances to an event or arrival before it applies or places.
   size_t next_event = 0;
   std::optional<Invocation> pending = arrivals.Next();
   while (pending.has_value() || next_event < plan.size()) {

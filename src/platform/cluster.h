@@ -48,14 +48,15 @@ struct ShardedRunOptions {
   // much of each epoch's node-drain work runs concurrently.
   uint32_t shards = 1;
   // Conservative-lookahead window. Zero: one synchronization epoch per
-  // arrival, so every dispatch sees exactly the load state the sequential
-  // Run() would see — byte-identical to Run() on the same schedule. Positive:
+  // arrival, so every dispatch sees exactly the load state of a sequential
+  // loop that advances every node to each arrival before placing it — the
+  // reference tests/sharded_cluster_test.cc spells out. Positive:
   // all arrivals inside one window are dispatched against the load snapshot
   // taken at the window start (plus a deterministic count of the window's own
   // placements per node), amortizing the barrier across many arrivals. The
   // window grid depends only on the trace, never on the shard count, so
   // output is still independent of --shards.
-  SimDuration lookahead;
+  SimDuration lookahead{};
 };
 
 struct ClusterConfig {
@@ -114,6 +115,7 @@ class Cluster {
   };
   [[nodiscard]] Status Submit(SimTime arrival, const std::string& function,
                               SubmitOptions options);
+  // RunSharded over a materialized schedule with default options.
   [[nodiscard]] Status Run(const Schedule& schedule);
 
   // Sharded run: the trace pulls lazily from `arrivals` (a 10M-invocation
@@ -123,7 +125,7 @@ class Cluster {
   // coordinator thread between epochs; platform submits travel through
   // per-shard mailboxes drained in deterministic global-sequence order at the
   // next epoch. Output is byte-identical at any `shards` setting, and with
-  // lookahead zero it is byte-identical to Run() on the collected schedule.
+  // lookahead zero it is byte-identical to the sequential per-arrival loop.
   //
   // Preconditions for cross-thread sharding: no fault injector, no tracer,
   // no prewarm policy, density off, no shstate plane. When any of those is
@@ -156,8 +158,9 @@ class Cluster {
   const RegionManager* shared_state() const { return shstate_.get(); }
 
   // --- timeline steps ---------------------------------------------------------
-  // Run() is built from these; shstate::PipelineDriver interleaves its own
-  // action queue with the cluster's timeline through them.
+  // shstate::PipelineDriver interleaves its own action queue with the
+  // cluster's timeline through these, and the sequential reference loop in
+  // tests/sharded_cluster_test.cc is built from them.
   //
   // Earliest pending event across node schedulers and control-plane clocks.
   std::optional<SimTime> NextEventTime();
@@ -165,7 +168,7 @@ class Cluster {
   // t in lock-step, so cross-node ordering stays deterministic.
   void AdvanceClocksTo(SimTime t);
   // Node-level fault plan (empty without an injector) and its application,
-  // merged into the arrival timeline by Run(), RunSharded() and PipelineDriver.
+  // merged into the arrival timeline by RunSharded() and PipelineDriver.
   std::vector<FaultInjector::NodeEvent> PlanFaultEvents();
   void ApplyFaultEvent(const FaultInjector::NodeEvent& event);
   // Drains every node scheduler to completion, then the side clocks.

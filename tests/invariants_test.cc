@@ -103,41 +103,6 @@ TEST(SecurityInvariantTest, AslrLimitationIsReal) {
   }
 }
 
-TEST(SecurityInvariantTest, GroundhogRollbackDropsWrittenState) {
-  Testbed bed(SystemKind::kTrEnvCxl);
-  // Build a dedicated Groundhog-mode engine on the same substrate.
-  SandboxPool pool;
-  SandboxFactory factory(std::make_shared<FsLayer>("base"));
-  MmtApi mmt(&bed.backends());
-  TieredPool tiered;
-  tiered.AddTier(&bed.cxl());
-  SnapshotDedupStore dedup(&tiered);
-  TrEnvEngine engine(&factory, &pool, &mmt, &dedup,
-                     TrEnvEngine::Options{.groundhog_restore = true});
-  const FunctionProfile* js = FindTable4Function("JS");
-  ASSERT_TRUE(engine.Prepare(*js).ok());
-  FrameAllocator frames(8 * kGiB);
-  PidAllocator pids;
-  RestoreContext ctx;
-  ctx.frames = &frames;
-  ctx.backends = &bed.backends();
-  ctx.pids = &pids;
-  auto outcome = engine.Restore(*js, ctx);
-  ASSERT_TRUE(outcome.ok());
-  ASSERT_TRUE(engine.OnExecute(*js, *outcome->instance, ctx).ok());
-  const uint64_t dirty_pages = outcome->instance->ResidentLocalPages();
-  EXPECT_GT(dirty_pages, 0u);  // the invocation CoW'd pages
-
-  // Second invocation on the same (warm) instance: rollback first.
-  outcome->instance->invocations = 1;
-  auto second = engine.OnExecute(*js, *outcome->instance, ctx);
-  ASSERT_TRUE(second.ok());
-  // Rollback cost appears, and the page count does not accumulate across
-  // invocations (fresh CoW set each time).
-  EXPECT_GT(second->added_latency, SimDuration::Zero());
-  EXPECT_LE(outcome->instance->ResidentLocalPages(), dirty_pages + 8);
-}
-
 // ---------------------------------------------------------------------------
 // Memory conservation: local frames always return to zero.
 // ---------------------------------------------------------------------------

@@ -2,30 +2,40 @@
 """Perf-smoke guard: compare a fresh micro-benchmark record against the
 committed trajectory (BENCH_micro.json) and fail on large regressions.
 
-Both files are JSON lines; each record looks like
+Both files are JSON lines, written by bench::Record (bench/bench_util.h):
 
-    {"utc": "...", "label": "...", "benchmarks": {"BM_Foo": {"real_ns": ...}}}
+    {"utc": "...", "label": "...", "host": {...},
+     "benchmarks": {"<name>": {<fields>}, ...}}
 
-A benchmark entry is either a timing ({"real_ns": N}, lower is better) or a
-gauge ({"value": N, "direction": "higher_is_better"}) — e.g. peak warm-env
-density, where SHRINKING is the regression. Entries with a "value" default to
-lower-is-better unless they say otherwise.
+A benchmark entry is guarded when it carries one of these numbers, and the
+number says which clock it was measured on:
 
-Records may carry a "host" object ({"jobs": N, "cores": N, "compiler": "..."}).
-When both the candidate and its baseline record one, and they describe
-different machines (core count or compiler differ), the comparison is skipped
-with a notice instead of failing: a wall-clock ratio across machines is noise,
-not a regression. "jobs" is informational only — the same machine at a
-different sweep width is still comparable.
+    {"real_ns": N}   wall-clock time, lower is better
+    {"sim_ns": N}    virtual (simulated) time, lower is better
+    {"value": N, "direction": "higher_is_better", "clock": "sim"|"wall"}
+                     a gauge, e.g. peak warm-env density, where SHRINKING is
+                     the regression; lower-is-better unless "direction" says
+                     otherwise, wall-clock unless "clock" is "sim"
+
+Other fields (counts, bytes, nested payloads such as the chaos reports) are
+kept for reference and not guarded.
+
+Records carry a "host" object ({"jobs": N, "cores": N, "compiler": "..."}).
+A wall-clock ratio across machines is noise, not a regression, so a
+wall-clock candidate is compared only when its baseline was recorded on the
+same host (same cores and compiler; records without a host are comparable);
+otherwise the row is skipped with a notice. Virtual-time numbers depend only
+on the model, so they are compared whatever the hosts. "jobs" is
+informational: the same machine at a different sweep width is comparable.
 
 For every benchmark name present in the candidate record, the baseline is the
-*latest* committed entry that reports the same metric for the same name
-(records with nested, non-metric payloads — e.g. the chaos reports — are
-skipped). The check fails when the candidate is worse than max_ratio times
-the baseline in the metric's bad direction: candidate/baseline for timings,
-baseline/candidate for higher-is-better gauges. Benchmarks with no committed
-baseline pass with a note: they gain a baseline when their record lands in
-BENCH_micro.json.
+*latest* committed entry with a guarded number under the same name, whatever
+its clock (so an old "real_ns" baseline pairs with a "sim_ns" row of the same
+name). The check fails when the candidate is worse than max_ratio times the
+baseline in the metric's bad direction: candidate/baseline when lower is
+better, baseline/candidate when higher is better. Benchmarks with no
+committed baseline pass with a note: they gain a baseline when their record
+lands in BENCH_micro.json.
 
 Usage:
     check_bench_regression.py --trajectory BENCH_micro.json \
@@ -71,16 +81,19 @@ def load_records(path, missing_ok=False):
 
 
 def metric_entries(record):
-    """Yields (name, value, higher_is_better) for each benchmark that reports
-    a numeric real_ns (timing, lower is better) or value (gauge, direction
-    from its "direction" field)."""
+    """Yields (name, value, higher_is_better, wall_clock) for each benchmark
+    that carries a guarded number (see the module docstring)."""
     for name, data in record.get("benchmarks", {}).items():
         if not isinstance(data, dict):
             continue
         if isinstance(data.get("real_ns"), (int, float)):
-            yield name, float(data["real_ns"]), False
+            yield name, float(data["real_ns"]), False, True
+        elif isinstance(data.get("sim_ns"), (int, float)):
+            yield name, float(data["sim_ns"]), False, False
         elif isinstance(data.get("value"), (int, float)):
-            yield name, float(data["value"]), data.get("direction") == "higher_is_better"
+            yield (name, float(data["value"]),
+                   data.get("direction") == "higher_is_better",
+                   data.get("clock") != "sim")
 
 
 def host_key(record):
@@ -95,10 +108,45 @@ def host_key(record):
 def latest_baselines(records):
     baselines = {}
     for record in records:  # later lines overwrite earlier: latest entry wins
-        for name, value, higher in metric_entries(record):
-            baselines[name] = (value, record.get("label", "?"), higher,
-                               host_key(record))
+        for name, value, _, _ in metric_entries(record):
+            baselines[name] = (value, record.get("label", "?"), host_key(record))
     return baselines
+
+
+def compare(baselines, candidates, max_ratio):
+    """Checks every guarded number of the candidate records. Returns
+    (rows, failures, skipped): one (name, value, baseline, ratio, note) row
+    per number, the (name, ratio) pairs over max_ratio, and how many
+    wall-clock rows were skipped for a different host."""
+    rows, failures, skipped = [], [], 0
+    for record in candidates:
+        cand_host = host_key(record)
+        for name, value, higher, wall in metric_entries(record):
+            clock = "wall" if wall else "sim"
+            if name not in baselines:
+                rows.append((name, value, None, None, f"no baseline (new, {clock})"))
+                continue
+            base, base_label, base_host = baselines[name]
+            if (wall and cand_host is not None and base_host is not None
+                    and cand_host != base_host):
+                rows.append((name, value, base, None,
+                             f"skipped: different host than '{base_label}' "
+                             f"({base_host} vs {cand_host})"))
+                skipped += 1
+                continue
+            # Ratio in the metric's bad direction, so > max_ratio always
+            # means "regressed" regardless of which way better points.
+            if higher:
+                ratio = base / value if value > 0 else float("inf")
+            else:
+                ratio = value / base if base > 0 else float("inf")
+            verdict = "ok" if ratio <= max_ratio else "REGRESSED"
+            arrow = "higher-is-better" if higher else "lower-is-better"
+            rows.append((name, value, base, ratio,
+                         f"{verdict} ({arrow}, {clock}) vs '{base_label}'"))
+            if ratio > max_ratio:
+                failures.append((name, ratio))
+    return rows, failures, skipped
 
 
 def main():
@@ -120,35 +168,7 @@ def main():
     if not candidates:
         raise SystemExit(f"{args.candidate}: no records")
 
-    failures = []
-    rows = []
-    skipped_hosts = 0
-    for record in candidates:
-        cand_host = host_key(record)
-        for name, value, higher in metric_entries(record):
-            if name not in baselines:
-                rows.append((name, value, None, None, "no baseline (new)"))
-                continue
-            base, base_label, _, base_host = baselines[name]
-            if (cand_host is not None and base_host is not None
-                    and cand_host != base_host):
-                rows.append((name, value, base, None,
-                             f"skipped: different host than '{base_label}' "
-                             f"({base_host} vs {cand_host})"))
-                skipped_hosts += 1
-                continue
-            # Ratio in the metric's bad direction, so > max_ratio always
-            # means "regressed" regardless of which way better points.
-            if higher:
-                ratio = base / value if value > 0 else float("inf")
-            else:
-                ratio = value / base if base > 0 else float("inf")
-            verdict = "ok" if ratio <= args.max_ratio else "REGRESSED"
-            arrow = "higher-is-better" if higher else "lower-is-better"
-            rows.append((name, value, base, ratio,
-                         f"{verdict} ({arrow}) vs \'{base_label}\'"))
-            if ratio > args.max_ratio:
-                failures.append((name, ratio))
+    rows, failures, skipped_hosts = compare(baselines, candidates, args.max_ratio)
 
     width = max((len(r[0]) for r in rows), default=10)
     print(f"{'benchmark'.ljust(width)}  {'candidate':>12}  {'baseline':>12}  {'ratio':>6}")
@@ -164,8 +184,8 @@ def main():
             print(f"  {name}: {ratio:.2f}x", file=sys.stderr)
         return 1
     if skipped_hosts:
-        print(f"\nnotice: {skipped_hosts} comparison(s) skipped — baseline was "
-              "recorded on a different host (cores/compiler mismatch)")
+        print(f"\nnotice: {skipped_hosts} wall-clock comparison(s) skipped — "
+              "baseline was recorded on a different host (cores/compiler mismatch)")
     print(f"\nOK: no benchmark regressed more than {args.max_ratio}x")
     return 0
 
