@@ -116,9 +116,7 @@ RunResult RunPipeline(uint32_t nodes, Shape shape, DataPlaneMode mode) {
   if (!cluster.DeployTable4Functions().ok()) {
     return {};
   }
-  PipelineDriverConfig driver_config;
-  driver_config.mode = mode;
-  PipelineDriver driver(&cluster, driver_config);
+  PipelineDriver driver(&cluster, mode);
   if (!driver.Run(MakeSpec(shape), CellArrivals(nodes, shape, kJobsPerRun)).ok()) {
     return {};
   }
@@ -142,9 +140,7 @@ RunResult RunCrashDrill() {
   if (!cluster.DeployTable4Functions().ok()) {
     return {};
   }
-  PipelineDriverConfig driver_config;
-  driver_config.mode = DataPlaneMode::kTrEnvShared;
-  PipelineDriver driver(&cluster, driver_config);
+  PipelineDriver driver(&cluster, DataPlaneMode::kTrEnvShared);
   if (!driver.Run(MakeSpec(Shape::kChain4), CellArrivals(4, Shape::kChain4, kJobsPerRun))
            .ok()) {
     return {};

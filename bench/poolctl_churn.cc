@@ -67,7 +67,7 @@ FaultSchedule ChurnFaults(uint32_t pool_nodes) {
   FaultSchedule faults;
   faults.seed = kSeed;
   // Rolling-restart wave: every 4th pool node dies in sequence, 3 s apart,
-  // each returning 15 s later — long enough past phi_dead (4 s of silence)
+  // each returning 15 s later — long enough past kPhiDead (4 s of silence)
   // that every crash is declared, every return is a rejoin, and several
   // nodes are down concurrently at the larger fleet sizes.
   uint32_t wave = 0;

@@ -128,6 +128,40 @@ inline constexpr SimDuration kBulkFetchPerRun = SimDuration::FromMicrosF(0.5);
 // NAS / network-attached storage tier: block I/O, ~60 us per 4 KiB.
 inline constexpr SimDuration kNasPageFetchBase = SimDuration::Micros(60);
 
+// Capacity of a rack's shared CXL device and of its pool-side RDMA fabric.
+inline constexpr uint64_t kRackCxlPoolBytes = 512 * kGiB;  // the 7.5 TB-class MHD, scaled down
+
+// ---------------------------------------------------------------------------
+// Pool control plane (src/poolmgr, src/poolctl; docs/control_plane.md).
+// ---------------------------------------------------------------------------
+
+// Attach metadata: lease table update + template descriptor copy per shard.
+inline constexpr SimDuration kPoolAttachMetadataBase = SimDuration::FromMicrosF(25.0);
+inline constexpr SimDuration kPoolAttachMetadataPerShard = SimDuration::FromMicrosF(2.0);
+// NIC fan-in (incast) latency penalty per concurrent source beyond the first.
+inline constexpr double kNicIncastPenalty = 0.04;
+// A read to a down-but-undeclared replica times out before failing over.
+inline constexpr SimDuration kDeadReadTimeout = SimDuration::FromMicrosF(200.0);
+// NAS fallback for cold attaches no replica serves or admission sheds.
+inline constexpr SimDuration kNasFallbackBase = SimDuration::FromMicrosF(400.0);
+inline constexpr SimDuration kNasFallbackPerPage = SimDuration::FromMicrosF(1.2);
+
+// ---------------------------------------------------------------------------
+// Shared state and stateful pipelines (src/shstate, fig27).
+// ---------------------------------------------------------------------------
+
+// Region window map, ownership move, and per-reader invalidation costs.
+inline constexpr SimDuration kShStateMapMetadata = SimDuration::FromMicrosF(15.0);
+inline constexpr SimDuration kShStateOwnershipTransfer = SimDuration::FromMicrosF(20.0);
+inline constexpr SimDuration kShStateInvalidatePerReader = SimDuration::FromMicrosF(8.0);
+// Inter-pool-node link of cross-home ownership transfers (bytes/s).
+inline constexpr double kPoolToPoolBytesPerSec = 12.0 * 1e9;
+// Pipeline baselines: copy-through-worker (NIC) and NAS round-trip edge
+// bandwidths (bytes/s), and the per-edge control cost both charge.
+inline constexpr double kPipelineWorkerCopyBytesPerSec = 10.0 * 1e9;
+inline constexpr double kPipelineNasBytesPerSec = 1.0 * 1e9;
+inline constexpr SimDuration kPipelineHandoffMetadata = SimDuration::FromMicrosF(15.0);
+
 // ---------------------------------------------------------------------------
 // Page faults (sections 3.3, 5.1, 9.2.2).
 // ---------------------------------------------------------------------------
@@ -202,7 +236,8 @@ inline constexpr double kLlmUsdPerOutputToken = 2.0e-6;
 // ---------------------------------------------------------------------------
 
 inline constexpr SimDuration kKeepAliveTtl = SimDuration::Minutes(10);
-inline constexpr uint64_t kDefaultNodeDramBytes = 256 * kGiB;
+inline constexpr double kNodeCores = 64;  // dual 32-core Xeon Gold 6454S
+inline constexpr uint64_t kNodeDramBytes = 256 * kGiB;
 inline constexpr uint64_t kDefaultSoftMemCap = 64 * kGiB;
 inline constexpr uint64_t kW2SoftMemCap = 32 * kGiB;
 // Floor for injected soft-mem-cap pressure scales: a scale below this would
@@ -212,6 +247,13 @@ inline constexpr uint64_t kW2SoftMemCap = 32 * kGiB;
 // aggressive under the worst injected pressure while leaving the hottest
 // instances parked.
 inline constexpr double kSoftMemCapScaleFloor = 0.01;
+
+// ---------------------------------------------------------------------------
+// Rack failover (docs/fault_injection.md).
+// ---------------------------------------------------------------------------
+
+// Health-check lag before the dispatcher re-dispatches a dead node's work.
+inline constexpr SimDuration kFailoverDetectionLatency = SimDuration::Millis(50);
 
 }  // namespace cost
 }  // namespace trenv

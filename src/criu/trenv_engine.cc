@@ -184,7 +184,7 @@ Result<RestoreOutcome> TrEnvEngine::Restore(const FunctionProfile& profile,
     }
     // Fully byte-addressable templates (T-CXL) have nothing to prefetch; the
     // attach-time lazy-page count makes that a constant-time skip.
-    if (options_.prefetch.enabled && attach_lazy_pages > 0) {
+    if (options_.prefetch && attach_lazy_pages > 0) {
       PrefetchWorkingSet(profile, outcome, ctx, t0);
     }
   } else {
@@ -354,7 +354,7 @@ Result<ExecutionOverheads> TrEnvEngine::OnExecute(const FunctionProfile& profile
   // heat). Recording is pure observation — fault costs are unchanged.
   Prepared* recording_target = nullptr;
   if (options_.use_mm_template &&
-      (options_.prefetch.enabled || promotion_ != nullptr)) {
+      (options_.prefetch || promotion_ != nullptr)) {
     Prepared* prepared = MutablePreparedFor(profile);
     if (prepared != nullptr && !prepared->ws.complete) {
       recording_target = prepared;

@@ -44,9 +44,7 @@ class TrEnvEngine : public RestoreEngine {
     // set is fetched, through a private NIC queue with the default incast
     // penalty. Off by default: disabled runs are byte-identical to the
     // pre-prefetch engine.
-    struct Prefetch {
-      bool enabled = false;
-    } prefetch = {};
+    bool prefetch = false;
   };
 
   // Optional hot-chunk promotion across tiers (not owned). Executions heat

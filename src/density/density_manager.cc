@@ -10,6 +10,19 @@
 #include "src/density/footprint.h"
 
 namespace trenv {
+namespace {
+
+// Pool tiers backing the CXL-warm / NAS-cold rungs; a node without the cold
+// pool has no bottom rung.
+constexpr PoolKind kWarmPool = PoolKind::kCxl;
+constexpr PoolKind kColdPool = PoolKind::kNas;
+// Per-function traffic signal: an exponentially-decayed arrival score with
+// this half-life. Functions scoring above kHotTrafficFloor stay DRAM-hot at
+// any age (demoting them would just buy a promotion fetch).
+constexpr SimDuration kTrafficHalfLife = SimDuration::Seconds(30);
+constexpr double kHotTrafficFloor = 4.0;
+
+}  // namespace
 
 DensityManager::DensityManager(const DensityConfig& config, KeepAlivePool* keep_alive,
                                FrameAllocator* frames, EventScheduler* scheduler,
@@ -22,8 +35,8 @@ DensityManager::DensityManager(const DensityConfig& config, KeepAlivePool* keep_
   if (!enabled_) {
     return;
   }
-  warm_ = backends != nullptr ? backends->Get(config_.warm_pool) : nullptr;
-  cold_ = backends != nullptr ? backends->Get(config_.cold_pool) : nullptr;
+  warm_ = backends != nullptr ? backends->Get(kWarmPool) : nullptr;
+  cold_ = backends != nullptr ? backends->Get(kColdPool) : nullptr;
   if (warm_ == nullptr) {
     TRENV_WARN << "density: warm pool backend missing; tiering disabled";
     enabled_ = false;
@@ -59,7 +72,7 @@ void DensityManager::OnArrival(FunctionId fn, SimTime now) {
     traffic_.resize(fn + 1);
   }
   Traffic& t = traffic_[fn];
-  const double half = config_.traffic_half_life.seconds();
+  const double half = kTrafficHalfLife.seconds();
   t.score = t.score * std::exp2(-(now - t.last).seconds() / half) + 1.0;
   t.last = now;
 }
@@ -69,7 +82,7 @@ double DensityManager::TrafficScore(FunctionId fn, SimTime now) const {
     return 0.0;
   }
   const Traffic& t = traffic_[fn];
-  return t.score * std::exp2(-(now - t.last).seconds() / config_.traffic_half_life.seconds());
+  return t.score * std::exp2(-(now - t.last).seconds() / kTrafficHalfLife.seconds());
 }
 
 void DensityManager::OnPark(FunctionInstance& instance) {
@@ -295,7 +308,7 @@ void DensityManager::SweepNow() {
       return;  // already at the coldest reachable rung
     }
     if (now - instance.last_used >= threshold &&
-        TrafficScore(instance.function_id(), now) < config_.hot_traffic_floor) {
+        TrafficScore(instance.function_id(), now) < kHotTrafficFloor) {
       cands.push_back({slot, &instance, to});
     } else {
       pending = true;  // too young or too trafficked — revisit next sweep

@@ -49,21 +49,10 @@ struct DensityConfig {
   // Master switch. When false the platform takes its historical code paths
   // and the manager is never consulted.
   bool enabled = false;
-  // Pool tiers backing the CXL-warm / NAS-cold rungs. Resolved against the
-  // platform's BackendRegistry at construction; a missing cold pool simply
-  // disables the bottom rung.
-  PoolKind warm_pool = PoolKind::kCxl;
-  PoolKind cold_pool = PoolKind::kNas;
   // Background migration cadence and the idle-age thresholds per rung.
   SimDuration sweep_interval = SimDuration::Seconds(10);
   SimDuration demote_hot_after = SimDuration::Seconds(30);
   SimDuration demote_warm_after = SimDuration::Minutes(3);
-  // Per-function traffic signal: an exponentially-decayed arrival score with
-  // this half-life. Functions whose score exceeds hot_traffic_floor keep
-  // their instances DRAM-hot regardless of age (they will be re-taken soon;
-  // demoting them would just buy a promotion fetch).
-  SimDuration traffic_half_life = SimDuration::Seconds(30);
-  double hot_traffic_floor = 4.0;
   // Overcommit: total parked footprint (FootprintModel::NodeBytes, summed
   // across ALL tiers) may reach overcommit_factor x the effective soft cap
   // before eviction starts. This is what replaces the binary cap: demoted

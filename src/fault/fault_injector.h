@@ -48,7 +48,6 @@ class FaultInjector {
   void SetActiveNode(uint32_t node) { active_node_ = node; }
 
   const RetryPolicy& retry_policy() const { return retry_; }
-  void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
 
   // --- Fetch-path injection (called by MemoryBackend) -----------------------
 

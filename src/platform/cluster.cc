@@ -13,7 +13,7 @@ namespace trenv {
 Cluster::Cluster(ClusterConfig config)
     : config_(config),
       base_layer_(std::make_shared<FsLayer>("debian-base")),
-      cxl_(std::make_unique<CxlPool>(config.cxl_pool_bytes)) {
+      cxl_(std::make_unique<CxlPool>(cost::kRackCxlPoolBytes)) {
   backends_.Register(cxl_.get());
   tiered_.AddTier(cxl_.get());
   dedup_ = std::make_unique<SnapshotDedupStore>(&tiered_);
@@ -23,13 +23,12 @@ Cluster::Cluster(ClusterConfig config)
   cxl_->BindStats(&stats_);
   if (!config_.faults.empty()) {
     injector_ = std::make_unique<FaultInjector>(config_.faults, stats_);
-    injector_->set_retry_policy(config_.retry);
     cxl_->BindFaultInjector(injector_.get());
   }
   if (config_.poolmgr.enabled) {
     // Shard pulls ride their own RDMA fabric (not the MHD ports), so attach
     // traffic sees NIC-style load-dependent latency and fault injection.
-    fabric_ = std::make_unique<RdmaPool>(config_.cxl_pool_bytes,
+    fabric_ = std::make_unique<RdmaPool>(cost::kRackCxlPoolBytes,
                                          config_.node_config.seed ^ 0xfab);
     fabric_->BindStats(&stats_);
     if (injector_ != nullptr) {
@@ -62,9 +61,9 @@ Cluster::Cluster(ClusterConfig config)
         std::make_unique<SandboxFactory>(base_layer_, config_.node_config.seed ^ (0x5b + i));
     node->sandbox_pool = std::make_unique<SandboxPool>();
     node->mmt = std::make_unique<MmtApi>(&backends_);
-    node->engine = std::make_unique<TrEnvEngine>(node->sandbox_factory.get(),
-                                                 node->sandbox_pool.get(), node->mmt.get(),
-                                                 dedup_.get());
+    node->engine = std::make_unique<TrEnvEngine>(
+        node->sandbox_factory.get(), node->sandbox_pool.get(), node->mmt.get(), dedup_.get(),
+        TrEnvEngine::Options{.prefetch = config_.node_config.trenv_prefetch});
     PlatformConfig node_config = config_.node_config;
     node_config.seed ^= 0x900d + i;
     node_config.node_index = i;
@@ -319,7 +318,7 @@ void Cluster::CrashNode(size_t i, SimTime when) {
   // snapshot (redeploy_penalty zero); the cold-redeploy baseline pays a
   // snapshot pull per recovered invocation first.
   const SimTime redispatch =
-      when + config_.failover.detection_latency + config_.failover.redeploy_penalty;
+      when + cost::kFailoverDetectionLatency + config_.failover.redeploy_penalty;
   for (LostInvocation& invocation : lost) {
     injector_->CountFailover(redispatch - invocation.arrival);
     SubmitOptions options;
@@ -341,7 +340,7 @@ void Cluster::RestartNode(size_t i, SimTime when) {
   // Flush invocations parked during a whole-rack outage.
   std::vector<Deferred> parked;
   parked.swap(deferred_);
-  const SimTime ready = when + config_.failover.detection_latency;
+  const SimTime ready = when + cost::kFailoverDetectionLatency;
   for (Deferred& d : parked) {
     injector_->CountFailover(ready - d.arrival);
     SubmitOptions options;
@@ -618,14 +617,7 @@ uint64_t Cluster::NodeDramBytes() const {
 FunctionMetrics Cluster::AggregateMetrics() const {
   FunctionMetrics total;
   for (const auto& node : nodes_) {
-    FunctionMetrics agg = node->platform->metrics().Aggregate();
-    total.e2e_ms.MergeFrom(agg.e2e_ms);
-    total.startup_ms.MergeFrom(agg.startup_ms);
-    total.exec_ms.MergeFrom(agg.exec_ms);
-    total.invocations += agg.invocations;
-    total.warm_starts += agg.warm_starts;
-    total.repurposed_starts += agg.repurposed_starts;
-    total.cold_starts += agg.cold_starts;
+    total.MergeFrom(node->platform->metrics().Aggregate());
   }
   return total;
 }

@@ -29,12 +29,9 @@
 namespace trenv {
 
 // How the rack reacts to a node death. Recovered invocations restart from
-// the shared snapshot on a survivor; the only question is how long detection
-// and (for the cold-redeploy baseline) snapshot re-distribution take.
+// the shared snapshot on a survivor cost::kFailoverDetectionLatency after the
+// crash, plus the snapshot re-distribution delay set here.
 struct FailoverPolicy {
-  // Health-check lag before the dispatcher notices a dead node and
-  // re-dispatches its accepted-but-incomplete invocations.
-  SimDuration detection_latency = SimDuration::Millis(50);
   // Extra delay charged per recovered invocation before it can restart.
   // Zero for TrEnv (the template is already in the shared pool); set it to
   // a snapshot-pull cost to model conventional per-node re-deployment.
@@ -62,7 +59,6 @@ struct ShardedRunOptions {
 struct ClusterConfig {
   uint32_t nodes = 4;
   PlatformConfig node_config;
-  uint64_t cxl_pool_bytes = 512 * kGiB;  // the 7.5 TB-class MHD, scaled down
   // kTemplateLocality routes an invocation to the node already holding a
   // warm instance or a template lease for the function (falling back to
   // least-loaded), so attaches are metadata-only instead of shard pulls.
@@ -84,7 +80,6 @@ struct ClusterConfig {
   // Fault-injection campaign; an empty schedule means the fault-free fabric
   // (bit-identical behaviour to a cluster with no injector at all).
   FaultSchedule faults;
-  RetryPolicy retry;
   FailoverPolicy failover;
 };
 

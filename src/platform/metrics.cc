@@ -5,17 +5,21 @@ namespace trenv {
 MetricsCollector::MetricsCollector()
     : fetch_cpu_(registry_.GetCounter("platform.fetch_cpu_seconds")) {}
 
+void FunctionMetrics::MergeFrom(const FunctionMetrics& other) {
+  e2e_ms.MergeFrom(other.e2e_ms);
+  startup_ms.MergeFrom(other.startup_ms);
+  exec_ms.MergeFrom(other.exec_ms);
+  invocations += other.invocations;
+  warm_starts += other.warm_starts;
+  repurposed_starts += other.repurposed_starts;
+  cold_starts += other.cold_starts;
+  prewarm_starts += other.prewarm_starts;
+}
+
 FunctionMetrics MetricsCollector::Aggregate() const {
   FunctionMetrics total;
   for (const auto& [name, metrics] : per_function_) {
-    total.e2e_ms.MergeFrom(metrics.e2e_ms);
-    total.startup_ms.MergeFrom(metrics.startup_ms);
-    total.exec_ms.MergeFrom(metrics.exec_ms);
-    total.invocations += metrics.invocations;
-    total.warm_starts += metrics.warm_starts;
-    total.repurposed_starts += metrics.repurposed_starts;
-    total.cold_starts += metrics.cold_starts;
-    total.prewarm_starts += metrics.prewarm_starts;
+    total.MergeFrom(metrics);
   }
   return total;
 }

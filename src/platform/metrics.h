@@ -23,6 +23,9 @@ struct FunctionMetrics {
   uint64_t repurposed_starts = 0;
   uint64_t cold_starts = 0;
   uint64_t prewarm_starts = 0;  // instances created ahead of a prediction
+
+  // Adds `other`'s samples and counts to this one.
+  void MergeFrom(const FunctionMetrics& other);
 };
 
 class MetricsCollector {

@@ -11,8 +11,8 @@ ServerlessPlatform::ServerlessPlatform(PlatformConfig config, RestoreEngine* eng
     : config_(config),
       engine_(engine),
       backends_(backends),
-      cpu_(&scheduler_, config.cores),
-      frames_(config.dram_bytes),
+      cpu_(&scheduler_, cost::kNodeCores),
+      frames_(cost::kNodeDramBytes),
       keep_alive_(config.keep_alive_ttl,
                   [this](std::unique_ptr<FunctionInstance> instance) {
                     RetireInstance(std::move(instance));

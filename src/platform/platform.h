@@ -34,8 +34,6 @@
 namespace trenv {
 
 struct PlatformConfig {
-  double cores = 64;  // dual 32-core Xeon Gold 6454S
-  uint64_t dram_bytes = cost::kDefaultNodeDramBytes;
   uint64_t soft_mem_cap_bytes = cost::kDefaultSoftMemCap;
   SimDuration keep_alive_ttl = cost::kKeepAliveTtl;
   uint64_t seed = 42;
@@ -55,7 +53,7 @@ struct PlatformConfig {
   // crash re-dispatch that differs from where it was submitted).
   uint32_t node_index = 0;
   // Working-set-guided batched prefetch on the TrEnv attach path (only
-  // meaningful for mm-template systems; Testbed threads it into
+  // meaningful for mm-template systems; Testbed and Cluster thread it into
   // TrEnvEngine::Options::prefetch). Off by default: disabled runs take the
   // historical code paths byte-identically.
   bool trenv_prefetch = false;

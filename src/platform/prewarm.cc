@@ -4,6 +4,20 @@
 #include <vector>
 
 namespace trenv {
+namespace {
+
+// Keep-alive = this IT percentile, clamped to [min, max].
+constexpr double kKeepPercentile = 95;
+constexpr SimDuration kMinKeepAlive = SimDuration::Seconds(30);
+constexpr SimDuration kMaxKeepAlive = SimDuration::Minutes(10);
+// Pre-warm fires this IT percentile after the last arrival...
+constexpr double kPrewarmPercentile = 25;
+// ...but only when the IT distribution is predictable: p75/p25 below this
+// ratio (concentrated) and at least kMinSamples observations.
+constexpr double kMaxDispersion = 4.0;
+constexpr size_t kMinSamples = 8;
+
+}  // namespace
 
 void PrewarmPolicy::RecordArrival(const std::string& function, SimTime now) {
   FunctionState& state = functions_[function];
@@ -35,26 +49,25 @@ double PrewarmPolicy::PercentileOf(const std::deque<double>& samples, double p) 
 
 SimDuration PrewarmPolicy::KeepAliveFor(const std::string& function) const {
   auto it = functions_.find(function);
-  if (it == functions_.end() || it->second.inter_arrival_s.size() < options_.min_samples) {
-    return options_.max_keep_alive;  // no data: be conservative (fixed TTL)
+  if (it == functions_.end() || it->second.inter_arrival_s.size() < kMinSamples) {
+    return kMaxKeepAlive;  // no data: be conservative (fixed TTL)
   }
-  const double keep_s = PercentileOf(it->second.inter_arrival_s, options_.keep_percentile);
-  return std::clamp(SimDuration::FromSecondsF(keep_s * 1.1), options_.min_keep_alive,
-                    options_.max_keep_alive);
+  const double keep_s = PercentileOf(it->second.inter_arrival_s, kKeepPercentile);
+  return std::clamp(SimDuration::FromSecondsF(keep_s * 1.1), kMinKeepAlive, kMaxKeepAlive);
 }
 
 std::optional<SimDuration> PrewarmPolicy::PrewarmDelay(const std::string& function) const {
   auto it = functions_.find(function);
-  if (it == functions_.end() || it->second.inter_arrival_s.size() < options_.min_samples) {
+  if (it == functions_.end() || it->second.inter_arrival_s.size() < kMinSamples) {
     return std::nullopt;
   }
   const auto& samples = it->second.inter_arrival_s;
   const double p25 = PercentileOf(samples, 25);
   const double p75 = PercentileOf(samples, 75);
-  if (p25 <= 0 || p75 / p25 > options_.max_dispersion) {
+  if (p25 <= 0 || p75 / p25 > kMaxDispersion) {
     return std::nullopt;  // too dispersed to predict
   }
-  const double delay_s = PercentileOf(samples, options_.prewarm_percentile);
+  const double delay_s = PercentileOf(samples, kPrewarmPercentile);
   // A gap shorter than the keep-alive window needs no pre-warming: the
   // instance is still cached.
   if (SimDuration::FromSecondsF(delay_s) <= KeepAliveFor(function)) {

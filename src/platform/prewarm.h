@@ -27,16 +27,6 @@ class PrewarmPolicy {
   struct Options {
     // Observations kept per function (sliding window).
     size_t window = 64;
-    // Keep-alive = this IT percentile, clamped to [min, max].
-    double keep_percentile = 95;
-    SimDuration min_keep_alive = SimDuration::Seconds(30);
-    SimDuration max_keep_alive = SimDuration::Minutes(10);
-    // Pre-warm fires this IT percentile after the last arrival...
-    double prewarm_percentile = 25;
-    // ...but only when the IT distribution is predictable: p75/p25 below
-    // this ratio (concentrated) and at least `min_samples` observations.
-    double max_dispersion = 4.0;
-    size_t min_samples = 8;
   };
 
   PrewarmPolicy() : PrewarmPolicy(Options{}) {}

@@ -126,10 +126,9 @@ Testbed::Testbed(SystemKind system, PlatformConfig config)
     case SystemKind::kTrEnvTiered:
     case SystemKind::kTrEnvDramHot:
     case SystemKind::kTrEnvDramLive: {
-      TrEnvEngine::Options opts;
-      opts.prefetch.enabled = config.trenv_prefetch;
-      engine_ = std::make_unique<TrEnvEngine>(&sandbox_factory_, &sandbox_pool_, mmt_.get(),
-                                              dedup_.get(), opts);
+      engine_ = std::make_unique<TrEnvEngine>(
+          &sandbox_factory_, &sandbox_pool_, mmt_.get(), dedup_.get(),
+          TrEnvEngine::Options{.prefetch = config.trenv_prefetch});
       break;
     }
     case SystemKind::kTrEnvReconfig:

@@ -7,6 +7,9 @@ namespace trenv {
 
 namespace {
 
+// Continuous rebalancer cadence.
+constexpr SimDuration kRebalanceInterval = SimDuration::Millis(500);
+
 // Heartbeat loss from the fault schedule: the worst kRdmaFlap window
 // covering `now` that targets the node. Pure function of the schedule, so
 // the detector's draws replay identically on every run.
@@ -31,7 +34,7 @@ PoolControlPlane::PoolControlPlane(PoolCtlConfig config, PoolManager* mgr,
                                    obs::Tracer* tracer)
     : config_(config),
       mgr_(mgr),
-      membership_(config.membership, mgr->pool_node_count(), &mgr->clock(), stats),
+      membership_(mgr->pool_node_count(), &mgr->clock(), stats),
       tracer_(tracer),
       rebalance_ticks_(stats.GetCounter("poolctl.rebalance_ticks")),
       pages_moved_(stats.GetCounter("poolctl.rebalance_pages")),
@@ -59,7 +62,7 @@ void PoolControlPlane::Start(SimTime now) {
   running_ = true;
   membership_.Start(now);
   rebalance_event_ =
-      mgr_->clock().ScheduleAt(now + config_.rebalance_interval, [this] { RebalanceTick(); });
+      mgr_->clock().ScheduleAt(now + kRebalanceInterval, [this] { RebalanceTick(); });
 }
 
 void PoolControlPlane::Quiesce() {
@@ -180,7 +183,7 @@ void PoolControlPlane::RebalanceTick() {
     tracer_->Annotate(id, "epoch", static_cast<int64_t>(membership_.epoch()));
   }
   if (running_) {
-    rebalance_event_ = mgr_->clock().ScheduleAt(now + config_.rebalance_interval,
+    rebalance_event_ = mgr_->clock().ScheduleAt(now + kRebalanceInterval,
                                                 [this] { RebalanceTick(); });
   }
 }

@@ -49,10 +49,8 @@ struct PoolCtlConfig {
   // false builds no control plane: the cluster keeps the legacy single-shot
   // crash wiring and stays bit-identical to before this subsystem existed.
   bool enabled = false;
-  MembershipConfig membership;
-  // Continuous rebalancer cadence and its per-tick fabric budget (pages of
-  // background copy traffic per tick — the "per-epoch budget").
-  SimDuration rebalance_interval = SimDuration::Millis(500);
+  // Continuous rebalancer budget: pages of background copy traffic per
+  // rebalance tick (the "per-epoch budget").
   uint64_t rebalance_budget_pages = 8192;
   // Hot-shard mitigation: fetch-score decay is a halving per tick; every
   // `hot_promote_score` points of score buys one extra replica, capped.

@@ -1,12 +1,21 @@
 #include "src/poolctl/membership.h"
 
 namespace trenv {
+namespace {
 
-GossipMembership::GossipMembership(MembershipConfig config, uint32_t fleet,
-                                   EventScheduler* clock, obs::Registry& stats)
-    : config_(config),
-      clock_(clock),
-      rng_(config.seed),
+constexpr SimDuration kHeartbeatInterval = SimDuration::Millis(500);
+// Silent intervals after which a node is suspected / declared dead.
+constexpr double kPhiSuspect = 3.0;
+constexpr double kPhiDead = 8.0;
+// Consecutive delivered beats a dead node needs to rejoin the view.
+constexpr uint32_t kJoinBeats = 2;
+constexpr uint64_t kHeartbeatLossSeed = 0x60551b;
+
+}  // namespace
+
+GossipMembership::GossipMembership(uint32_t fleet, EventScheduler* clock, obs::Registry& stats)
+    : clock_(clock),
+      rng_(kHeartbeatLossSeed),
       heartbeats_sent_(stats.GetCounter("poolctl.heartbeats")),
       heartbeats_dropped_(stats.GetCounter("poolctl.heartbeats_dropped")),
       suspicions_(stats.GetCounter("poolctl.suspicions")),
@@ -25,7 +34,7 @@ void GossipMembership::Start(SimTime now) {
   for (NodeState& node : nodes_) {
     node.last_beat = now;
   }
-  tick_event_ = clock_->ScheduleAt(now + config_.heartbeat_interval, [this] { Tick(); });
+  tick_event_ = clock_->ScheduleAt(now + kHeartbeatInterval, [this] { Tick(); });
 }
 
 void GossipMembership::Stop() {
@@ -76,7 +85,7 @@ void GossipMembership::Tick() {
     Evaluate(n, now);
   }
   if (running_) {
-    tick_event_ = clock_->ScheduleAt(now + config_.heartbeat_interval, [this] { Tick(); });
+    tick_event_ = clock_->ScheduleAt(now + kHeartbeatInterval, [this] { Tick(); });
   }
 }
 
@@ -104,7 +113,7 @@ void GossipMembership::Deliver(uint32_t node, SimTime now) {
       [[fallthrough]];  // this beat is the first of the join streak
     case State::kJoining:
       ++state.join_streak;
-      if (state.join_streak >= config_.join_beats) {
+      if (state.join_streak >= kJoinBeats) {
         state.state = State::kAlive;
         rejoins_->Increment();
         BumpEpoch();
@@ -130,15 +139,15 @@ void GossipMembership::Evaluate(uint32_t node, SimTime now) {
     return;
   }
   const double phi = (now - state.last_beat).nanos() /
-                     static_cast<double>(config_.heartbeat_interval.nanos());
-  if (state.state == State::kAlive && phi >= config_.phi_suspect) {
+                     static_cast<double>(kHeartbeatInterval.nanos());
+  if (state.state == State::kAlive && phi >= kPhiSuspect) {
     state.state = State::kSuspect;
     state.was_up_at_suspicion = state.up;
     state.downs_at_suspicion = state.downs;
     suspicions_->Increment();
     Announce(node, State::kAlive, State::kSuspect, now);
   }
-  if (state.state == State::kSuspect && phi >= config_.phi_dead) {
+  if (state.state == State::kSuspect && phi >= kPhiDead) {
     state.state = State::kDead;
     state.join_streak = 0;
     deaths_->Increment();

@@ -18,7 +18,7 @@
 //   * The state machine is kAlive -> kSuspect -> kDead -> kJoining ->
 //     kAlive. A suspect that beats again recovers (counted as a false
 //     suspicion when the node never actually went down); a dead node must
-//     deliver `join_beats` consecutive beats to rejoin, so one lucky beat
+//     deliver a streak of consecutive beats to rejoin, so one lucky beat
 //     through a flap storm doesn't flap the ring too.
 //
 // The detector only observes and declares; ring surgery happens in the
@@ -38,17 +38,6 @@
 
 namespace trenv {
 
-struct MembershipConfig {
-  SimDuration heartbeat_interval = SimDuration::Millis(500);
-  // Missed-interval thresholds: a node is suspected after phi_suspect
-  // silent intervals and declared dead after phi_dead.
-  double phi_suspect = 3.0;
-  double phi_dead = 8.0;
-  // Consecutive delivered beats a dead node needs to rejoin the view.
-  uint32_t join_beats = 2;
-  uint64_t seed = 0x60551b;
-};
-
 class GossipMembership {
  public:
   enum class State : uint8_t { kAlive, kSuspect, kDead, kJoining };
@@ -64,8 +53,7 @@ class GossipMembership {
   // `clock` is the control plane's scheduler (not owned); `stats` holds the
   // detector's counters, which the accessors below read. Nothing is
   // scheduled until Start().
-  GossipMembership(MembershipConfig config, uint32_t fleet, EventScheduler* clock,
-                   obs::Registry& stats);
+  GossipMembership(uint32_t fleet, EventScheduler* clock, obs::Registry& stats);
   GossipMembership(const GossipMembership&) = delete;
   GossipMembership& operator=(const GossipMembership&) = delete;
 
@@ -132,7 +120,6 @@ class GossipMembership {
   void BumpEpoch();
   void Announce(uint32_t node, State from, State to, SimTime when);
 
-  MembershipConfig config_;
   EventScheduler* clock_;
   Rng rng_;
   std::vector<NodeState> nodes_;

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/cost_model.h"
 #include "src/common/time.h"
 #include "src/mempool/backend.h"
 
@@ -54,7 +55,7 @@ class NicFetchQueue {
  public:
   // `incast_penalty` is the extra fractional latency charged per concurrent
   // source beyond the first (switch buffer pressure at the fan-in point).
-  explicit NicFetchQueue(double incast_penalty = 0.04)
+  explicit NicFetchQueue(double incast_penalty = cost::kNicIncastPenalty)
       : incast_penalty_(incast_penalty) {}
 
   // Issues one batch at `now` against `fabric` (the inter-node RDMA model;

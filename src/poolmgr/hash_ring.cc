@@ -7,6 +7,8 @@
 namespace trenv {
 namespace {
 
+constexpr uint32_t kVnodesPerNode = 48;
+
 // Virtual-point hash: mixes the node id and replica index so a node's points
 // scatter uniformly. Purely arithmetic — placement never draws randomness, so
 // every participant computes the same ring.
@@ -21,8 +23,8 @@ void HashRing::AddNode(uint32_t node) {
     return;
   }
   nodes_.insert(std::lower_bound(nodes_.begin(), nodes_.end(), node), node);
-  ring_.reserve(ring_.size() + vnodes_);
-  for (uint32_t r = 0; r < vnodes_; ++r) {
+  ring_.reserve(ring_.size() + kVnodesPerNode);
+  for (uint32_t r = 0; r < kVnodesPerNode; ++r) {
     const VNode vnode{VNodeHash(node, r), node};
     ring_.insert(std::lower_bound(ring_.begin(), ring_.end(), vnode), vnode);
   }

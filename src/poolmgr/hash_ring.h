@@ -7,7 +7,7 @@
 // owners actually changed — the property the rebalancer relies on to move
 // O(1/N) of the data instead of reshuffling everything.
 //
-// Each pool node projects `vnodes_per_node` virtual points onto the ring so
+// Each pool node projects a fixed number of virtual points onto the ring so
 // shard load stays balanced even at small node counts. Replicas are the first
 // R *distinct* nodes clockwise from the key's hash.
 #ifndef TRENV_POOLMGR_HASH_RING_H_
@@ -21,8 +21,6 @@ namespace trenv {
 
 class HashRing {
  public:
-  explicit HashRing(uint32_t vnodes_per_node = 48) : vnodes_(vnodes_per_node) {}
-
   void AddNode(uint32_t node);
   void RemoveNode(uint32_t node);
   bool Contains(uint32_t node) const;
@@ -47,7 +45,6 @@ class HashRing {
     }
   };
 
-  uint32_t vnodes_;
   std::vector<VNode> ring_;     // sorted by (hash, node)
   std::vector<uint32_t> nodes_;  // sorted live membership
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/common/cost_model.h"
 #include "src/common/rng.h"
 
 namespace trenv {
@@ -10,7 +11,6 @@ PoolManager::PoolManager(PoolManagerConfig config, uint32_t worker_nodes,
                          MemoryBackend* fabric, obs::Registry& stats)
     : config_(config),
       fabric_(fabric),
-      ring_(config.vnodes_per_node),
       attaches_(stats.GetCounter("poolmgr.attaches")),
       lease_hits_(stats.GetCounter("poolmgr.lease_hits")),
       lease_misses_(stats.GetCounter("poolmgr.lease_misses")),
@@ -31,10 +31,7 @@ PoolManager::PoolManager(PoolManagerConfig config, uint32_t worker_nodes,
   for (uint32_t n = 0; n < config_.pool_nodes; ++n) {
     ring_.AddNode(n);
   }
-  nics_.reserve(worker_nodes);
-  for (uint32_t w = 0; w < worker_nodes; ++w) {
-    nics_.emplace_back(config_.incast_penalty);
-  }
+  nics_.resize(worker_nodes);
   leases_.resize(worker_nodes);
 }
 
@@ -99,12 +96,11 @@ PoolManager::AttachOutcome PoolManager::Attach(uint32_t worker, FunctionId fid, 
   const std::vector<uint32_t>* shard_ids =
       fid < templates_.size() && !templates_[fid].empty() ? &templates_[fid] : nullptr;
   if (worker >= leases_.size() || shard_ids == nullptr) {
-    outcome.latency = config_.attach_metadata_base;
+    outcome.latency = cost::kPoolAttachMetadataBase;
     return outcome;
   }
-  outcome.latency = config_.attach_metadata_base +
-                    config_.attach_metadata_per_shard *
-                        static_cast<double>(shard_ids->size());
+  outcome.latency = cost::kPoolAttachMetadataBase +
+                    cost::kPoolAttachMetadataPerShard * static_cast<double>(shard_ids->size());
   auto lease_it = leases_[worker].find(fid);
   if (lease_it != leases_[worker].end() && lease_it->second.refs > 0) {
     // Lease hit: the shards are already mapped on this worker; renew only.
@@ -169,12 +165,12 @@ PoolManager::AttachOutcome PoolManager::Attach(uint32_t worker, FunctionId fid, 
   }
   if (dead_hops > 0) {
     dead_read_hops_->Add(static_cast<double>(dead_hops));
-    outcome.latency += policy_.dead_read_timeout * static_cast<double>(dead_hops);
+    outcome.latency += cost::kDeadReadTimeout * static_cast<double>(dead_hops);
   }
   if (nas_pages > 0) {
     nas_fallback_pages_->Add(static_cast<double>(nas_pages));
-    outcome.latency += policy_.nas_fallback_base +
-                       policy_.nas_fallback_per_page * static_cast<double>(nas_pages);
+    outcome.latency +=
+        cost::kNasFallbackBase + cost::kNasFallbackPerPage * static_cast<double>(nas_pages);
   }
   GrantLease(worker, fid, now);
   attach_ms_.RecordDuration(outcome.latency);
@@ -240,7 +236,7 @@ void PoolManager::OnPoolNodeCrash(uint32_t pool_node, SimTime when) {
   }
   alive_[pool_node] = false;
   RemoveFromPlacement(pool_node);
-  ScheduleRebalance(when + config_.rebalance_delay);
+  ScheduleRebalance(when + kRebalanceDelay);
 }
 
 void PoolManager::RemoveFromPlacement(uint32_t pool_node) {
@@ -296,7 +292,7 @@ void PoolManager::OnPoolNodeRestart(uint32_t pool_node, SimTime when) {
   }
   alive_[pool_node] = true;
   ring_.AddNode(pool_node);
-  ScheduleRebalance(when + config_.rebalance_delay);
+  ScheduleRebalance(when + kRebalanceDelay);
 }
 
 void PoolManager::OnPoolNodeDown(uint32_t pool_node) {

@@ -52,18 +52,9 @@ struct PoolManagerConfig {
   bool enabled = false;
   uint32_t pool_nodes = 4;
   uint32_t replication = 2;
-  uint32_t vnodes_per_node = 48;
   // How long one attach grant keeps a worker's lease alive; each grant is
   // one refcount for one TTL window.
   SimDuration lease_ttl = SimDuration::Seconds(60);
-  // Settle time between a membership change and the rebalance that restores
-  // replication / ring placement.
-  SimDuration rebalance_delay = SimDuration::Seconds(5);
-  // NIC fan-in penalty per concurrent source beyond the first.
-  double incast_penalty = 0.04;
-  // Control-plane metadata costs (lease table + template descriptor copy).
-  SimDuration attach_metadata_base = SimDuration::FromMicrosF(25.0);
-  SimDuration attach_metadata_per_shard = SimDuration::FromMicrosF(2.0);
 };
 
 // Read / admission policy installed by the poolctl continuous control plane
@@ -74,21 +65,17 @@ struct ContinuousPoolPolicy {
   // Spread lease-miss reads across a shard's whole replica set (hashed by
   // fingerprint and worker) instead of always hitting the primary.
   bool spread_reads = true;
-  // Charged once per down-but-undeclared replica the read path skips: the
-  // fetch RPC to a node the membership protocol has not yet declared dead
-  // times out before failing over to the next copy.
-  SimDuration dead_read_timeout = SimDuration::FromMicrosF(200.0);
   // Cold attaches arriving while the worker NIC's residual backlog exceeds
   // this are shed to the NAS fallback path instead of deepening the incast
   // queue. Zero disables shedding. The invocation is never dropped: it pays
   // the (slower, contention-free) NAS cost and still gets its lease.
   SimDuration shed_queue_threshold;
-  SimDuration nas_fallback_base = SimDuration::FromMicrosF(400.0);
-  SimDuration nas_fallback_per_page = SimDuration::FromMicrosF(1.2);
 };
 
 class PoolManager {
  public:
+  // Settle time between a legacy membership change and the rebalance sweep.
+  static constexpr SimDuration kRebalanceDelay = SimDuration::Seconds(5);
   // `fabric` models the inter-node transfer path (not owned); `stats` holds
   // the manager's counters, which the accessors below read. Worker NICs are
   // indexed [0, worker_nodes).
@@ -166,8 +153,8 @@ class PoolManager {
                                  uint64_t budget_pages);
 
   // Immediate rebalance: restore replication for under-replicated shards and
-  // re-align placements with the ring. Normally fires `rebalance_delay`
-  // after a membership change; exposed for tests. Idempotent: a converged
+  // re-align placements with the ring. Normally fires kRebalanceDelay after
+  // a membership change; exposed for tests. Idempotent: a converged
   // shard (same owner set, primary preserved) is left untouched, so repeat
   // invocations — including after a node rejoin — change nothing.
   void RunRebalance(SimTime now);

@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "src/common/cost_model.h"
 #include "src/common/units.h"
 
 namespace trenv {
@@ -20,8 +21,8 @@ const char* DataPlaneModeName(DataPlaneMode mode) {
   return "unknown";
 }
 
-PipelineDriver::PipelineDriver(Cluster* cluster, PipelineDriverConfig config)
-    : cluster_(cluster), config_(config) {}
+PipelineDriver::PipelineDriver(Cluster* cluster, DataPlaneMode mode)
+    : cluster_(cluster), mode_(mode) {}
 
 void PipelineDriver::Push(Action action) {
   action.seq = next_seq_++;
@@ -42,12 +43,12 @@ uint32_t PipelineDriver::PickAliveNode(uint32_t preferred) const {
 }
 
 SimDuration PipelineDriver::BaselineEdgeCost(uint64_t payload_bytes) const {
-  const double bw = config_.mode == DataPlaneMode::kNasRoundtrip
-                        ? config_.nas_bytes_per_sec
-                        : config_.worker_copy_bytes_per_sec;
+  const double bw = mode_ == DataPlaneMode::kNasRoundtrip
+                        ? cost::kPipelineNasBytesPerSec
+                        : cost::kPipelineWorkerCopyBytesPerSec;
   // The producer writes the payload out and the consumer reads it back: two
   // full crossings per edge, payloads round-tripping through sandboxes.
-  return config_.handoff_metadata +
+  return cost::kPipelineHandoffMetadata +
          SimDuration::FromSecondsF(2.0 * static_cast<double>(payload_bytes) / bw);
 }
 
@@ -58,7 +59,7 @@ Status PipelineDriver::OnStageDone(const PipelineSpec& spec, uint32_t job,
   ++stats_.stages_completed;
   SimTime t = when;
   RegionManager* sh = cluster_->shared_state();
-  if (!succs_[stage].empty() && config_.mode == DataPlaneMode::kTrEnvShared) {
+  if (!succs_[stage].empty() && mode_ == DataPlaneMode::kTrEnvShared) {
     if (sh == nullptr) {
       return Status::InvalidArgument("trenv-shared mode requires ClusterConfig::shstate.enabled");
     }
@@ -69,7 +70,7 @@ Status PipelineDriver::OnStageDone(const PipelineSpec& spec, uint32_t job,
       TRENV_ASSIGN_OR_RETURN(
           js.region, sh->CreateRegion(spec.name + "-job" + std::to_string(job),
                                       spec.payload_pages, node, t));
-      t += sh->config().map_metadata;
+      t += cost::kShStateMapMetadata;
     } else if (sh->OwnerOf(js.region) != static_cast<int32_t>(node)) {
       TRENV_ASSIGN_OR_RETURN(RegionOp upgrade, sh->AcquireOwnership(js.region, node, t));
       t += upgrade.latency;
@@ -131,7 +132,7 @@ Status PipelineDriver::OnLaunch(const PipelineSpec& spec, uint32_t job,
 
   SimTime t = when;
   if (!st.inputs.empty()) {
-    if (config_.mode == DataPlaneMode::kTrEnvShared) {
+    if (mode_ == DataPlaneMode::kTrEnvShared) {
       RegionManager* sh = cluster_->shared_state();
       if (sh == nullptr) {
         return Status::InvalidArgument("trenv-shared mode requires ClusterConfig::shstate.enabled");
@@ -279,7 +280,7 @@ Status PipelineDriver::Run(const PipelineSpec& spec,
   }
   cluster_->DrainAll();
 
-  if (config_.mode == DataPlaneMode::kTrEnvShared) {
+  if (mode_ == DataPlaneMode::kTrEnvShared) {
     const RegionManager* sh = cluster_->shared_state();
     if (sh != nullptr) {
       stats_.pool_write_bytes = sh->pool_write_bytes();

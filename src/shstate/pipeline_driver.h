@@ -40,17 +40,6 @@ enum class DataPlaneMode : uint8_t {
 };
 const char* DataPlaneModeName(DataPlaneMode mode);
 
-struct PipelineDriverConfig {
-  DataPlaneMode mode = DataPlaneMode::kTrEnvShared;
-  // Copy-through-worker edge bandwidth (the worker NIC path).
-  double worker_copy_bytes_per_sec = 10.0 * 1e9;
-  // NAS round-trip edge bandwidth.
-  double nas_bytes_per_sec = 1.0 * 1e9;
-  // Per-edge control cost charged by both baselines (connection setup /
-  // object naming); the TrEnv plane's metadata costs come from ShStateConfig.
-  SimDuration handoff_metadata = SimDuration::FromMicrosF(15.0);
-};
-
 struct PipelineRunStats {
   uint64_t jobs = 0;
   uint64_t jobs_completed = 0;
@@ -73,7 +62,7 @@ class PipelineDriver {
  public:
   // `cluster` must outlive the driver. kTrEnvShared requires the cluster's
   // shared-state plane (ClusterConfig::shstate.enabled).
-  PipelineDriver(Cluster* cluster, PipelineDriverConfig config);
+  PipelineDriver(Cluster* cluster, DataPlaneMode mode);
   PipelineDriver(const PipelineDriver&) = delete;
   PipelineDriver& operator=(const PipelineDriver&) = delete;
 
@@ -119,7 +108,7 @@ class PipelineDriver {
                   SimTime when);
 
   Cluster* cluster_;
-  PipelineDriverConfig config_;
+  DataPlaneMode mode_;
   std::vector<std::vector<uint32_t>> succs_;
   std::vector<JobState> jobs_;
   std::priority_queue<Action, std::vector<Action>, std::greater<Action>> actions_;

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "src/common/cost_model.h"
+
 namespace trenv {
 
 namespace {
@@ -126,19 +128,19 @@ Result<RegionId> RegionManager::CreateRegion(const std::string& name, uint64_t n
 
 SimDuration RegionManager::RevokeReaders(RegionId id, int32_t keep, SimTime now) {
   Region& region = regions_[id];
-  SimDuration cost;
+  SimDuration latency;
   for (auto& [worker, reader] : region.readers) {
     if (!reader.mapped || static_cast<int32_t>(worker) == keep) {
       continue;
     }
     reader.mapped = false;
     invalidations_->Increment();
-    cost += config_.invalidate_per_reader;
+    latency += cost::kShStateInvalidatePerReader;
     // The unmap itself lands asynchronously on the data plane's timeline —
     // modeled after a TLB-shootdown IPI. The reader sees the revocation once
     // the event runs; its next ReadRegion re-maps and re-fetches.
     const uint32_t w = worker;
-    clock_.ScheduleAt(std::max(now, clock_.now()) + config_.invalidate_per_reader,
+    clock_.ScheduleAt(std::max(now, clock_.now()) + cost::kShStateInvalidatePerReader,
                       [this, id, w] {
                         Region& r = regions_[id];
                         // Skip if the worker re-opened (mapped again) or took
@@ -154,7 +156,7 @@ SimDuration RegionManager::RevokeReaders(RegionId id, int32_t keep, SimTime now)
                         UnmapWindow(r, w);
                       });
   }
-  return cost;
+  return latency;
 }
 
 Result<RegionOp> RegionManager::WriteRegion(RegionId id, uint32_t worker, SimTime now) {
@@ -213,7 +215,7 @@ Result<RegionOp> RegionManager::OpenReader(RegionId id, uint32_t worker, SimTime
     return RegionOp{};  // the owner already maps the region writable
   }
   RegionOp op;
-  op.latency = config_.map_metadata;
+  op.latency = cost::kShStateMapMetadata;
   Reader& reader = region->readers[worker];
   if (!reader.mapped) {
     MapReader(*region, worker);
@@ -266,7 +268,7 @@ Result<RegionOp> RegionManager::MoveOwnership(RegionId id, uint32_t to, SimTime 
   // The new owner's reader mapping (if any) is replaced synchronously by the
   // owner mapping below; drop its lease bookkeeping.
   region.readers.erase(to);
-  op.latency += config_.ownership_transfer;
+  op.latency += cost::kShStateOwnershipTransfer;
   const uint32_t to_home = HomeOf(to);
   if (to_home != region.home) {
     // Pool-to-pool migration: the payload streams between pool nodes over
@@ -274,7 +276,7 @@ Result<RegionOp> RegionManager::MoveOwnership(RegionId id, uint32_t to, SimTime 
     const uint64_t bytes = region.npages * kPageSize;
     op.moved_bytes += bytes;
     op.latency += SimDuration::FromSecondsF(static_cast<double>(bytes) /
-                                            config_.pool_to_pool_bytes_per_sec);
+                                            cost::kPoolToPoolBytesPerSec);
     region.home = to_home;
     migrations_->Increment();
     moved_bytes_->Add(static_cast<double>(bytes));

@@ -27,7 +27,7 @@
 //     Payloads never round-trip through a worker sandbox.
 //
 // Everything is deterministic: regions are iterated by id, readers in worker
-// order, and all latencies derive from the configured cost constants plus the
+// order, and all latencies derive from src/common/cost_model.h plus the
 // backends' seeded models.
 #ifndef TRENV_SHSTATE_REGION_MANAGER_H_
 #define TRENV_SHSTATE_REGION_MANAGER_H_
@@ -56,13 +56,6 @@ struct ShStateConfig {
   uint32_t pool_nodes = 4;
   // Reader lease TTL (one grant window per OpenReader/ReadRegion renew).
   SimDuration lease_ttl = SimDuration::Seconds(60);
-  // Control-plane metadata costs.
-  SimDuration map_metadata = SimDuration::FromMicrosF(15.0);
-  SimDuration ownership_transfer = SimDuration::FromMicrosF(20.0);
-  SimDuration invalidate_per_reader = SimDuration::FromMicrosF(8.0);
-  // Pool-to-pool migration bandwidth (bytes/s): the inter-pool-node link a
-  // cross-home ownership transfer streams the payload over.
-  double pool_to_pool_bytes_per_sec = 12.0 * 1e9;
 };
 
 using RegionId = uint32_t;
@@ -90,11 +83,10 @@ class RegionManager {
   // worker-node schedulers and drains it at end of run.
   EventScheduler& clock() { return clock_; }
 
-  const ShStateConfig& config() const { return config_; }
   uint32_t HomeOf(uint32_t worker) const { return worker % config_.pool_nodes; }
 
   // Allocates a named region of `npages` on the pool and maps it into the
-  // owner's window (valid + !wp + shared + owner). Latency: map_metadata.
+  // owner's window (valid + !wp + shared + owner); costs kShStateMapMetadata.
   [[nodiscard]] Result<RegionId> CreateRegion(const std::string& name, uint64_t npages,
                                               uint32_t owner, SimTime now);
 

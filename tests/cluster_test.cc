@@ -116,5 +116,44 @@ TEST(ClusterTest, CrossNodeInstancesShareContent) {
   EXPECT_EQ(cluster.AggregateMetrics().e2e_ms.count(), 2u);
 }
 
+TEST(ClusterTest, AggregateCountsPrewarmedStarts) {
+  // Nodes sharing one histogram policy pre-warm ahead of a periodic
+  // function, as in PrewarmIntegrationTest; the rack aggregate must carry
+  // every node's pre-warmed starts.
+  PrewarmPolicy policy;
+  ClusterConfig config;
+  config.nodes = 2;
+  config.node_config.prewarm = &policy;
+  Cluster cluster(config);
+  ASSERT_TRUE(cluster.DeployTable4Functions().ok());
+  Schedule schedule;
+  for (int i = 0; i < 14; ++i) {
+    schedule.push_back({SimTime::Zero() + SimDuration::Minutes(20 * i), "JS"});
+  }
+  ASSERT_TRUE(cluster.Run(schedule).ok());
+  uint64_t per_node = 0;
+  for (size_t i = 0; i < cluster.node_count(); ++i) {
+    per_node += cluster.node(i).metrics().Aggregate().prewarm_starts;
+  }
+  EXPECT_GT(per_node, 0u);
+  EXPECT_EQ(cluster.AggregateMetrics().prewarm_starts, per_node);
+}
+
+TEST(ClusterTest, PrefetchFlagReachesNodeEngines) {
+  // With working-set prefetch on, the first invocation after an attach
+  // records its footprint on the node that ran it.
+  ClusterConfig config;
+  config.nodes = 2;
+  config.dispatch = ClusterConfig::Dispatch::kRoundRobin;
+  config.node_config.trenv_prefetch = true;
+  Cluster cluster(config);
+  ASSERT_TRUE(cluster.DeployTable4Functions().ok());
+  ASSERT_TRUE(cluster.Run(Schedule{{SimTime::Zero(), "JS"}}).ok());
+  const obs::Counter* recorded =
+      cluster.node(0).metrics().registry().FindCounter("trenv.ws.recorded_pages");
+  ASSERT_NE(recorded, nullptr);
+  EXPECT_GT(recorded->count(), 0u);
+}
+
 }  // namespace
 }  // namespace trenv

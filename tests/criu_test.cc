@@ -511,7 +511,7 @@ TEST_F(EngineTest, TrEnvPrefetchOffByDefaultKeepsDemandFaulting) {
 TEST_F(EngineTest, TrEnvRecordsWorkingSetOnFirstInvocation) {
   SnapshotDedupStore dedup(&tiered_rdma_);
   TrEnvEngine::Options opts;
-  opts.prefetch.enabled = true;
+  opts.prefetch = true;
   TrEnvEngine engine(&factory_, &pool_, &mmt_, &dedup, opts);
   ASSERT_TRUE(engine.Prepare(profile_).ok());
   RestoreContext ctx = Ctx();
@@ -535,7 +535,7 @@ TEST_F(EngineTest, TrEnvRecordsWorkingSetOnFirstInvocation) {
 TEST_F(EngineTest, TrEnvSecondAttachPrefetchesTheRecordedSet) {
   SnapshotDedupStore dedup(&tiered_rdma_);
   TrEnvEngine::Options opts;
-  opts.prefetch.enabled = true;
+  opts.prefetch = true;
   TrEnvEngine engine(&factory_, &pool_, &mmt_, &dedup, opts);
   ASSERT_TRUE(engine.Prepare(profile_).ok());
   RestoreContext ctx = Ctx();
@@ -574,7 +574,7 @@ TEST_F(EngineTest, TrEnvPrefetchSkipsByteAddressableTemplates) {
   // so the prefetcher must not issue anything even when enabled.
   SnapshotDedupStore dedup(&tiered_cxl_);
   TrEnvEngine::Options opts;
-  opts.prefetch.enabled = true;
+  opts.prefetch = true;
   TrEnvEngine engine(&factory_, &pool_, &mmt_, &dedup, opts);
   ASSERT_TRUE(engine.Prepare(profile_).ok());
   RestoreContext ctx = Ctx();

@@ -27,7 +27,7 @@ SimTime At(double seconds) { return SimTime::Zero() + SimDuration::FromMicrosF(s
 TEST(MembershipTest, FaultFreeFleetStaysAlive) {
   EventScheduler clock;
   obs::Registry stats;
-  GossipMembership membership(MembershipConfig{}, 4, &clock, stats);
+  GossipMembership membership(4, &clock, stats);
   membership.Start(SimTime::Zero());
   clock.RunUntil(At(10.0));
   for (uint32_t n = 0; n < 4; ++n) {
@@ -48,7 +48,7 @@ TEST(MembershipTest, FaultFreeFleetStaysAlive) {
 TEST(MembershipTest, DeathIsDetectedDeclaredAndRejoined) {
   EventScheduler clock;
   obs::Registry stats;
-  GossipMembership membership(MembershipConfig{}, 4, &clock, stats);
+  GossipMembership membership(4, &clock, stats);
   std::vector<GossipMembership::Transition> log;
   membership.SetListener(
       [&log](const GossipMembership::Transition& t) { log.push_back(t); });
@@ -73,7 +73,7 @@ TEST(MembershipTest, DeathIsDetectedDeclaredAndRejoined) {
   // Detection latency: down at 1.0s, declared at 5.0s.
   ASSERT_EQ(membership.detection_ms().count(), 1u);
   EXPECT_NEAR(membership.detection_ms().Mean(), 4000.0, 1.0);
-  // Rejoin: the node must deliver join_beats consecutive beats; one beat
+  // Rejoin: the node must deliver kJoinBeats consecutive beats; one beat
   // only reaches kJoining.
   membership.NodeUp(2);
   clock.RunUntil(At(5.6));
@@ -97,7 +97,7 @@ TEST(MembershipTest, DeathIsDetectedDeclaredAndRejoined) {
 TEST(MembershipTest, FlapWindowCausesFalseSuspicionNotDeath) {
   EventScheduler clock;
   obs::Registry stats;
-  GossipMembership membership(MembershipConfig{}, 4, &clock, stats);
+  GossipMembership membership(4, &clock, stats);
   // Node 1's beats are eaten by the fabric for [1.0s, 3.5s) — the node
   // itself never goes down.
   membership.SetHeartbeatLoss([](SimTime now, uint32_t node) {
@@ -121,12 +121,12 @@ TEST(MembershipTest, FlapWindowCausesFalseSuspicionNotDeath) {
 TEST(MembershipTest, ShortBlipNeverReachesSuspicion) {
   EventScheduler clock;
   obs::Registry stats;
-  GossipMembership membership(MembershipConfig{}, 4, &clock, stats);
+  GossipMembership membership(4, &clock, stats);
   membership.Start(SimTime::Zero());
   clock.RunUntil(At(1.1));
   membership.NodeDown(3);
   clock.RunUntil(At(1.9));
-  membership.NodeUp(3);  // back before phi accrued to phi_suspect
+  membership.NodeUp(3);  // back before phi accrued to kPhiSuspect
   clock.RunUntil(At(6.0));
   EXPECT_EQ(membership.state(3), State::kAlive);
   EXPECT_EQ(membership.suspicions(), 0u);

@@ -344,10 +344,10 @@ TEST(PoolManagerTest, RebalanceRestoresReplication) {
   }
   ASSERT_GT(held[victim], 0u);
   fx.mgr.OnPoolNodeCrash(victim, SimTime::Zero() + SimDuration::Seconds(1));
-  // The delayed rebalance fires rebalance_delay after the crash and restores
+  // The delayed rebalance fires kRebalanceDelay after the crash and restores
   // every shard to full replication on the surviving membership.
-  fx.mgr.clock().RunUntil(SimTime::Zero() + SimDuration::Seconds(1) + config.rebalance_delay +
-                          SimDuration::Millis(1));
+  fx.mgr.clock().RunUntil(SimTime::Zero() + SimDuration::Seconds(1) +
+                          PoolManager::kRebalanceDelay + SimDuration::Millis(1));
   EXPECT_GT(fx.mgr.rebalance_moves(), 0u);
   uint64_t total = 0;
   const auto per_node = fx.mgr.ShardPagesPerNode();

@@ -286,7 +286,7 @@ TEST(PipelineDriverTest, ChainCompletesEveryStageWithSharedHandoffs) {
   config.shstate.enabled = true;
   Cluster cluster(config);
   ASSERT_TRUE(cluster.DeployTable4Functions().ok());
-  PipelineDriver driver(&cluster, {});
+  PipelineDriver driver(&cluster, DataPlaneMode::kTrEnvShared);
   ASSERT_TRUE(driver.Run(ChainSpec(), Arrivals(8)).ok());
   const PipelineRunStats& s = driver.stats();
   EXPECT_EQ(s.jobs_completed, 8u);
@@ -309,7 +309,7 @@ TEST(PipelineDriverTest, FanOutExercisesReadersAndInvalidation) {
   config.shstate.enabled = true;
   Cluster cluster(config);
   ASSERT_TRUE(cluster.DeployTable4Functions().ok());
-  PipelineDriver driver(&cluster, {});
+  PipelineDriver driver(&cluster, DataPlaneMode::kTrEnvShared);
   const PipelineSpec spec = MakeFanOutFanInPipeline(3, 64, {"JS", "DH", "IR", "CR"});
   ASSERT_TRUE(driver.Run(spec, Arrivals(6)).ok());
   const PipelineRunStats& s = driver.stats();
@@ -324,9 +324,7 @@ TEST(PipelineDriverTest, BaselineModesMoveTwoCrossingsPerEdge) {
   config.nodes = 2;
   Cluster cluster(config);  // shstate stays disabled: baselines don't need it
   ASSERT_TRUE(cluster.DeployTable4Functions().ok());
-  PipelineDriverConfig driver_config;
-  driver_config.mode = DataPlaneMode::kCopyThroughWorker;
-  PipelineDriver driver(&cluster, driver_config);
+  PipelineDriver driver(&cluster, DataPlaneMode::kCopyThroughWorker);
   const PipelineSpec spec = ChainSpec();
   ASSERT_TRUE(driver.Run(spec, Arrivals(4)).ok());
   const uint64_t payload = 64 * kPageSize;
@@ -341,7 +339,7 @@ TEST(PipelineDriverTest, RunsAreDeterministic) {
     config.shstate.enabled = true;
     Cluster cluster(config);
     EXPECT_TRUE(cluster.DeployTable4Functions().ok());
-    PipelineDriver driver(&cluster, {});
+    PipelineDriver driver(&cluster, DataPlaneMode::kTrEnvShared);
     EXPECT_TRUE(driver.Run(ChainSpec(), Arrivals(8)).ok());
     return std::make_tuple(driver.stats().stages_completed, driver.stats().handoff_bytes,
                            driver.stats().pool_write_bytes,
@@ -363,7 +361,7 @@ TEST(PipelineDriverTest, OwnerCrashRecoversWithZeroLoss) {
                                     /*restart_after=*/SimDuration::Seconds(2)));
   Cluster cluster(config);
   ASSERT_TRUE(cluster.DeployTable4Functions().ok());
-  PipelineDriver driver(&cluster, {});
+  PipelineDriver driver(&cluster, DataPlaneMode::kTrEnvShared);
   ASSERT_TRUE(driver.Run(ChainSpec(), Arrivals(12)).ok());
   const PipelineRunStats& s = driver.stats();
   EXPECT_EQ(s.jobs_completed, 12u);
