@@ -1,8 +1,8 @@
 // Micro-operation benchmarks (google-benchmark): throughput of the hot
 // simulator primitives — page-table bulk faults, mm-template attach, dedup
-// ingestion, DES event dispatch and schedule/cancel churn. These guard the
-// simulator's own performance; the paper-figure benches above depend on them
-// being fast.
+// ingestion, DES event dispatch and schedule/cancel churn, keep-alive churn
+// and trace generation. These guard the simulator's own performance; the
+// paper-figure benches above depend on them being fast.
 //
 // Besides the console output, --bench-json=PATH appends one JSON-lines
 // record of the wall-clock timings to PATH (the BENCH_micro.json perf
@@ -24,6 +24,7 @@
 #include "src/runtime/working_set.h"
 #include "src/sim/cpu.h"
 #include "src/simkernel/fault_handler.h"
+#include "src/workload/arrival.h"
 
 namespace trenv {
 namespace {
@@ -233,13 +234,16 @@ void BM_TrEnvBatchedPrefetch(benchmark::State& state) {
 }
 BENCHMARK(BM_TrEnvBatchedPrefetch);
 
-// Keep-alive churn: TakeWarm/Put cycles over 16 functions with periodic
-// expiry sweeps — the park/reuse pattern every completed invocation drives.
+// Keep-alive churn: TakeWarm/Put cycles with periodic expiry sweeps — the
+// park/reuse pattern every completed invocation drives. The argument is the
+// parked population (four warm instances per function): /64 is a small
+// node, /8192 one holding thousands of warm environments, where a sweep
+// that walks every parked entry dominates.
 void BM_KeepAliveChurn(benchmark::State& state) {
   KeepAlivePool pool(SimDuration::Minutes(10),
                      [](std::unique_ptr<FunctionInstance>) {});
   std::vector<std::string> functions;
-  for (int i = 0; i < 16; ++i) {
+  for (int64_t i = 0; i < state.range(0) / 4; ++i) {
     functions.push_back("fn-" + std::to_string(i));
   }
   SimTime now;
@@ -266,7 +270,26 @@ void BM_KeepAliveChurn(benchmark::State& state) {
   benchmark::DoNotOptimize(hits);
   state.SetItemsProcessed(state.iterations() * 1024);
 }
-BENCHMARK(BM_KeepAliveChurn);
+BENCHMARK(BM_KeepAliveChurn)->Arg(64)->Arg(8192);
+
+// W2 diurnal trace generation over a catalog of N function names: one Zipf
+// pick per base arrival, so the per-draw cost scales with the catalog size
+// unless the sampler's CDF is built once per trace.
+void BM_DiurnalGenerate(benchmark::State& state) {
+  std::vector<std::string> functions;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    functions.push_back("fn-" + std::to_string(i));
+  }
+  size_t arrivals = 0;
+  for (auto _ : state) {
+    Rng rng(1);
+    const Schedule schedule = MakeDiurnalWorkload(functions, DiurnalOptions{}, rng);
+    arrivals += schedule.size();
+    benchmark::DoNotOptimize(schedule.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(arrivals));
+}
+BENCHMARK(BM_DiurnalGenerate)->Arg(8192);
 
 void BM_SnapshotDedupIngest(benchmark::State& state) {
   Checkpointer checkpointer;

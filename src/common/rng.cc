@@ -1,5 +1,6 @@
 #include "src/common/rng.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numbers>
@@ -95,29 +96,30 @@ double Rng::NextPareto(double x_min, double alpha) {
   return x_min / std::pow(u, 1.0 / alpha);
 }
 
-uint64_t Rng::NextZipf(uint64_t n, double s) {
-  assert(n > 0);
+Rng Rng::Fork() { return Rng(NextU64()); }
+
+ZipfSampler::ZipfSampler(uint64_t n, double s) : n_(n) {
   if (s <= 0) {
-    return NextBounded(n);
+    return;
   }
-  // Inverse-CDF over precomputation-free approximation: sample by rejection on
-  // the continuous bounding distribution. For the modest n used in workloads
-  // (tens to hundreds of functions) a simple linear CDF walk is fine.
-  double norm = 0;
-  for (uint64_t i = 1; i <= n; ++i) {
-    norm += 1.0 / std::pow(static_cast<double>(i), s);
-  }
-  double target = NextDouble() * norm;
+  cdf_.reserve(n);
   double acc = 0;
   for (uint64_t i = 1; i <= n; ++i) {
     acc += 1.0 / std::pow(static_cast<double>(i), s);
-    if (acc >= target) {
-      return i - 1;
-    }
+    cdf_.push_back(acc);
   }
-  return n - 1;
 }
 
-Rng Rng::Fork() { return Rng(NextU64()); }
+uint64_t ZipfSampler::Draw(Rng& rng) const {
+  assert(n_ > 0);
+  if (cdf_.empty()) {
+    return rng.NextBounded(n_);
+  }
+  // The first rank whose prefix sum reaches the target, as a linear walk of
+  // the same sums would find it.
+  const double target = rng.NextDouble() * cdf_.back();
+  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), target);
+  return it == cdf_.end() ? n_ - 1 : static_cast<uint64_t>(it - cdf_.begin());
+}
 
 }  // namespace trenv

@@ -34,14 +34,27 @@ class Rng {
   double NextLogNormal(double mu, double sigma);
   // Pareto with scale x_m and shape alpha; models heavy-tailed bursts.
   double NextPareto(double x_min, double alpha);
-  // Zipf-like rank selection over n items with skew s (s=0 => uniform).
-  uint64_t NextZipf(uint64_t n, double s);
 
   // Derives an independent child generator; convenient for fan-out.
   Rng Fork();
 
  private:
   uint64_t s_[4];
+};
+
+// Zipf-like rank selection over n items with skew s: rank k (0-based) has
+// weight 1 / (k + 1)^s, and s <= 0 is uniform. Built once per item set; a
+// draw is one NextDouble and a binary search over the cached CDF.
+class ZipfSampler {
+ public:
+  // n may be 0 (an empty item set), but then Draw must not be called.
+  ZipfSampler(uint64_t n, double s);
+  // A rank in [0, n). n must be > 0.
+  uint64_t Draw(Rng& rng) const;
+
+ private:
+  uint64_t n_;
+  std::vector<double> cdf_;  // prefix sums of the weights; empty if s <= 0
 };
 
 // SplitMix64 single-step; exposed for seeding and for page-content derivation.

@@ -1,5 +1,6 @@
 #include "src/platform/keep_alive_pool.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace trenv {
@@ -41,6 +42,9 @@ std::unique_ptr<FunctionInstance> KeepAlivePool::Detach(uint32_t slot) {
   }
   --fn.count;
   --size_;
+  if (s.heap_pos != kNil) {
+    HeapErase(s.heap_pos);
+  }
   UnlinkTier(slot);
   --tier_counts_[static_cast<size_t>(s.tier)];
   tier_bytes_[static_cast<size_t>(s.tier)] -= s.footprint_bytes;
@@ -72,7 +76,9 @@ void KeepAlivePool::Put(std::unique_ptr<FunctionInstance> instance, SimTime now,
   }
   s.instance = std::move(instance);
   s.expiry = now + ttl;
+  s.seq = next_seq_++;
   s.function = function;
+  HeapPush(slot);
   // Link at the global MRU position.
   s.lru_prev = lru_tail_;
   s.lru_next = kNil;
@@ -171,18 +177,84 @@ void KeepAlivePool::UnlinkTier(uint32_t slot) {
   s.tier_next = kNil;
 }
 
-size_t KeepAlivePool::ExpireStale(SimTime now) {
-  // Per-entry TTLs make expiry non-monotone in LRU order: scan the list.
-  size_t evicted = 0;
-  for (uint32_t slot = lru_head_; slot != kNil;) {
-    const uint32_t next = slots_[slot].lru_next;
-    if (slots_[slot].expiry <= now) {
-      evict_(Detach(slot));
-      ++evicted;
-    }
-    slot = next;
+bool KeepAlivePool::ExpiresBefore(uint32_t a, uint32_t b) const {
+  const Slot& x = slots_[a];
+  const Slot& y = slots_[b];
+  return x.expiry != y.expiry ? x.expiry < y.expiry : x.seq < y.seq;
+}
+
+void KeepAlivePool::HeapPush(uint32_t slot) {
+  expiry_heap_.push_back(slot);
+  SiftUp(static_cast<uint32_t>(expiry_heap_.size() - 1));
+}
+
+void KeepAlivePool::HeapErase(uint32_t pos) {
+  slots_[expiry_heap_[pos]].heap_pos = kNil;
+  const uint32_t last = expiry_heap_.back();
+  expiry_heap_.pop_back();
+  if (pos == expiry_heap_.size()) {
+    return;
   }
-  return evicted;
+  // The former last entry fills the hole; it may belong above or below it.
+  expiry_heap_[pos] = last;
+  if (pos > 0 && ExpiresBefore(last, expiry_heap_[(pos - 1) / 2])) {
+    SiftUp(pos);
+  } else {
+    SiftDown(pos);
+  }
+}
+
+void KeepAlivePool::SiftUp(uint32_t pos) {
+  const uint32_t slot = expiry_heap_[pos];
+  while (pos > 0) {
+    const uint32_t parent = (pos - 1) / 2;
+    if (!ExpiresBefore(slot, expiry_heap_[parent])) {
+      break;
+    }
+    expiry_heap_[pos] = expiry_heap_[parent];
+    slots_[expiry_heap_[pos]].heap_pos = pos;
+    pos = parent;
+  }
+  expiry_heap_[pos] = slot;
+  slots_[slot].heap_pos = pos;
+}
+
+void KeepAlivePool::SiftDown(uint32_t pos) {
+  const uint32_t slot = expiry_heap_[pos];
+  const size_t n = expiry_heap_.size();
+  for (size_t child = 2 * size_t{pos} + 1; child < n; child = 2 * size_t{pos} + 1) {
+    if (child + 1 < n && ExpiresBefore(expiry_heap_[child + 1], expiry_heap_[child])) {
+      ++child;
+    }
+    if (!ExpiresBefore(expiry_heap_[child], slot)) {
+      break;
+    }
+    expiry_heap_[pos] = expiry_heap_[child];
+    slots_[expiry_heap_[pos]].heap_pos = pos;
+    pos = static_cast<uint32_t>(child);
+  }
+  expiry_heap_[pos] = slot;
+  slots_[slot].heap_pos = pos;
+}
+
+size_t KeepAlivePool::ExpireStale(SimTime now) {
+  if (expiry_heap_.empty() || slots_[expiry_heap_.front()].expiry > now) {
+    return 0;
+  }
+  // Per-entry TTLs make expiry non-monotone in LRU order, so the heap pops
+  // due entries in expiry order; evict them in park order instead, which is
+  // LRU order — the order frame and swap-block frees must happen in.
+  due_.clear();
+  while (!expiry_heap_.empty() && slots_[expiry_heap_.front()].expiry <= now) {
+    due_.push_back(expiry_heap_.front());
+    HeapErase(0);
+  }
+  std::sort(due_.begin(), due_.end(),
+            [this](uint32_t a, uint32_t b) { return slots_[a].seq < slots_[b].seq; });
+  for (const uint32_t slot : due_) {
+    evict_(Detach(slot));
+  }
+  return due_.size();
 }
 
 void KeepAlivePool::EvictAll() {
@@ -194,6 +266,7 @@ void KeepAlivePool::Drop() {
   slots_.clear();
   free_slots_.clear();
   by_function_.clear();
+  expiry_heap_.clear();
   lru_head_ = kNil;
   lru_tail_ = kNil;
   for (size_t i = 0; i < kDensityTierCount; ++i) {

@@ -3,12 +3,21 @@
 // scheduling policy all evaluated systems share (paper section 9.1).
 //
 // Storage is a slot arena: entries live in a vector of slots threaded onto
-// two intrusive doubly-linked lists (the global LRU order and the per-
-// function list, bucketed by interned FunctionId). Park/take/evict are all
-// pointer-free index relinks, so keep-alive churn — every completed
-// invocation parks here, every warm hit takes from here — performs no node
-// allocations and no string hashing. Eviction and expiry order are identical
-// to the original std::list + std::map implementation.
+// three intrusive doubly-linked lists (the global LRU order, the per-function
+// list bucketed by interned FunctionId, and the per-density-tier list) and
+// indexed by an expiry heap. Park/take/evict are index relinks plus one
+// O(log n) heap update, so keep-alive churn — every completed invocation parks
+// here, every warm hit takes from here — performs no node allocations and no
+// string hashing.
+//
+// The expiry heap is a binary min-heap of slot indices ordered by (expiry,
+// park sequence number); each slot records its heap position, so any entry
+// can leave it in O(log n). ExpireStale therefore answers "nothing is due" in
+// O(1) from the heap top instead of scanning every parked entry, which
+// matters because the platform sweeps on every arrival and after every park,
+// on nodes holding thousands of warm environments. Due entries are evicted
+// in LRU order, so eviction order is identical to the original std::list +
+// std::map implementation.
 #ifndef TRENV_PLATFORM_KEEP_ALIVE_POOL_H_
 #define TRENV_PLATFORM_KEEP_ALIVE_POOL_H_
 
@@ -25,6 +34,7 @@ namespace trenv {
 
 class KeepAlivePool {
  public:
+  // Receives each evicted instance. It must not add or remove pool entries.
   using EvictFn = std::function<void(std::unique_ptr<FunctionInstance>)>;
   // Sentinel slot index ("no slot"), returned by TierLruHead on empty tiers.
   static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
@@ -43,7 +53,9 @@ class KeepAlivePool {
   // Evicts the single least-recently-used idle instance. Returns false if
   // the pool is empty.
   bool EvictLru();
-  // Evicts every instance idle since before `now - ttl`.
+  // Evicts every instance whose expiry (park time + the TTL it was parked
+  // with) is at or before `now`, least-recently-used first, and returns how
+  // many. O(1) when nothing is due; otherwise O(k log n) for k due entries.
   size_t ExpireStale(SimTime now);
   void EvictAll();
   // Discards every parked instance WITHOUT running the evict callback: the
@@ -125,7 +137,12 @@ class KeepAlivePool {
   struct Slot {
     std::unique_ptr<FunctionInstance> instance;
     SimTime expiry;
+    // Park order: Put appends at the MRU end and nothing moves a parked
+    // entry, so ascending seq is LRU order.
+    uint64_t seq = 0;
     FunctionId function = kInvalidFunctionId;
+    // Index of this slot in expiry_heap_ (kNil once popped for eviction).
+    uint32_t heap_pos = kNil;
     // Mirrors instance->density_tier / footprint_bytes so Detach can adjust
     // the aggregates without touching the (possibly moved-out) instance.
     DensityTier tier = DensityTier::kDramHot;
@@ -151,15 +168,24 @@ class KeepAlivePool {
   // maintenance only; tier aggregates are the caller's job).
   void LinkTier(uint32_t slot);
   void UnlinkTier(uint32_t slot);
-  // Unlinks `slot` from both lists and pushes it onto the free list;
-  // returns its instance.
+  // Unlinks `slot` from every list and the expiry heap and pushes it onto
+  // the free list; returns its instance.
   std::unique_ptr<FunctionInstance> Detach(uint32_t slot);
+  // Expiry heap maintenance; every move re-stamps the slot's heap_pos.
+  bool ExpiresBefore(uint32_t a, uint32_t b) const;
+  void HeapPush(uint32_t slot);
+  void HeapErase(uint32_t pos);
+  void SiftUp(uint32_t pos);
+  void SiftDown(uint32_t pos);
 
   SimDuration ttl_;
   EvictFn evict_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
   std::vector<FnList> by_function_;  // indexed by FunctionId; may be sparse
+  std::vector<uint32_t> expiry_heap_;  // slot indices, min-heap by (expiry, seq)
+  std::vector<uint32_t> due_;          // ExpireStale's scratch: the slots it evicts
+  uint64_t next_seq_ = 0;
   uint32_t lru_head_ = kNil;
   uint32_t lru_tail_ = kNil;
   uint32_t tier_head_[kDensityTierCount] = {kNil, kNil, kNil};

@@ -377,27 +377,31 @@ void ServerlessPlatform::Complete(uint64_t token) {
   const SimDuration ttl = config_.prewarm != nullptr
                               ? config_.prewarm->KeepAliveFor(flight.function)
                               : config_.keep_alive_ttl;
-  const bool density = density_.enabled();
-  if (density) {
-    density_.OnPark(*flight.instance);  // stamp footprint/tier before Put
-  }
-  keep_alive_.Put(std::move(flight.instance), scheduler_.now(), ttl);
-  // TTL sweep: wake up when this instance would expire.
-  scheduler_.ScheduleAfter(ttl + SimDuration::Millis(1),
-                           [this] { keep_alive_.ExpireStale(scheduler_.now()); });
+  Park(std::move(flight.instance), ttl);
   CompletionFn done = std::move(flight.on_complete);
   inflight_.erase(token);
-  if (density) {
-    // Parks are where the footprint grows; without enforcement here a burst
-    // can out-park the sweep and exhaust physical DRAM before the next
-    // arrival-side check. Density-off keeps the legacy arrival-only cadence.
-    EnforceMemoryCap();
-  }
   SampleMemory();
   if (done) {
     // Last: the callback may submit follow-on work (pipeline successors) to
     // other nodes, and this invocation's bookkeeping is fully settled above.
     done(config_.node_index, scheduler_.now());
+  }
+}
+
+void ServerlessPlatform::Park(std::unique_ptr<FunctionInstance> instance, SimDuration ttl) {
+  const bool density = density_.enabled();
+  if (density) {
+    density_.OnPark(*instance);  // stamp footprint/tier before Put
+  }
+  keep_alive_.Put(std::move(instance), scheduler_.now(), ttl);
+  // TTL sweep: wake up when this instance would expire.
+  scheduler_.ScheduleAfter(ttl + SimDuration::Millis(1),
+                           [this] { keep_alive_.ExpireStale(scheduler_.now()); });
+  if (density) {
+    // Parks are where the footprint grows; without enforcement here a burst
+    // can out-park the sweep and exhaust physical DRAM before the next
+    // arrival-side check. Density-off keeps the legacy arrival-only cadence.
+    EnforceMemoryCap();
   }
 }
 
@@ -449,13 +453,7 @@ void ServerlessPlatform::PrewarmNow(const std::string& function) {
     if (tracer_ != nullptr) {
       tracer_->EndSpan(span);
     }
-    if (density_.enabled()) {
-      density_.OnPark(**shared);
-    }
-    keep_alive_.Put(std::move(*shared), scheduler_.now(), ttl);
-    if (density_.enabled()) {
-      EnforceMemoryCap();
-    }
+    Park(std::move(*shared), ttl);
     SampleMemory();
   });
   SampleMemory();

@@ -169,6 +169,10 @@ class ServerlessPlatform {
   // The soft cap after the current pressure scale (clamped at the floor).
   uint64_t EffectiveCap() const;
   void RetireInstance(std::unique_ptr<FunctionInstance> instance);
+  // Parks a warm instance for `ttl` — completed invocations and pre-warms
+  // alike: stamps its density footprint, schedules the TTL sweep that
+  // expires it, and (density on) enforces the cap the park may break.
+  void Park(std::unique_ptr<FunctionInstance> instance, SimDuration ttl);
   // Pre-warm machinery (active only with a PrewarmPolicy configured).
   void MaybeSchedulePrewarm(const std::string& function);
   void PrewarmNow(const std::string& function);

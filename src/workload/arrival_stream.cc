@@ -20,7 +20,7 @@ PoissonArrivalStream::PoissonArrivalStream(std::vector<std::string> functions,
     : functions_(std::move(functions)),
       rate_per_sec_(rate_per_sec),
       duration_s_(duration.seconds()),
-      function_skew_(function_skew),
+      zipf_(functions_.size(), function_skew),
       rng_(rng),
       done_(functions_.empty() || rate_per_sec <= 0) {}
 
@@ -36,7 +36,7 @@ std::optional<Invocation> PoissonArrivalStream::Next() {
     done_ = true;
     return std::nullopt;
   }
-  const uint64_t pick = rng_->NextZipf(functions_.size(), function_skew_);
+  const uint64_t pick = zipf_.Draw(*rng_);
   Invocation invocation{SimTime::Zero() + SimDuration::FromSecondsF(t_), functions_[pick]};
   t_ += rng_->NextExponential(1.0 / rate_per_sec_);
   return invocation;
@@ -47,6 +47,7 @@ DiurnalArrivalStream::DiurnalArrivalStream(std::vector<std::string> functions,
     : functions_(std::move(functions)),
       options_(options),
       duration_s_(options.duration.seconds()),
+      zipf_(functions_.size(), options.function_skew),
       rng_(rng),
       gen_done_(functions_.empty()) {}
 
@@ -65,8 +66,7 @@ void DiurnalArrivalStream::GenerateOne() {
   const uint64_t rotation = static_cast<uint64_t>(
       options_.cycles * t_ / duration_s_ * static_cast<double>(functions_.size()));
   const uint32_t pick = static_cast<uint32_t>(
-      (rng_->NextZipf(functions_.size(), options_.function_skew) + rotation) %
-      functions_.size());
+      (zipf_.Draw(*rng_) + rotation) % functions_.size());
   heap_.push_back({SimTime::Zero() + SimDuration::FromSecondsF(t_), next_seq_++, pick});
   std::push_heap(heap_.begin(), heap_.end(), BufferedAfter{});
   if (rng_->NextBool(options_.clump_probability)) {

@@ -66,7 +66,7 @@ class PoissonArrivalStream final : public ArrivalStream {
   std::vector<std::string> functions_;
   double rate_per_sec_;
   double duration_s_;
-  double function_skew_;
+  ZipfSampler zipf_;
   Rng* rng_;
   double t_ = 0;
   bool started_ = false;
@@ -103,6 +103,7 @@ class DiurnalArrivalStream final : public ArrivalStream {
   std::vector<std::string> functions_;
   DiurnalOptions options_;
   double duration_s_;
+  ZipfSampler zipf_;
   Rng* rng_;
   double t_ = 0;            // base timeline (seconds); the emission watermark
   uint64_t next_seq_ = 0;

@@ -20,6 +20,27 @@ namespace {
 const std::vector<uint64_t> kSeeds = {1, 7, 42, 1234, 987654321};
 const std::vector<std::string> kFns = {"JS", "DH", "IR", "CR", "PR"};
 
+// The historical Rng::NextZipf, verbatim: two O(n) walks per draw. The
+// streams now draw through a ZipfSampler built once; this is its reference.
+uint64_t ReferenceZipf(Rng& rng, uint64_t n, double s) {
+  if (s <= 0) {
+    return rng.NextBounded(n);
+  }
+  double norm = 0;
+  for (uint64_t i = 1; i <= n; ++i) {
+    norm += 1.0 / std::pow(static_cast<double>(i), s);
+  }
+  double target = rng.NextDouble() * norm;
+  double acc = 0;
+  for (uint64_t i = 1; i <= n; ++i) {
+    acc += 1.0 / std::pow(static_cast<double>(i), s);
+    if (acc >= target) {
+      return i - 1;
+    }
+  }
+  return n - 1;
+}
+
 // The pre-stream MakePoissonWorkload loop, verbatim.
 Schedule ReferencePoisson(const std::vector<std::string>& functions, double rate_per_sec,
                           SimDuration duration, double function_skew, Rng& rng) {
@@ -29,7 +50,7 @@ Schedule ReferencePoisson(const std::vector<std::string>& functions, double rate
   }
   double t = rng.NextExponential(1.0 / rate_per_sec);
   while (t < duration.seconds()) {
-    const uint64_t pick = rng.NextZipf(functions.size(), function_skew);
+    const uint64_t pick = ReferenceZipf(rng, functions.size(), function_skew);
     schedule.push_back({SimTime::Zero() + SimDuration::FromSecondsF(t), functions[pick]});
     t += rng.NextExponential(1.0 / rate_per_sec);
   }
@@ -56,8 +77,9 @@ Schedule ReferenceDiurnal(const std::vector<std::string>& functions,
     }
     const uint64_t rotation = static_cast<uint64_t>(
         options.cycles * t / duration_s * static_cast<double>(functions.size()));
-    const uint64_t pick = (rng.NextZipf(functions.size(), options.function_skew) + rotation) %
-                          functions.size();
+    const uint64_t pick =
+        (ReferenceZipf(rng, functions.size(), options.function_skew) + rotation) %
+        functions.size();
     schedule.push_back({SimTime::Zero() + SimDuration::FromSecondsF(t), functions[pick]});
     if (rng.NextBool(options.clump_probability)) {
       for (uint32_t k = 0; k < options.clump_size; ++k) {
@@ -109,6 +131,23 @@ void ExpectIdentical(const Schedule& expected, const Schedule& actual,
 void ExpectSorted(const Schedule& schedule) {
   for (size_t i = 1; i < schedule.size(); ++i) {
     ASSERT_LE(schedule[i - 1].arrival.nanos(), schedule[i].arrival.nanos());
+  }
+}
+
+TEST(ZipfSamplerTest, MatchesReferenceWalkDrawForDraw) {
+  // Same picks and the same Rng state afterwards, over catalog sizes up to
+  // the 8192-name catalogs and skews from uniform to steep.
+  for (const uint64_t n : {1u, 2u, 5u, 100u, 8192u}) {
+    for (const double s : {0.0, 0.3, 0.7, 1.2, 2.5}) {
+      const ZipfSampler zipf(n, s);
+      Rng ref_rng(n * 31 + static_cast<uint64_t>(s * 10));
+      Rng rng(n * 31 + static_cast<uint64_t>(s * 10));
+      for (int draw = 0; draw < 400; ++draw) {
+        ASSERT_EQ(ReferenceZipf(ref_rng, n, s), zipf.Draw(rng))
+            << "n=" << n << " s=" << s << " draw " << draw;
+      }
+      EXPECT_EQ(ref_rng.NextU64(), rng.NextU64()) << "n=" << n << " s=" << s;
+    }
   }
 }
 

@@ -141,10 +141,11 @@ TEST(RngTest, NormalMomentsRoughlyCorrect) {
 
 TEST(RngTest, ZipfSkewsTowardLowRanks) {
   Rng rng(11);
+  const ZipfSampler zipf(100, 1.2);
   int low = 0;
   const int n = 5000;
   for (int i = 0; i < n; ++i) {
-    if (rng.NextZipf(100, 1.2) < 10) {
+    if (zipf.Draw(rng) < 10) {
       ++low;
     }
   }

@@ -3,6 +3,8 @@
 // under randomized operation sequences.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
 #include <set>
 
 #include "src/criu/trenv_engine.h"
@@ -226,49 +228,104 @@ TEST(DramHotTest, HotRegionsAvoidCxlPenalty) {
 // ---------------------------------------------------------------------------
 
 TEST(KeepAliveFuzzTest, LruOrderAndCountsHold) {
+  // Reference model: a std::list in LRU order (park order) that expiry scans
+  // front to back. Per-entry TTLs make expiry non-monotone along the list, so
+  // the pool's expiry index must still evict due entries in list order.
+  struct ModelEntry {
+    uint64_t id;
+    std::string function;
+    SimTime expiry;
+  };
   Rng rng(5);
-  size_t retired = 0;
+  std::vector<uint64_t> evicted;  // instance ids, in evict-callback order
   KeepAlivePool pool(SimDuration::Seconds(60),
                      [&](std::unique_ptr<FunctionInstance> instance) {
-                       ++retired;
-                       instance.reset();
+                       evicted.push_back(instance->invocations);
                      });
+  std::list<ModelEntry> model;
+  std::vector<uint64_t> expected;
   SimTime now;
-  size_t live = 0;
+  uint64_t next_id = 1;
   const std::vector<std::string> fns = {"a", "b", "c"};
-  for (int op = 0; op < 400; ++op) {
+  for (int op = 0; op < 4000; ++op) {
     now += SimDuration::Seconds(static_cast<int64_t>(rng.NextBounded(10)));
     const std::string fn = fns[rng.NextBounded(fns.size())];
-    switch (rng.NextBounded(4)) {
-      case 0: {
-        pool.Put(std::make_unique<FunctionInstance>(fn, nullptr), now);
-        ++live;
-        break;
-      }
+    switch (rng.NextBounded(6)) {
+      case 0:
       case 1: {
-        if (auto taken = pool.TakeWarm(fn); taken != nullptr) {
-          EXPECT_EQ(taken->function(), fn);
-          --live;
+        auto instance = std::make_unique<FunctionInstance>(fn, nullptr);
+        instance->invocations = next_id;  // the instance's identity
+        SimDuration ttl = pool.ttl();
+        if (rng.NextBool(0.5)) {
+          ttl = SimDuration::Seconds(static_cast<int64_t>(rng.NextBounded(120)));
+          pool.Put(std::move(instance), now, ttl);
+        } else {
+          pool.Put(std::move(instance), now);
         }
+        model.push_back({next_id++, fn, now + ttl});
         break;
       }
       case 2: {
-        const size_t expired = pool.ExpireStale(now);
-        live -= expired;
+        // The function's most recently parked entry, or nothing.
+        auto mru = std::find_if(model.rbegin(), model.rend(),
+                                [&](const ModelEntry& e) { return e.function == fn; });
+        auto taken = pool.TakeWarm(fn);
+        if (mru == model.rend()) {
+          EXPECT_EQ(taken, nullptr);
+        } else {
+          ASSERT_NE(taken, nullptr);
+          EXPECT_EQ(taken->function(), fn);
+          EXPECT_EQ(taken->invocations, mru->id);
+          model.erase(std::next(mru).base());
+        }
         break;
       }
       case 3: {
-        if (pool.EvictLru()) {
-          --live;
+        size_t due = 0;
+        for (auto it = model.begin(); it != model.end();) {
+          if (it->expiry <= now) {
+            expected.push_back(it->id);
+            it = model.erase(it);
+            ++due;
+          } else {
+            ++it;
+          }
+        }
+        EXPECT_EQ(pool.ExpireStale(now), due);
+        break;
+      }
+      case 4: {
+        EXPECT_EQ(pool.EvictLru(), !model.empty());
+        if (!model.empty()) {
+          expected.push_back(model.front().id);
+          model.pop_front();
+        }
+        break;
+      }
+      case 5: {
+        // Occasionally the node crashes: everything goes, nothing is evicted.
+        if (rng.NextBool(0.1)) {
+          pool.Drop();
+          model.clear();
         }
         break;
       }
     }
-    EXPECT_EQ(pool.size(), live);
+    ASSERT_EQ(evicted, expected) << "op " << op;
+    ASSERT_EQ(pool.size(), model.size()) << "op " << op;
+    for (const auto& f : fns) {
+      EXPECT_EQ(pool.CountFor(f), static_cast<size_t>(std::count_if(
+                                      model.begin(), model.end(),
+                                      [&](const ModelEntry& e) { return e.function == f; })));
+    }
   }
   pool.EvictAll();
+  for (const ModelEntry& e : model) {
+    expected.push_back(e.id);
+  }
+  EXPECT_EQ(evicted, expected);
   EXPECT_EQ(pool.size(), 0u);
-  EXPECT_GT(retired, 0u);
+  EXPECT_GT(evicted.size(), 100u);
 }
 
 }  // namespace

@@ -92,6 +92,11 @@ TEST(PrewarmIntegrationTest, PeriodicFunctionGetsPrewarmedStart) {
   EXPECT_GT(m.warm_starts, 3u);
   // Warm-served arrivals have zero recorded startup.
   EXPECT_DOUBLE_EQ(m.startup_ms.Min(), 0.0);
+  // The last arrival still triggers a pre-warm that nothing takes. Its park
+  // schedules a TTL sweep like any other, so by the end of the run it has
+  // expired and its frames are free.
+  EXPECT_EQ(bed.platform().keep_alive().size(), 0u);
+  EXPECT_EQ(bed.platform().frames().used_bytes(), 0u);
 }
 
 TEST(PrewarmIntegrationTest, PrewarmCostsMemoryThatTrEnvAvoids) {

@@ -88,5 +88,7 @@ run "$b/chaos_recovery" --seeds=101,202,303 --jobs=4
 run "$b/peak_density" --functions=512 --minutes=8 --jobs=1
 run "$b/peak_density" --functions=512 --minutes=8 --jobs=2
 run "$b/peak_density" --functions=1024 --minutes=10 --jobs=2
+run "$b/peak_density" --jobs=1
+run "$b/peak_density" --jobs=4
 
 exit $failed
