@@ -31,9 +31,9 @@ void Run(bench::BenchEnv& env) {
         SimTime t = SimTime::Zero();
         for (const auto& fn : bench::Table4Names()) {
           const std::string decoy = fn == "DH" ? "JS" : "DH";
-          (void)bed.platform().Submit(t, decoy);
+          (void)bed.platform().Submit(t, InternFunction(decoy));
           t += SimDuration::Minutes(11);
-          (void)bed.platform().Submit(t, fn);
+          (void)bed.platform().Submit(t, InternFunction(fn));
           t += SimDuration::Minutes(11);
           bed.platform().RunToCompletion();
         }

@@ -242,12 +242,12 @@ BENCHMARK(BM_TrEnvBatchedPrefetch);
 void BM_KeepAliveChurn(benchmark::State& state) {
   KeepAlivePool pool(SimDuration::Minutes(10),
                      [](std::unique_ptr<FunctionInstance>) {});
-  std::vector<std::string> functions;
+  std::vector<FunctionId> functions;
   for (int64_t i = 0; i < state.range(0) / 4; ++i) {
-    functions.push_back("fn-" + std::to_string(i));
+    functions.push_back(InternFunction("fn-" + std::to_string(i)));
   }
   SimTime now;
-  for (const auto& fn : functions) {
+  for (const FunctionId fn : functions) {
     for (int i = 0; i < 4; ++i) {
       pool.Put(std::make_unique<FunctionInstance>(fn, nullptr), now);
     }
@@ -255,7 +255,7 @@ void BM_KeepAliveChurn(benchmark::State& state) {
   uint64_t hits = 0;
   for (auto _ : state) {
     for (int i = 0; i < 1024; ++i) {
-      const std::string& fn = functions[(static_cast<size_t>(i) * 7) % functions.size()];
+      const FunctionId fn = functions[(static_cast<size_t>(i) * 7) % functions.size()];
       now = now + SimDuration::Millis(1);
       auto inst = pool.TakeWarm(fn);
       if (inst != nullptr) {

@@ -1,7 +1,5 @@
 #include "src/common/interner.h"
 
-#include <cassert>
-
 namespace trenv {
 
 FunctionId Interner::Intern(std::string_view name) {
@@ -24,8 +22,7 @@ FunctionId Interner::Find(std::string_view name) const {
 
 std::string_view Interner::NameOf(FunctionId id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  assert(id < names_.size());
-  return *names_[id];
+  return id < names_.size() ? std::string_view(*names_[id]) : kUnknownFunctionName;
 }
 
 size_t Interner::size() const {

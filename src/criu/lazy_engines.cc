@@ -26,10 +26,10 @@ Result<RestoreOutcome> ReapEngine::Restore(const FunctionProfile& profile, Resto
   outcome.startup.sandbox = netns_cost + cgroup_cost + vmm_cost + cost::kMiscNamespaces;
 
   // Build the sandbox object (for uniform lifecycle handling).
+  const FunctionId fid = FunctionIdOf(profile);
   SandboxFactory::CreateResult created =
-      factory_->CreateCold(profile.name, nullptr, profile.limits, 0, /*use_clone_into=*/false);
-  outcome.instance =
-      std::make_unique<FunctionInstance>(profile.name, std::move(created.sandbox));
+      factory_->CreateCold(fid, nullptr, profile.limits, 0, /*use_clone_into=*/false);
+  outcome.instance = std::make_unique<FunctionInstance>(fid, std::move(created.sandbox));
 
   // --- Process: VM snapshot metadata (vCPU + device state). ---
   outcome.startup.process = cost::kVmSnapshotLoad;

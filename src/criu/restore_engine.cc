@@ -27,10 +27,6 @@ Status RestoreEngine::Prepare(const FunctionProfile& profile) {
   return Status::Ok();
 }
 
-const FunctionSnapshot* RestoreEngine::SnapshotFor(const std::string& function) const {
-  return SnapshotById(GlobalFunctionInterner().Find(function));
-}
-
 Status RestoreEngine::MaterializeLayoutOnly(const FunctionSnapshot& snapshot,
                                             FunctionInstance& instance, RestoreContext& ctx,
                                             bool add_vmas) {
@@ -149,13 +145,13 @@ Result<RestoreOutcome> ColdStartEngine::Restore(const FunctionProfile& profile,
   if (snapshot == nullptr) {
     return Status::FailedPrecondition("function was never prepared: " + profile.name);
   }
-  auto overlay = pool_->AcquireOverlay(FunctionIdOf(profile));
-  SandboxFactory::CreateResult created = factory_->CreateCold(
-      profile.name, overlay, profile.limits, ctx.concurrent_startups, /*use_clone_into=*/false);
+  const FunctionId fid = FunctionIdOf(profile);
+  SandboxFactory::CreateResult created =
+      factory_->CreateCold(fid, pool_->AcquireOverlay(fid), profile.limits,
+                           ctx.concurrent_startups, /*use_clone_into=*/false);
 
   RestoreOutcome outcome;
-  outcome.instance =
-      std::make_unique<FunctionInstance>(profile.name, std::move(created.sandbox));
+  outcome.instance = std::make_unique<FunctionInstance>(fid, std::move(created.sandbox));
   // Bootstrapping allocates and initializes the whole image in local memory.
   TRENV_RETURN_IF_ERROR(MaterializeLocal(*snapshot, *outcome.instance, ctx));
   outcome.startup.sandbox = created.cost.Total();
@@ -178,13 +174,13 @@ Result<RestoreOutcome> VanillaCriuEngine::Restore(const FunctionProfile& profile
   if (snapshot == nullptr) {
     return Status::FailedPrecondition("function was never prepared: " + profile.name);
   }
-  auto overlay = pool_->AcquireOverlay(FunctionIdOf(profile));
-  SandboxFactory::CreateResult created = factory_->CreateCold(
-      profile.name, overlay, profile.limits, ctx.concurrent_startups, /*use_clone_into=*/false);
+  const FunctionId fid = FunctionIdOf(profile);
+  SandboxFactory::CreateResult created =
+      factory_->CreateCold(fid, pool_->AcquireOverlay(fid), profile.limits,
+                           ctx.concurrent_startups, /*use_clone_into=*/false);
 
   RestoreOutcome outcome;
-  outcome.instance =
-      std::make_unique<FunctionInstance>(profile.name, std::move(created.sandbox));
+  outcome.instance = std::make_unique<FunctionInstance>(fid, std::move(created.sandbox));
   TRENV_RETURN_IF_ERROR(MaterializeLocal(*snapshot, *outcome.instance, ctx));
 
   outcome.startup.sandbox = created.cost.Total();

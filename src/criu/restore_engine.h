@@ -14,7 +14,6 @@
 #define TRENV_CRIU_RESTORE_ENGINE_H_
 
 #include <memory>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -53,12 +52,9 @@ struct StartupBreakdown {
 // A running (or keep-alive-cached) function environment.
 class FunctionInstance {
  public:
-  FunctionInstance(std::string function, std::unique_ptr<Sandbox> sandbox)
-      : function_(std::move(function)),
-        function_id_(InternFunction(function_)),
-        sandbox_(std::move(sandbox)) {}
+  FunctionInstance(FunctionId function, std::unique_ptr<Sandbox> sandbox)
+      : function_id_(function), sandbox_(std::move(sandbox)) {}
 
-  const std::string& function() const { return function_; }
   FunctionId function_id() const { return function_id_; }
   Sandbox* sandbox() { return sandbox_.get(); }
   std::unique_ptr<Sandbox> TakeSandbox() { return std::move(sandbox_); }
@@ -97,8 +93,7 @@ class FunctionInstance {
   PoolOffset swap_base = 0;
 
  private:
-  std::string function_;
-  FunctionId function_id_;  // initialized from function_; keep declared after it
+  FunctionId function_id_;
   std::unique_ptr<Sandbox> sandbox_;
   std::vector<std::unique_ptr<Process>> processes_;
 };
@@ -178,9 +173,7 @@ class RestoreEngine {
  protected:
   explicit RestoreEngine(Checkpointer checkpointer) : checkpointer_(checkpointer) {}
 
-  // Registration-boundary lookup (string hash + interner lock).
-  const FunctionSnapshot* SnapshotFor(const std::string& function) const;
-  // Hot-path lookup: vector index by the profile's interned id.
+  // Vector index by the profile's interned id.
   const FunctionSnapshot* SnapshotFor(const FunctionProfile& profile) const {
     return SnapshotById(FunctionIdOf(profile));
   }

@@ -69,23 +69,19 @@ Status TrEnvEngine::Prepare(const FunctionProfile& profile) {
   return Status::Ok();
 }
 
-const std::vector<MmtId>* TrEnvEngine::TemplatesFor(const std::string& function) const {
-  const FunctionId id = GlobalFunctionInterner().Find(function);
-  return id < prepared_.size() && prepared_[id] != nullptr ? &prepared_[id]->templates
-                                                           : nullptr;
+const std::vector<MmtId>* TrEnvEngine::TemplatesFor(FunctionId function) const {
+  const Prepared* prepared = PreparedById(function);
+  return prepared != nullptr ? &prepared->templates : nullptr;
 }
 
-const ConsolidatedImage* TrEnvEngine::ImageFor(const std::string& function) const {
-  const FunctionId id = GlobalFunctionInterner().Find(function);
-  return id < prepared_.size() && prepared_[id] != nullptr ? &prepared_[id]->image : nullptr;
+const ConsolidatedImage* TrEnvEngine::ImageFor(FunctionId function) const {
+  const Prepared* prepared = PreparedById(function);
+  return prepared != nullptr ? &prepared->image : nullptr;
 }
 
-const WorkingSetProfile* TrEnvEngine::WorkingSetFor(const std::string& function) const {
-  const FunctionId id = GlobalFunctionInterner().Find(function);
-  if (id >= prepared_.size() || prepared_[id] == nullptr || !prepared_[id]->ws.complete) {
-    return nullptr;
-  }
-  return &prepared_[id]->ws;
+const WorkingSetProfile* TrEnvEngine::WorkingSetFor(FunctionId function) const {
+  const Prepared* prepared = PreparedById(function);
+  return prepared != nullptr && prepared->ws.complete ? &prepared->ws : nullptr;
 }
 
 void TrEnvEngine::WorkingSetRecorder::Arm(WorkingSetProfile* ws, FunctionInstance& instance) {
@@ -131,10 +127,10 @@ Result<RestoreOutcome> TrEnvEngine::Restore(const FunctionProfile& profile,
   if (options_.repurpose_sandbox) {
     sandbox = pool_->Take();
   }
+  const FunctionId fid = FunctionIdOf(profile);
   if (sandbox != nullptr) {
-    auto overlay = pool_->AcquireOverlay(FunctionIdOf(profile));
     TRENV_ASSIGN_OR_RETURN(SandboxCost cost,
-                           sandbox->Repurpose(profile.name, overlay, profile.limits));
+                           sandbox->Repurpose(fid, pool_->AcquireOverlay(fid), profile.limits));
     outcome.startup.sandbox = cost.Total();
     // The restored processes must still enter the reused cgroup: either via
     // legacy migration (global-rwsem-bound) or CLONE_INTO_CGROUP at spawn.
@@ -145,12 +141,12 @@ Result<RestoreOutcome> TrEnvEngine::Restore(const FunctionProfile& profile,
     outcome.startup.sandbox_repurposed = true;
   } else {
     SandboxFactory::CreateResult created =
-        factory_->CreateCold(profile.name, pool_->AcquireOverlay(FunctionIdOf(profile)), profile.limits,
+        factory_->CreateCold(fid, pool_->AcquireOverlay(fid), profile.limits,
                              ctx.concurrent_startups, options_.clone_into_cgroup);
     sandbox = std::move(created.sandbox);
     outcome.startup.sandbox = created.cost.Total();
   }
-  outcome.instance = std::make_unique<FunctionInstance>(profile.name, std::move(sandbox));
+  outcome.instance = std::make_unique<FunctionInstance>(fid, std::move(sandbox));
   TracePhase(ctx, outcome.startup.sandbox_repurposed ? "sandbox.repurpose" : "sandbox.cold", t0,
              outcome.startup.sandbox);
 

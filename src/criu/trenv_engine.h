@@ -80,13 +80,13 @@ class TrEnvEngine : public RestoreEngine {
 
   const SnapshotDedupStore* dedup() const { return dedup_; }
   // The templates built for a function (one per process); for tests.
-  const std::vector<MmtId>* TemplatesFor(const std::string& function) const;
+  const std::vector<MmtId>* TemplatesFor(FunctionId function) const;
   // The consolidated (deduplicated) image Prepare built for a function;
   // null until prepared. The pool control plane shards this image.
-  const ConsolidatedImage* ImageFor(const std::string& function) const;
+  const ConsolidatedImage* ImageFor(FunctionId function) const;
   // The recorded first-invocation working set; null until a first invocation
   // completed with recording active (prefetch or promotion enabled).
-  const WorkingSetProfile* WorkingSetFor(const std::string& function) const;
+  const WorkingSetProfile* WorkingSetFor(FunctionId function) const;
   // The engine's private prefetch NIC queue (tests/benches inspect totals).
   const NicFetchQueue& prefetch_nic() const { return prefetch_nic_; }
 
@@ -99,9 +99,11 @@ class TrEnvEngine : public RestoreEngine {
     ConsolidatedImage image;
     WorkingSetProfile ws;
   };
-  const Prepared* PreparedFor(const FunctionProfile& profile) const {
-    const FunctionId id = FunctionIdOf(profile);
+  const Prepared* PreparedById(FunctionId id) const {
     return id < prepared_.size() ? prepared_[id].get() : nullptr;
+  }
+  const Prepared* PreparedFor(const FunctionProfile& profile) const {
+    return PreparedById(FunctionIdOf(profile));
   }
   Prepared* MutablePreparedFor(const FunctionProfile& profile) {
     const FunctionId id = FunctionIdOf(profile);

@@ -90,9 +90,8 @@ Status Cluster::Deploy(const FunctionProfile& profile) {
   if (pool_mgr_ != nullptr && !nodes_.empty()) {
     // Shard the deduplicated image across the pool nodes; RegisterTemplate
     // is idempotent, so one registration covers every node's deployment.
-    const FunctionId fid = GlobalFunctionInterner().Find(profile.name);
-    const ConsolidatedImage* image = nodes_[0]->engine->ImageFor(profile.name);
-    if (fid != kInvalidFunctionId && image != nullptr) {
+    const FunctionId fid = FunctionIdOf(profile);
+    if (const ConsolidatedImage* image = nodes_[0]->engine->ImageFor(fid); image != nullptr) {
       pool_mgr_->RegisterTemplate(fid, *image);
     }
   }
@@ -115,7 +114,7 @@ bool Cluster::AnyAlive() const {
   return false;
 }
 
-size_t Cluster::PickNode(const std::string& function, SimTime arrival) {
+size_t Cluster::PickNode(FunctionId function, SimTime arrival) {
   // Callers guarantee at least one node is alive.
   if (config_.dispatch == ClusterConfig::Dispatch::kRoundRobin) {
     while (!nodes_[next_node_]->alive) {
@@ -130,13 +129,11 @@ size_t Cluster::PickNode(const std::string& function, SimTime arrival) {
     // (keep-alive instance), then one holding a live template lease (attach
     // is metadata-only there), then fall back to least-loaded. Ties break by
     // node index, so placement is deterministic.
-    const FunctionId fid = GlobalFunctionInterner().Find(function);
     const auto key = [&](size_t i) {
       const Node& n = *nodes_[i];
-      const bool warm =
-          fid != kInvalidFunctionId && n.platform->keep_alive().CountFor(fid) > 0;
-      const bool leased = fid != kInvalidFunctionId && pool_mgr_ != nullptr &&
-                          pool_mgr_->LeaseRefs(static_cast<uint32_t>(i), fid) > 0;
+      const bool warm = n.platform->keep_alive().CountFor(function) > 0;
+      const bool leased = pool_mgr_ != nullptr &&
+                          pool_mgr_->LeaseRefs(static_cast<uint32_t>(i), function) > 0;
       // Membership-view consult: with the continuous control plane on, a
       // node whose NIC is backlogged (or, during a degraded view, any cold
       // pull at all) is penalized before the load tie-breakers. Zero for
@@ -183,11 +180,7 @@ size_t Cluster::PickNode(const std::string& function, SimTime arrival) {
   return best;
 }
 
-Status Cluster::Submit(SimTime arrival, const std::string& function) {
-  return Submit(arrival, function, SubmitOptions{});
-}
-
-Status Cluster::Submit(SimTime arrival, const std::string& function, SubmitOptions options) {
+Status Cluster::Submit(SimTime arrival, FunctionId function, SubmitOptions options) {
   const Status status = Dispatch(arrival, function, std::move(options));
   if (status.ok()) {
     ++accepted_;
@@ -195,11 +188,19 @@ Status Cluster::Submit(SimTime arrival, const std::string& function, SubmitOptio
   return status;
 }
 
-Status Cluster::Dispatch(SimTime arrival, const std::string& function,
-                         SubmitOptions options) {
+Status Cluster::Rejected(size_t node, FunctionId function, const Status& status) {
+  // Name the rejecting node: "invocation failed" without a culprit is
+  // useless in a rack-sized log.
+  return Status(status.code(), "node " + std::to_string(node) + " rejected invocation of '" +
+                                   std::string(FunctionName(function)) +
+                                   "': " + status.message());
+}
+
+Status Cluster::Dispatch(SimTime arrival, FunctionId function, SubmitOptions options) {
   if (!AnyAlive()) {
     if (injector_ == nullptr) {
-      return Status::Unavailable("no node alive to accept invocation of '" + function + "'");
+      return Status::Unavailable("no node alive to accept invocation of '" +
+                                 std::string(FunctionName(function)) + "'");
     }
     // Whole-rack outage mid-chaos: park the invocation; the next restart
     // flushes the deferred queue.
@@ -218,7 +219,7 @@ Status Cluster::Dispatch(SimTime arrival, const std::string& function,
     // Dispatch marker on the chosen node's control track (track 0).
     const obs::SpanId id =
         platform.tracer()->Instant({platform.trace_pid(), 0}, "dispatch", "cluster");
-    platform.tracer()->Annotate(id, "function", function);
+    platform.tracer()->Annotate(id, "function", std::string(FunctionName(function)));
     platform.tracer()->Annotate(id, "node", static_cast<int64_t>(node_index));
   }
   SimTime start = arrival;
@@ -227,9 +228,8 @@ Status Cluster::Dispatch(SimTime arrival, const std::string& function,
     // can start: a lease hit is metadata-only; a miss pulls the shards over
     // the chosen node's NIC. Expired leases up to `arrival` lapse first.
     pool_mgr_->clock().RunUntil(arrival);
-    const FunctionId fid = GlobalFunctionInterner().Find(function);
     const PoolManager::AttachOutcome attach =
-        pool_mgr_->Attach(static_cast<uint32_t>(node_index), fid, arrival);
+        pool_mgr_->Attach(static_cast<uint32_t>(node_index), function, arrival);
     start = arrival + attach.latency;
     if (platform.tracer() != nullptr) {
       const obs::SpanId id =
@@ -254,14 +254,7 @@ Status Cluster::Dispatch(SimTime arrival, const std::string& function,
     return Status::Ok();
   }
   const Status status = platform.Submit(start, function, std::move(options.on_complete));
-  if (!status.ok()) {
-    // Name the rejecting node: "invocation failed" without a culprit is
-    // useless in a rack-sized log.
-    return Status(status.code(), "node " + std::to_string(node_index) +
-                                     " rejected invocation of '" + function +
-                                     "': " + status.message());
-  }
-  return status;
+  return status.ok() ? status : Rejected(node_index, function, status);
 }
 
 void Cluster::FocusNode(size_t i) {
@@ -494,10 +487,7 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
     for (size_t idx = 0; idx < sink.cmds.size(); ++idx) {
       const Status& status = sink.statuses[idx];
       if (!status.ok() && first.ok()) {
-        first = Status(status.code(),
-                       "node " + std::to_string(sink.cmds[idx].node) +
-                           " rejected invocation of '" + sink.cmds[idx].function +
-                           "': " + status.message());
+        first = Rejected(sink.cmds[idx].node, sink.cmds[idx].function, status);
       }
     }
     sink.cmds.clear();

@@ -56,6 +56,17 @@ struct ShardedRunOptions {
   SimDuration lookahead{};
 };
 
+// Extra dispatch controls for Cluster::Submit (pipeline drivers). Declared
+// outside Cluster so Submit can default it in-class.
+struct ClusterSubmitOptions {
+  // Fires when the invocation completes; survives crash re-dispatch.
+  CompletionFn on_complete;
+  // Data-locality hint: dispatch here when the node is alive (the node
+  // already attached the invocation's input region's pool home). Negative
+  // = use the configured policy.
+  int32_t preferred_node = -1;
+};
+
 struct ClusterConfig {
   uint32_t nodes = 4;
   PlatformConfig node_config;
@@ -94,22 +105,13 @@ class Cluster {
   [[nodiscard]] Status Deploy(const FunctionProfile& profile);
   [[nodiscard]] Status DeployTable4Functions();
 
+  using SubmitOptions = ClusterSubmitOptions;
   // Dispatches an invocation to a node per the configured policy. If every
   // node is down (mid-crash-window), the invocation is parked and
-  // re-dispatched when a node restarts. Errors name the rejecting node.
-  [[nodiscard]] Status Submit(SimTime arrival, const std::string& function);
-
-  // Extra dispatch controls for pipeline drivers.
-  struct SubmitOptions {
-    // Fires when the invocation completes; survives crash re-dispatch.
-    CompletionFn on_complete;
-    // Data-locality hint: dispatch here when the node is alive (the node
-    // already attached the invocation's input region's pool home). Negative
-    // = use the configured policy.
-    int32_t preferred_node = -1;
-  };
-  [[nodiscard]] Status Submit(SimTime arrival, const std::string& function,
-                              SubmitOptions options);
+  // re-dispatched when a node restarts. Errors name the rejecting node and
+  // the function.
+  [[nodiscard]] Status Submit(SimTime arrival, FunctionId function,
+                              SubmitOptions options = {});
   // RunSharded over a materialized schedule with default options.
   [[nodiscard]] Status Run(const Schedule& schedule);
 
@@ -198,7 +200,7 @@ class Cluster {
   // An invocation accepted while every node was down, parked until restart.
   struct Deferred {
     SimTime arrival;  // the invocation's original arrival
-    std::string function;
+    FunctionId function;
     CompletionFn on_complete;
   };
 
@@ -209,7 +211,7 @@ class Cluster {
   struct SubmitCmd {
     SimTime start;
     uint32_t node;
-    std::string function;
+    FunctionId function;
     CompletionFn on_complete;
   };
   // Mailbox state live only inside RunSharded; Dispatch routes platform
@@ -231,14 +233,13 @@ class Cluster {
   uint32_t WindowLoad(size_t node) const {
     return window_dispatches_.empty() ? 0u : window_dispatches_[node];
   }
-  size_t PickNode(const std::string& function, SimTime arrival);
+  size_t PickNode(FunctionId function, SimTime arrival);
   // Submit minus acceptance accounting: used both for fresh arrivals and for
   // re-dispatching recovered invocations (which were already counted).
-  Status Dispatch(SimTime arrival, const std::string& function) {
-    return Dispatch(arrival, function, SubmitOptions{});
-  }
-  Status Dispatch(SimTime arrival, const std::string& function,
-                  SubmitOptions options);
+  Status Dispatch(SimTime arrival, FunctionId function, SubmitOptions options);
+  // The error for a platform's rejection, naming the node and the function;
+  // Dispatch and RunSharded's mailbox scan both build it here.
+  static Status Rejected(size_t node, FunctionId function, const Status& status);
   // Points the injector's clock and CXL-port scope at node i before its
   // scheduler is drained (node clocks diverge during DrainAll).
   void FocusNode(size_t i);

@@ -6,34 +6,17 @@ Status FunctionRegistry::Deploy(FunctionProfile profile) {
   if (profile.name.empty()) {
     return Status::InvalidArgument("function needs a name");
   }
-  if (functions_.contains(profile.name)) {
+  const FunctionId id = InternFunction(profile.name);
+  if (FindById(id) != nullptr) {
     return Status::AlreadyExists("function already deployed: " + profile.name);
   }
-  profile.id = InternFunction(profile.name);
-  auto [it, inserted] = functions_.emplace(profile.name, std::move(profile));
-  const FunctionId id = it->second.id;
+  profile.id = id;
   if (by_id_.size() <= id) {
-    by_id_.resize(id + 1, nullptr);
+    by_id_.resize(id + 1);
   }
-  by_id_[id] = &it->second;
+  by_id_[id] = std::make_unique<const FunctionProfile>(std::move(profile));
+  ++size_;
   return Status::Ok();
-}
-
-Result<const FunctionProfile*> FunctionRegistry::Find(const std::string& name) const {
-  auto it = functions_.find(name);
-  if (it == functions_.end()) {
-    return Status::NotFound("no such function: " + name);
-  }
-  return &it->second;
-}
-
-std::vector<std::string> FunctionRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(functions_.size());
-  for (const auto& [name, profile] : functions_) {
-    names.push_back(name);
-  }
-  return names;
 }
 
 }  // namespace trenv

@@ -1,10 +1,9 @@
-// FunctionRegistry: deployed functions, keyed by name at the deployment
-// boundary and by interned FunctionId on the invocation hot path.
+// FunctionRegistry: deployed functions, indexed by interned FunctionId. The
+// name is resolved once, at Deploy; every later lookup is by id.
 #ifndef TRENV_PLATFORM_FUNCTION_REGISTRY_H_
 #define TRENV_PLATFORM_FUNCTION_REGISTRY_H_
 
-#include <map>
-#include <string>
+#include <memory>
 #include <vector>
 
 #include "src/common/interner.h"
@@ -16,20 +15,20 @@ namespace trenv {
 class FunctionRegistry {
  public:
   // Interns the function name and stores the profile with its id set.
+  // Rejects an empty name and a name already deployed here.
   Status Deploy(FunctionProfile profile);
-  Result<const FunctionProfile*> Find(const std::string& name) const;
-  // O(1) hot-path lookup; nullptr if `id` was never deployed here.
+  // O(1) lookup; nullptr if `id` was never deployed here.
   const FunctionProfile* FindById(FunctionId id) const {
-    return id < by_id_.size() ? by_id_[id] : nullptr;
+    return id < by_id_.size() ? by_id_[id].get() : nullptr;
   }
-  std::vector<std::string> Names() const;
-  size_t size() const { return functions_.size(); }
+  size_t size() const { return size_; }
 
  private:
-  std::map<std::string, FunctionProfile> functions_;
   // Indexed by FunctionId (global id space, so the vector may be sparse when
-  // several registries coexist). Pointers into functions_ nodes are stable.
-  std::vector<const FunctionProfile*> by_id_;
+  // several registries coexist). unique_ptr keeps profile addresses stable
+  // across growth: in-flight invocations hold them.
+  std::vector<std::unique_ptr<const FunctionProfile>> by_id_;
+  size_t size_ = 0;
 };
 
 }  // namespace trenv

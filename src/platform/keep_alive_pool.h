@@ -23,7 +23,6 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/common/interner.h"
@@ -47,9 +46,6 @@ class KeepAlivePool {
   void Put(std::unique_ptr<FunctionInstance> instance, SimTime now, SimDuration ttl);
   // Takes a warm instance of `function` if any (MRU of that function).
   std::unique_ptr<FunctionInstance> TakeWarm(FunctionId function);
-  std::unique_ptr<FunctionInstance> TakeWarm(const std::string& function) {
-    return TakeWarm(GlobalFunctionInterner().Find(function));
-  }
   // Evicts the single least-recently-used idle instance. Returns false if
   // the pool is empty.
   bool EvictLru();
@@ -67,9 +63,6 @@ class KeepAlivePool {
   size_t peak_size() const { return peak_size_; }
   size_t CountFor(FunctionId function) const {
     return function < by_function_.size() ? by_function_[function].count : 0;
-  }
-  size_t CountFor(const std::string& function) const {
-    return CountFor(GlobalFunctionInterner().Find(function));
   }
 
   SimDuration ttl() const { return ttl_; }

@@ -24,12 +24,15 @@ FunctionMetrics MetricsCollector::Aggregate() const {
   return total;
 }
 
-FunctionMetrics& MetricsCollector::ForFunctionSlow(FunctionId id) {
-  FunctionMetrics& metrics = per_function_[std::string(FunctionName(id))];
-  if (by_id_.size() <= id) {
-    by_id_.resize(id + 1, nullptr);
+FunctionMetrics& MetricsCollector::ForFunctionSlow(const FunctionProfile& profile) {
+  FunctionMetrics& metrics = per_function_[profile.name];
+  if (profile.id == kInvalidFunctionId) {
+    return metrics;  // a hand-built profile: nothing to cache under
   }
-  by_id_[id] = &metrics;
+  if (by_id_.size() <= profile.id) {
+    by_id_.resize(profile.id + 1, nullptr);
+  }
+  by_id_[profile.id] = &metrics;
   return metrics;
 }
 

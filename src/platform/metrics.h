@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "src/common/histogram.h"
-#include "src/common/interner.h"
 #include "src/common/time.h"
 #include "src/obs/registry.h"
+#include "src/runtime/function_profile.h"
 
 namespace trenv {
 
@@ -34,15 +34,14 @@ class MetricsCollector {
   MetricsCollector(const MetricsCollector&) = delete;
   MetricsCollector& operator=(const MetricsCollector&) = delete;
 
-  FunctionMetrics& ForFunction(const std::string& name) { return per_function_[name]; }
-  // Hot-path variant: one vector index once the id's entry is cached. The
-  // backing store stays the string-keyed map, so reporting (per_function())
-  // keeps its sorted-by-name iteration order.
-  FunctionMetrics& ForFunction(FunctionId id) {
-    if (id < by_id_.size() && by_id_[id] != nullptr) {
-      return *by_id_[id];
+  // The deployed function's recorder: one vector index by the profile's id
+  // once cached. The backing store stays keyed by the profile's name, so
+  // reporting (per_function()) keeps its sorted-by-name iteration order.
+  FunctionMetrics& ForFunction(const FunctionProfile& profile) {
+    if (profile.id < by_id_.size() && by_id_[profile.id] != nullptr) {
+      return *by_id_[profile.id];
     }
-    return ForFunctionSlow(id);
+    return ForFunctionSlow(profile);
   }
   const std::map<std::string, FunctionMetrics>& per_function() const { return per_function_; }
 
@@ -67,7 +66,7 @@ class MetricsCollector {
   void Clear();
 
  private:
-  FunctionMetrics& ForFunctionSlow(FunctionId id);
+  FunctionMetrics& ForFunctionSlow(const FunctionProfile& profile);
 
   std::map<std::string, FunctionMetrics> per_function_;
   // Cache: FunctionId -> map node (stable std::map pointers). Cleared with

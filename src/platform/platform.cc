@@ -43,13 +43,11 @@ Status ServerlessPlatform::Deploy(const FunctionProfile& profile) {
   return engine_->Prepare(profile);
 }
 
-Status ServerlessPlatform::Submit(SimTime arrival, const std::string& function) {
-  return Submit(arrival, function, CompletionFn());
-}
-
-Status ServerlessPlatform::Submit(SimTime arrival, const std::string& function,
+Status ServerlessPlatform::Submit(SimTime arrival, FunctionId function,
                                   CompletionFn on_complete) {
-  TRENV_RETURN_IF_ERROR(registry_.Find(function).status());
+  if (registry_.FindById(function) == nullptr) {
+    return Status::NotFound("no such function: " + std::string(FunctionName(function)));
+  }
   // Track the invocation from acceptance, not from its arrival event: if the
   // node crashes first, Crash() finds it in queued_ and hands it back for
   // re-dispatch instead of silently losing it with the event queue.
@@ -57,7 +55,7 @@ Status ServerlessPlatform::Submit(SimTime arrival, const std::string& function,
   queued_.emplace(ticket, LostInvocation{function, arrival, ticket, std::move(on_complete)});
   scheduler_.ScheduleAt(arrival, [this, ticket] {
     auto it = queued_.find(ticket);
-    const std::string fn = std::move(it->second.function);
+    const FunctionId fn = it->second.function;
     CompletionFn done = std::move(it->second.on_complete);
     queued_.erase(it);
     StartInvocation(fn, ticket, std::move(done));
@@ -150,7 +148,7 @@ std::vector<LostInvocation> ServerlessPlatform::Crash() {
       tracer_->Annotate(flight.root_span, "failed", std::string("node-crash"));
       tracer_->EndSpan(flight.root_span);
     }
-    lost.push_back(LostInvocation{flight.function, flight.arrival, flight.ticket,
+    lost.push_back(LostInvocation{flight.profile->id, flight.arrival, flight.ticket,
                                   std::move(flight.on_complete)});
   }
   // (arrival, ticket) is a strict total order — tickets are unique — so the
@@ -176,14 +174,14 @@ std::vector<LostInvocation> ServerlessPlatform::Crash() {
   return lost;
 }
 
-void ServerlessPlatform::StartInvocation(const std::string& function, uint64_t ticket,
+void ServerlessPlatform::StartInvocation(FunctionId function, uint64_t ticket,
                                          CompletionFn on_complete) {
-  auto profile_or = registry_.Find(function);
-  if (!profile_or.ok()) {
+  const FunctionProfile* found = registry_.FindById(function);
+  if (found == nullptr) {
     ++failed_invocations_;
     return;
   }
-  const FunctionProfile& profile = **profile_or;
+  const FunctionProfile& profile = *found;
   keep_alive_.ExpireStale(scheduler_.now());
   if (mem_cap_scale_ != 1.0) {
     // Under an injected pressure window the squeezed cap applies before the
@@ -196,27 +194,25 @@ void ServerlessPlatform::StartInvocation(const std::string& function, uint64_t t
     MaybeSchedulePrewarm(function);
   }
   if (density_.enabled()) {
-    density_.OnArrival(FunctionIdOf(profile), scheduler_.now());
+    density_.OnArrival(function, scheduler_.now());
   }
 
   const uint64_t token = next_token_++;
   InFlight& flight = inflight_[token];
-  flight.function = function;
   flight.profile = &profile;
-  flight.fid = FunctionIdOf(profile);
   flight.ticket = ticket;
   flight.on_complete = std::move(on_complete);
   flight.arrival = scheduler_.now();
   if (tracer_ != nullptr) {
     flight.root_span = tracer_->StartSpan(TraceLoc(token), "invocation", "invocation");
-    tracer_->Annotate(flight.root_span, "function", function);
+    tracer_->Annotate(flight.root_span, "function", profile.name);
   }
 
   // Warm hit: reuse a cached instance of the same function immediately.
-  if (auto warm = keep_alive_.TakeWarm(flight.fid); warm != nullptr) {
+  if (auto warm = keep_alive_.TakeWarm(function); warm != nullptr) {
     flight.instance = std::move(warm);
     flight.warm = true;
-    metrics_.ForFunction(flight.fid).warm_starts += 1;
+    metrics_.ForFunction(profile).warm_starts += 1;
     if (tracer_ != nullptr) {
       tracer_->Instant(TraceLoc(token), "warm.hit", "invocation");
     }
@@ -242,7 +238,7 @@ void ServerlessPlatform::StartInvocation(const std::string& function, uint64_t t
   ctx.trace_parent = flight.root_span;
   auto outcome = engine_->Restore(profile, ctx);
   if (!outcome.ok()) {
-    TRENV_WARN << "restore failed for " << function << ": " << outcome.status();
+    TRENV_WARN << "restore failed for " << profile.name << ": " << outcome.status();
     --concurrent_startups_;
     ++failed_invocations_;
     if (tracer_ != nullptr) {
@@ -254,7 +250,7 @@ void ServerlessPlatform::StartInvocation(const std::string& function, uint64_t t
   }
   flight.instance = std::move(outcome->instance);
   flight.startup = outcome->startup;
-  auto& fn_metrics = metrics_.ForFunction(flight.fid);
+  auto& fn_metrics = metrics_.ForFunction(profile);
   if (outcome->startup.sandbox_repurposed) {
     fn_metrics.repurposed_starts += 1;
   } else {
@@ -364,7 +360,7 @@ void ServerlessPlatform::Complete(uint64_t token) {
     tracer_->EndSpan(flight.root_span);
   }
 
-  auto& fn_metrics = metrics_.ForFunction(flight.fid);
+  auto& fn_metrics = metrics_.ForFunction(*flight.profile);
   fn_metrics.invocations += 1;
   fn_metrics.e2e_ms.Record((scheduler_.now() - flight.arrival).millis());
   // Warm startup cost is the tier-promotion fetch (0.0 with density off —
@@ -375,7 +371,7 @@ void ServerlessPlatform::Complete(uint64_t token) {
 
   flight.instance->invocations += 1;
   const SimDuration ttl = config_.prewarm != nullptr
-                              ? config_.prewarm->KeepAliveFor(flight.function)
+                              ? config_.prewarm->KeepAliveFor(flight.profile->id)
                               : config_.keep_alive_ttl;
   Park(std::move(flight.instance), ttl);
   CompletionFn done = std::move(flight.on_complete);
@@ -405,7 +401,7 @@ void ServerlessPlatform::Park(std::unique_ptr<FunctionInstance> instance, SimDur
   }
 }
 
-void ServerlessPlatform::MaybeSchedulePrewarm(const std::string& function) {
+void ServerlessPlatform::MaybeSchedulePrewarm(FunctionId function) {
   auto delay = config_.prewarm->PrewarmDelay(function);
   if (!delay.has_value()) {
     return;
@@ -413,13 +409,13 @@ void ServerlessPlatform::MaybeSchedulePrewarm(const std::string& function) {
   scheduler_.ScheduleAfter(*delay, [this, function] { PrewarmNow(function); });
 }
 
-void ServerlessPlatform::PrewarmNow(const std::string& function) {
+void ServerlessPlatform::PrewarmNow(FunctionId function) {
   keep_alive_.ExpireStale(scheduler_.now());
   if (keep_alive_.CountFor(function) > 0) {
     return;  // a warm instance already exists
   }
-  auto profile_or = registry_.Find(function);
-  if (!profile_or.ok()) {
+  const FunctionProfile* profile = registry_.FindById(function);
+  if (profile == nullptr) {
     return;
   }
   EnforceMemoryCap();
@@ -430,19 +426,19 @@ void ServerlessPlatform::PrewarmNow(const std::string& function) {
   RestoreContext ctx = MakeContext();
   if (tracer_ != nullptr) {
     span = tracer_->StartSpan(TraceLoc(track), "prewarm", "invocation");
-    tracer_->Annotate(span, "function", function);
+    tracer_->Annotate(span, "function", profile->name);
     ctx.tracer = tracer_;
     ctx.trace_loc = TraceLoc(track);
     ctx.trace_parent = span;
   }
-  auto outcome = engine_->Restore(**profile_or, ctx);
+  auto outcome = engine_->Restore(*profile, ctx);
   if (!outcome.ok()) {
     if (tracer_ != nullptr) {
       tracer_->EndSpan(span);
     }
     return;
   }
-  metrics_.ForFunction(function).prewarm_starts += 1;
+  metrics_.ForFunction(*profile).prewarm_starts += 1;
   // The instance becomes warm once its (off-critical-path) startup elapses.
   auto shared = std::make_shared<std::unique_ptr<FunctionInstance>>(
       std::move(outcome->instance));

@@ -70,7 +70,7 @@ using CompletionFn = std::function<void(uint32_t node, SimTime when)>;
 // deterministic even when queued and in-flight invocations share an arrival
 // time (required for sharded replay to match the sequential run).
 struct LostInvocation {
-  std::string function;
+  FunctionId function = kInvalidFunctionId;
   SimTime arrival;
   uint64_t ticket = 0;
   CompletionFn on_complete;  // preserved across re-dispatch (may be null)
@@ -86,12 +86,12 @@ class ServerlessPlatform {
   // Deploys a function: registers it and runs the engine's preprocessing.
   [[nodiscard]] Status Deploy(const FunctionProfile& profile);
 
-  // Schedules one invocation at `arrival` (absolute virtual time).
-  [[nodiscard]] Status Submit(SimTime arrival, const std::string& function);
-  // Same, with a completion callback (fires on success only; failure paths
-  // drop it and count failed_invocations instead).
-  [[nodiscard]] Status Submit(SimTime arrival, const std::string& function,
-                              CompletionFn on_complete);
+  // Schedules one invocation of a deployed function at `arrival` (absolute
+  // virtual time); kNotFound if `function` is not deployed here. The optional
+  // completion callback fires on success only (failure paths drop it and
+  // count failed_invocations instead).
+  [[nodiscard]] Status Submit(SimTime arrival, FunctionId function,
+                              CompletionFn on_complete = {});
   // Schedules a whole workload and runs the simulation to completion.
   [[nodiscard]] Status Run(const Schedule& schedule);
   // Runs whatever is scheduled without submitting more work.
@@ -132,12 +132,9 @@ class ServerlessPlatform {
 
  private:
   struct InFlight {
-    std::string function;
-    // Resolved once at acceptance: the deployed profile (stable std::map
-    // node) and its interned id, so the per-invocation callbacks do no
-    // string-map lookups.
+    // Resolved once at start: the deployed profile (stable registry entry),
+    // whose id and name serve every later callback.
     const FunctionProfile* profile = nullptr;
-    FunctionId fid = kInvalidFunctionId;
     // The acceptance ticket from Submit, carried through so Crash() can
     // rebuild the (arrival, ticket) total order across queued_ + inflight_.
     uint64_t ticket = 0;
@@ -159,8 +156,7 @@ class ServerlessPlatform {
   RestoreContext MakeContext();
   // The (process, track) pair all of one invocation's spans live on.
   obs::Loc TraceLoc(uint64_t token) const { return {trace_pid_, token}; }
-  void StartInvocation(const std::string& function, uint64_t ticket,
-                       CompletionFn on_complete);
+  void StartInvocation(FunctionId function, uint64_t ticket, CompletionFn on_complete);
   void BeginStartupPhases(uint64_t token);
   void BeginExecution(uint64_t token);
   void Complete(uint64_t token);
@@ -174,8 +170,8 @@ class ServerlessPlatform {
   // expires it, and (density on) enforces the cap the park may break.
   void Park(std::unique_ptr<FunctionInstance> instance, SimDuration ttl);
   // Pre-warm machinery (active only with a PrewarmPolicy configured).
-  void MaybeSchedulePrewarm(const std::string& function);
-  void PrewarmNow(const std::string& function);
+  void MaybeSchedulePrewarm(FunctionId function);
+  void PrewarmNow(FunctionId function);
 
   PlatformConfig config_;
   RestoreEngine* engine_;

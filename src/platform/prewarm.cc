@@ -19,7 +19,7 @@ constexpr size_t kMinSamples = 8;
 
 }  // namespace
 
-void PrewarmPolicy::RecordArrival(const std::string& function, SimTime now) {
+void PrewarmPolicy::RecordArrival(FunctionId function, SimTime now) {
   FunctionState& state = functions_[function];
   if (state.has_arrival) {
     const double it_s = (now - state.last_arrival).seconds();
@@ -47,7 +47,7 @@ double PrewarmPolicy::PercentileOf(const std::deque<double>& samples, double p) 
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-SimDuration PrewarmPolicy::KeepAliveFor(const std::string& function) const {
+SimDuration PrewarmPolicy::KeepAliveFor(FunctionId function) const {
   auto it = functions_.find(function);
   if (it == functions_.end() || it->second.inter_arrival_s.size() < kMinSamples) {
     return kMaxKeepAlive;  // no data: be conservative (fixed TTL)
@@ -56,7 +56,7 @@ SimDuration PrewarmPolicy::KeepAliveFor(const std::string& function) const {
   return std::clamp(SimDuration::FromSecondsF(keep_s * 1.1), kMinKeepAlive, kMaxKeepAlive);
 }
 
-std::optional<SimDuration> PrewarmPolicy::PrewarmDelay(const std::string& function) const {
+std::optional<SimDuration> PrewarmPolicy::PrewarmDelay(FunctionId function) const {
   auto it = functions_.find(function);
   if (it == functions_.end() || it->second.inter_arrival_s.size() < kMinSamples) {
     return std::nullopt;
@@ -76,7 +76,7 @@ std::optional<SimDuration> PrewarmPolicy::PrewarmDelay(const std::string& functi
   return SimDuration::FromSecondsF(delay_s * 0.9);
 }
 
-size_t PrewarmPolicy::ObservationCount(const std::string& function) const {
+size_t PrewarmPolicy::ObservationCount(FunctionId function) const {
   auto it = functions_.find(function);
   return it == functions_.end() ? 0 : it->second.inter_arrival_s.size();
 }

@@ -13,11 +13,11 @@
 #define TRENV_PLATFORM_PREWARM_H_
 
 #include <deque>
-#include <map>
 #include <optional>
-#include <string>
+#include <unordered_map>
 
 #include "src/common/histogram.h"
+#include "src/common/interner.h"
 #include "src/common/time.h"
 
 namespace trenv {
@@ -33,16 +33,16 @@ class PrewarmPolicy {
   explicit PrewarmPolicy(Options options) : options_(options) {}
 
   // Records an invocation arrival for `function`.
-  void RecordArrival(const std::string& function, SimTime now);
+  void RecordArrival(FunctionId function, SimTime now);
 
   // How long to keep this function's instances warm after use.
-  SimDuration KeepAliveFor(const std::string& function) const;
+  SimDuration KeepAliveFor(FunctionId function) const;
 
   // If prediction is worthwhile, the delay (from the last arrival) after
   // which an instance should be pre-warmed; nullopt when unpredictable.
-  std::optional<SimDuration> PrewarmDelay(const std::string& function) const;
+  std::optional<SimDuration> PrewarmDelay(FunctionId function) const;
 
-  size_t ObservationCount(const std::string& function) const;
+  size_t ObservationCount(FunctionId function) const;
 
  private:
   struct FunctionState {
@@ -55,7 +55,8 @@ class PrewarmPolicy {
   static double PercentileOf(const std::deque<double>& samples, double p);
 
   Options options_;
-  std::map<std::string, FunctionState> functions_;
+  // Never iterated, so hash order cannot reach any output.
+  std::unordered_map<FunctionId, FunctionState> functions_;
 };
 
 }  // namespace trenv

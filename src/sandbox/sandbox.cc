@@ -1,5 +1,6 @@
 #include "src/sandbox/sandbox.h"
 
+#include <string>
 #include <utility>
 
 namespace trenv {
@@ -29,15 +30,16 @@ SandboxCost Sandbox::Cleanse(uint32_t process_count) {
   cost.deferred += cost::kUpperDirDeletePerFile * static_cast<double>(purged) +
                    cost::kOverlayRemount;
   state_ = SandboxState::kIdle;
-  current_function_.clear();
+  current_function_ = kInvalidFunctionId;
   return cost;
 }
 
-Result<SandboxCost> Sandbox::Repurpose(const std::string& function,
+Result<SandboxCost> Sandbox::Repurpose(FunctionId function,
                                        std::shared_ptr<UnionFs> function_overlay,
                                        CgroupLimits limits) {
   if (state_ == SandboxState::kInUse) {
-    return Status::FailedPrecondition("sandbox still in use by " + current_function_);
+    return Status::FailedPrecondition("sandbox still in use by " +
+                                      std::string(FunctionName(current_function_)));
   }
   SandboxCost cost;
   // Swap the function-specific overlay: unmount the old (if any), mount the
@@ -68,7 +70,7 @@ SandboxFactory::SandboxFactory(std::shared_ptr<const FsLayer> base_layer, uint64
     : base_layer_(std::move(base_layer)), cgroups_(seed) {}
 
 SandboxFactory::CreateResult SandboxFactory::CreateCold(
-    const std::string& function, std::shared_ptr<UnionFs> function_overlay, CgroupLimits limits,
+    FunctionId function, std::shared_ptr<UnionFs> function_overlay, CgroupLimits limits,
     uint32_t concurrent, bool use_clone_into) {
   CreateResult result;
   result.cost.network = NetNsFactory::CreateCost(concurrent);

@@ -11,8 +11,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
+#include "src/common/interner.h"
 #include "src/common/status.h"
 #include "src/common/time.h"
 #include "src/sandbox/cgroup.h"
@@ -42,7 +42,8 @@ class Sandbox {
 
   uint64_t id() const { return id_; }
   SandboxState state() const { return state_; }
-  const std::string& current_function() const { return current_function_; }
+  // The function the sandbox runs; kInvalidFunctionId once cleansed.
+  FunctionId current_function() const { return current_function_; }
 
   NetNamespace& netns() { return netns_; }
   Cgroup& cgroup() { return cgroup_; }
@@ -58,12 +59,12 @@ class Sandbox {
 
   // Step B2: repurpose an idle sandbox for `function`. Swaps the function
   // overlay (2 mounts), re-applies cgroup limits, resets the netns.
-  Result<SandboxCost> Repurpose(const std::string& function,
-                                std::shared_ptr<UnionFs> function_overlay, CgroupLimits limits);
+  Result<SandboxCost> Repurpose(FunctionId function, std::shared_ptr<UnionFs> function_overlay,
+                                CgroupLimits limits);
 
   // Marks the sandbox as running a function (used by cold-start paths that
   // build the sandbox directly for one function).
-  void Assign(const std::string& function) {
+  void Assign(FunctionId function) {
     current_function_ = function;
     state_ = SandboxState::kInUse;
   }
@@ -75,7 +76,7 @@ class Sandbox {
  private:
   uint64_t id_;
   SandboxState state_ = SandboxState::kInUse;
-  std::string current_function_;
+  FunctionId current_function_ = kInvalidFunctionId;
   NetNamespace netns_;
   Cgroup cgroup_;
   MountNamespace mntns_;
@@ -95,9 +96,8 @@ class SandboxFactory {
   };
   // `concurrent` = number of other sandbox creations in flight. `use_clone_into`
   // selects CLONE_INTO_CGROUP (TrEnv) over spawn-then-migrate (baselines).
-  CreateResult CreateCold(const std::string& function,
-                          std::shared_ptr<UnionFs> function_overlay, CgroupLimits limits,
-                          uint32_t concurrent, bool use_clone_into);
+  CreateResult CreateCold(FunctionId function, std::shared_ptr<UnionFs> function_overlay,
+                          CgroupLimits limits, uint32_t concurrent, bool use_clone_into);
 
   CgroupManager& cgroup_manager() { return cgroups_; }
 

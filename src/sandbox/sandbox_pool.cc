@@ -55,9 +55,4 @@ void SandboxPool::RegisterFunctionLayer(const std::string& function,
   function_layers_[id] = std::move(layer);
 }
 
-size_t SandboxPool::cached_overlay_count(const std::string& function) const {
-  const FunctionId id = GlobalFunctionInterner().Find(function);
-  return id < overlay_cache_.size() ? overlay_cache_[id].size() : 0;
-}
-
 }  // namespace trenv

@@ -2,9 +2,8 @@
 // plus the per-function overlay cache (paper section 5.2.1: "maintaining a
 // pool of function-specific overlayfs, instead of discarding them").
 //
-// Overlay cache and layer registry are indexed by interned FunctionId on the
-// hot path; the string overloads intern/look up at the boundary and are kept
-// for registration-time callers and tests.
+// Overlay cache and layer registry are indexed by interned FunctionId; only
+// RegisterFunctionLayer, a deployment-time call, takes the name.
 #ifndef TRENV_SANDBOX_SANDBOX_POOL_H_
 #define TRENV_SANDBOX_SANDBOX_POOL_H_
 
@@ -36,17 +35,13 @@ class SandboxPool {
   // Overlay cache: function-specific union filesystems are expensive to
   // assemble (layer resolution) but cheap to reuse once purged.
   std::shared_ptr<UnionFs> AcquireOverlay(FunctionId function);
-  std::shared_ptr<UnionFs> AcquireOverlay(const std::string& function) {
-    return AcquireOverlay(InternFunction(function));
-  }
   void ReleaseOverlay(FunctionId function, std::shared_ptr<UnionFs> overlay);
-  void ReleaseOverlay(const std::string& function, std::shared_ptr<UnionFs> overlay) {
-    ReleaseOverlay(InternFunction(function), std::move(overlay));
-  }
   // Registers how to build a function's overlay (its dependency layer).
   void RegisterFunctionLayer(const std::string& function,
                              std::shared_ptr<const FsLayer> layer);
-  size_t cached_overlay_count(const std::string& function) const;
+  size_t cached_overlay_count(FunctionId function) const {
+    return function < overlay_cache_.size() ? overlay_cache_[function].size() : 0;
+  }
 
   // Crash reset: drops idle sandboxes and cached overlays (node-local state
   // that died with the node) but keeps the function-layer registry — layer

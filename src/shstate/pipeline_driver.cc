@@ -189,7 +189,7 @@ Status PipelineDriver::OnLaunch(const PipelineSpec& spec, uint32_t job,
     a.node = node;
     Push(a);
   };
-  return cluster_->Submit(t, st.function, std::move(options));
+  return cluster_->Submit(t, stage_functions_[stage], std::move(options));
 }
 
 Status PipelineDriver::Run(const PipelineSpec& spec,
@@ -205,10 +205,12 @@ Status PipelineDriver::Run(const PipelineSpec& spec,
     }
   }
   succs_.assign(spec.stages.size(), {});
+  stage_functions_.clear();
   for (uint32_t i = 0; i < spec.stages.size(); ++i) {
     for (uint32_t input : spec.stages[i].inputs) {
       succs_[input].push_back(i);
     }
+    stage_functions_.push_back(InternFunction(spec.stages[i].function));
   }
   jobs_.assign(arrivals.size(), JobState{});
   stats_ = PipelineRunStats{};

@@ -110,6 +110,7 @@ class PipelineDriver {
   Cluster* cluster_;
   DataPlaneMode mode_;
   std::vector<std::vector<uint32_t>> succs_;
+  std::vector<FunctionId> stage_functions_;  // per stage, interned once per Run
   std::vector<JobState> jobs_;
   std::priority_queue<Action, std::vector<Action>, std::greater<Action>> actions_;
   std::vector<FaultInjector::NodeEvent> fault_plan_;

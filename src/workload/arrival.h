@@ -4,16 +4,24 @@
 #define TRENV_WORKLOAD_ARRIVAL_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/common/interner.h"
 #include "src/common/rng.h"
 #include "src/common/time.h"
 
 namespace trenv {
 
+// One arrival. Generators fill in an interned id; a hand-written schedule
+// names its function, and that constructor is where the name is interned.
 struct Invocation {
+  Invocation() = default;
+  Invocation(SimTime at, FunctionId fn) : arrival(at), function(fn) {}
+  Invocation(SimTime at, std::string_view name) : Invocation(at, InternFunction(name)) {}
+
   SimTime arrival;
-  std::string function;
+  FunctionId function = kInvalidFunctionId;
 };
 
 using Schedule = std::vector<Invocation>;

@@ -5,6 +5,18 @@
 #include <numbers>
 
 namespace trenv {
+namespace {
+
+std::vector<FunctionId> InternAll(const std::vector<std::string>& names) {
+  std::vector<FunctionId> ids;
+  ids.reserve(names.size());
+  for (const std::string& name : names) {
+    ids.push_back(InternFunction(name));
+  }
+  return ids;
+}
+
+}  // namespace
 
 Schedule CollectAll(ArrivalStream& stream) {
   Schedule schedule;
@@ -14,10 +26,10 @@ Schedule CollectAll(ArrivalStream& stream) {
   return schedule;
 }
 
-PoissonArrivalStream::PoissonArrivalStream(std::vector<std::string> functions,
+PoissonArrivalStream::PoissonArrivalStream(const std::vector<std::string>& functions,
                                            double rate_per_sec, SimDuration duration,
                                            double function_skew, Rng* rng)
-    : functions_(std::move(functions)),
+    : functions_(InternAll(functions)),
       rate_per_sec_(rate_per_sec),
       duration_s_(duration.seconds()),
       zipf_(functions_.size(), function_skew),
@@ -42,9 +54,9 @@ std::optional<Invocation> PoissonArrivalStream::Next() {
   return invocation;
 }
 
-DiurnalArrivalStream::DiurnalArrivalStream(std::vector<std::string> functions,
+DiurnalArrivalStream::DiurnalArrivalStream(const std::vector<std::string>& functions,
                                            const DiurnalOptions& options, Rng* rng)
-    : functions_(std::move(functions)),
+    : functions_(InternAll(functions)),
       options_(options),
       duration_s_(options.duration.seconds()),
       zipf_(functions_.size(), options.function_skew),
@@ -100,14 +112,14 @@ std::optional<Invocation> DiurnalArrivalStream::Next() {
   return Invocation{item.time, functions_[item.fn]};
 }
 
-BurstyArrivalStream::BurstyArrivalStream(std::vector<std::string> functions,
+BurstyArrivalStream::BurstyArrivalStream(const std::vector<std::string>& functions,
                                          const BurstyOptions& options, Rng* rng)
     : options_(options), end_(SimTime::Zero() + options.duration) {
   functions_.reserve(functions.size());
-  for (auto& name : functions) {
+  for (const std::string& name : functions) {
     // Children are forked in function order, so the parent Rng advances by
     // exactly one draw per function regardless of trace length.
-    FnState state{std::move(name), rng->Fork(), SimTime::Zero(), 0, false, {}};
+    FnState state{InternFunction(name), rng->Fork(), SimTime::Zero(), 0, false, {}};
     state.next_burst =
         SimTime::Zero() + SimDuration::FromSecondsF(state.rng.NextUniform(0, 30));
     functions_.push_back(std::move(state));
@@ -156,7 +168,7 @@ std::optional<Invocation> BurstyArrivalStream::Next() {
   std::pop_heap(merge_.begin(), merge_.end(), MergeAfter{});
   const MergeEntry entry = merge_.back();
   merge_.pop_back();
-  Invocation invocation{entry.time, functions_[entry.fn].name};
+  Invocation invocation{entry.time, functions_[entry.fn].function};
   RefillMergeFrom(entry.fn);
   return invocation;
 }

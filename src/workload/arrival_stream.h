@@ -26,7 +26,8 @@
 namespace trenv {
 
 // One invocation at a time, arrival times non-decreasing, nullopt when the
-// trace is exhausted. Next() may be called again after exhaustion.
+// trace is exhausted. Next() may be called again after exhaustion. The
+// generators below intern their function names once, at construction.
 class ArrivalStream {
  public:
   virtual ~ArrivalStream() = default;
@@ -58,12 +59,12 @@ class ScheduleStream final : public ArrivalStream {
 // historical MakePoissonWorkload loop.
 class PoissonArrivalStream final : public ArrivalStream {
  public:
-  PoissonArrivalStream(std::vector<std::string> functions, double rate_per_sec,
+  PoissonArrivalStream(const std::vector<std::string>& functions, double rate_per_sec,
                        SimDuration duration, double function_skew, Rng* rng);
   std::optional<Invocation> Next() override;
 
  private:
-  std::vector<std::string> functions_;
+  std::vector<FunctionId> functions_;
   double rate_per_sec_;
   double duration_s_;
   ZipfSampler zipf_;
@@ -81,8 +82,8 @@ class PoissonArrivalStream final : public ArrivalStream {
 // generate-then-stable_sort loop.
 class DiurnalArrivalStream final : public ArrivalStream {
  public:
-  DiurnalArrivalStream(std::vector<std::string> functions, const DiurnalOptions& options,
-                       Rng* rng);
+  DiurnalArrivalStream(const std::vector<std::string>& functions,
+                       const DiurnalOptions& options, Rng* rng);
   std::optional<Invocation> Next() override;
 
  private:
@@ -100,7 +101,7 @@ class DiurnalArrivalStream final : public ArrivalStream {
   // items into the buffer; sets gen_done_ when the timeline passes duration.
   void GenerateOne();
 
-  std::vector<std::string> functions_;
+  std::vector<FunctionId> functions_;
   DiurnalOptions options_;
   double duration_s_;
   ZipfSampler zipf_;
@@ -125,7 +126,7 @@ class DiurnalArrivalStream final : public ArrivalStream {
 // the same forked scheme, and the equivalence test pins stream == collect.
 class BurstyArrivalStream final : public ArrivalStream {
  public:
-  BurstyArrivalStream(std::vector<std::string> functions, const BurstyOptions& options,
+  BurstyArrivalStream(const std::vector<std::string>& functions, const BurstyOptions& options,
                       Rng* rng);
   std::optional<Invocation> Next() override;
 
@@ -140,7 +141,7 @@ class BurstyArrivalStream final : public ArrivalStream {
     }
   };
   struct FnState {
-    std::string name;
+    FunctionId function;
     Rng rng;
     SimTime next_burst;
     uint64_t next_seq = 0;

@@ -57,13 +57,14 @@ Result<Schedule> LoadTraceCsv(std::istream& in, const TraceCsvOptions& options, 
       return Status::InvalidArgument("trace CSV line " + std::to_string(line_no) +
                                      ": empty function name");
     }
+    const FunctionId id = InternFunction(function);
     const bool bursty = rng.NextBool(options.burst_probability);
     for (uint64_t i = 0; i < count; ++i) {
       const double offset_s = bursty ? rng.NextUniform(0.0, options.burst_window_s)
                                      : rng.NextUniform(0.0, 60.0);
       schedule.push_back({SimTime::Zero() + SimDuration::FromSecondsF(
                               static_cast<double>(minute) * 60.0 + offset_s),
-                          function});
+                          id});
     }
   }
   SortSchedule(schedule);
@@ -80,11 +81,12 @@ Result<Schedule> LoadTraceCsvFile(const std::string& path, const TraceCsvOptions
 }
 
 void WriteTraceCsv(const Schedule& schedule, std::ostream& out) {
-  // Aggregate to (minute, function) -> count, preserving minute order.
-  std::map<std::pair<uint64_t, std::string>, uint64_t> counts;
+  // Aggregate to (minute, function name) -> count: rows go out in minute
+  // order, then name order, never in id (interning) order.
+  std::map<std::pair<uint64_t, std::string_view>, uint64_t> counts;
   for (const Invocation& invocation : schedule) {
     const auto minute = static_cast<uint64_t>(invocation.arrival.seconds() / 60.0);
-    counts[{minute, invocation.function}] += 1;
+    counts[{minute, FunctionName(invocation.function)}] += 1;
   }
   out << "minute,function,count\n";
   for (const auto& [key, count] : counts) {

@@ -9,7 +9,8 @@ Schedule MakeIndustryWorkload(const std::vector<std::string>& functions,
                               const IndustryTraceOptions& options, Rng& rng) {
   Schedule schedule;
   const auto minutes = static_cast<uint64_t>(options.duration.seconds() / 60.0);
-  for (const auto& function : functions) {
+  for (const std::string& name : functions) {
+    const FunctionId function = InternFunction(name);
     // Per-function popularity: lognormal with unit median scaled to mean_rpm.
     const double popularity = rng.NextLogNormal(0.0, options.popularity_sigma);
     const double rpm = options.mean_rpm * popularity;

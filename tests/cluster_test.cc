@@ -54,6 +54,69 @@ TEST(ClusterTest, RoundRobinSpreadsInvocations) {
   EXPECT_EQ(cluster.TotalInvocations(), 8u);
 }
 
+TEST(ClusterTest, InvalidFunctionIdRejected) {
+  // kInvalidFunctionId reaches every id-indexed lookup on the dispatch path
+  // (keep-alive counts, leases, template attach, the registry) and must come
+  // back kNotFound from each dispatch policy, the poolmgr attach included.
+  for (const auto dispatch : {ClusterConfig::Dispatch::kLeastLoaded,
+                              ClusterConfig::Dispatch::kTemplateLocality}) {
+    ClusterConfig config;
+    config.nodes = 2;
+    config.dispatch = dispatch;
+    config.poolmgr.enabled = dispatch == ClusterConfig::Dispatch::kTemplateLocality;
+    Cluster cluster(config);
+    ASSERT_TRUE(cluster.DeployTable4Functions().ok());
+    const Status status = cluster.Submit(SimTime::Zero(), kInvalidFunctionId);
+    EXPECT_EQ(status.code(), StatusCode::kNotFound) << status.message();
+    EXPECT_NE(status.message().find(kUnknownFunctionName), std::string::npos)
+        << status.message();
+    EXPECT_EQ(cluster.accepted_invocations(), 0u);
+  }
+}
+
+TEST(ClusterTest, RejectionNamesNodeAndFunctionOnBothDispatchPaths) {
+  // A rack with only JS deployed gets an arrival for a name that is interned
+  // but deployed nowhere. Cluster::Submit rejects it at once; RunSharded
+  // rejects it when the owning shard's mailbox drains. Both errors name the
+  // node (round robin sends the second arrival to node 1) and the function,
+  // in the same words, at any shard count.
+  const FunctionId undeployed = InternFunction("cluster-test-undeployed");
+  ClusterConfig config;
+  config.nodes = 2;
+  config.dispatch = ClusterConfig::Dispatch::kRoundRobin;
+  const auto deploy_js = [](Cluster& cluster) {
+    for (const FunctionProfile& profile : Table4Functions()) {
+      if (profile.name == "JS") {
+        ASSERT_TRUE(cluster.Deploy(profile).ok());
+      }
+    }
+  };
+  const SimTime first = SimTime::Zero();
+  const SimTime second = first + SimDuration::Millis(1);
+
+  Cluster direct(config);
+  deploy_js(direct);
+  ASSERT_TRUE(direct.Submit(first, InternFunction("JS")).ok());
+  const Status rejected = direct.Submit(second, undeployed);
+  EXPECT_EQ(rejected.code(), StatusCode::kNotFound);
+  EXPECT_NE(rejected.message().find("node 1 rejected"), std::string::npos) << rejected.message();
+  EXPECT_NE(rejected.message().find("'cluster-test-undeployed'"), std::string::npos)
+      << rejected.message();
+
+  const Schedule schedule = {{first, "JS"}, {second, undeployed}};
+  for (const uint32_t shards : {1u, 2u}) {
+    Cluster cluster(config);
+    deploy_js(cluster);
+    ScheduleStream stream(schedule);
+    ShardedRunOptions options;
+    options.shards = shards;
+    const Status status = cluster.RunSharded(stream, options);
+    EXPECT_EQ(status.code(), StatusCode::kNotFound) << "shards " << shards;
+    EXPECT_EQ(status.message(), rejected.message()) << "shards " << shards;
+    EXPECT_EQ(cluster.sharded_effective_shards(), shards);
+  }
+}
+
 TEST(ClusterTest, LeastLoadedAvoidsBusyNodes) {
   ClusterConfig config;
   config.nodes = 3;

@@ -240,6 +240,19 @@ TEST(InternerTest, EmptyStringIsAValidKey) {
   EXPECT_EQ(interner.size(), 2u);
 }
 
+TEST(InternerTest, UnknownIdsNameAPlaceholder) {
+  // NameOf is total: an id the table never issued (the invalid sentinel, or
+  // one past the end) names a fixed placeholder instead of reading past the
+  // name table. Error messages and trace annotations print names this way.
+  Interner interner;
+  EXPECT_EQ(interner.NameOf(kInvalidFunctionId), kUnknownFunctionName);
+  EXPECT_EQ(interner.NameOf(0), kUnknownFunctionName);
+  const FunctionId f = interner.Intern("f");
+  EXPECT_EQ(interner.NameOf(f), "f");
+  EXPECT_EQ(interner.NameOf(f + 1), kUnknownFunctionName);
+  EXPECT_EQ(FunctionName(kInvalidFunctionId), kUnknownFunctionName);
+}
+
 TEST(InternerTest, ReinterningReturnsTheSameId) {
   Interner interner;
   const FunctionId first = interner.Intern("resize-image");

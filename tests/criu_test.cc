@@ -298,7 +298,7 @@ TEST_F(EngineTest, TrEnvRepurposeRoundTrip) {
   auto second = engine.Restore(fn_b, ctx);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->startup.sandbox_repurposed);
-  EXPECT_EQ(second->instance->sandbox()->current_function(), "fn-b");
+  EXPECT_EQ(second->instance->sandbox()->current_function(), InternFunction("fn-b"));
   // Repurposed startup is dramatically cheaper than the cold path:
   // ~1 ms sandbox + sub-ms attach + thread clones.
   EXPECT_LT(second->startup.Total().millis(), 10.0);
@@ -353,7 +353,7 @@ TEST_F(EngineTest, TrEnvSharesPoolPagesAcrossInstances) {
   ASSERT_TRUE(a.ok() && b.ok());
   // Two instances, zero extra pool bytes: templates map the same image.
   EXPECT_EQ(cxl_.used_bytes(), pool_used_after_prepare);
-  const auto* templates = engine.TemplatesFor(profile_.name);
+  const auto* templates = engine.TemplatesFor(FunctionIdOf(profile_));
   ASSERT_NE(templates, nullptr);
   auto tmpl = mmt_.registry().Lookup((*templates)[0]);
   ASSERT_TRUE(tmpl.ok());
@@ -496,7 +496,7 @@ TEST_F(EngineTest, TrEnvPrefetchOffByDefaultKeepsDemandFaulting) {
   engine.OnExecuteDone(*first->instance);
   engine.Retire(std::move(first->instance), ctx);
   // Nothing recorded, nothing prefetched: the default engine is unchanged.
-  EXPECT_EQ(engine.WorkingSetFor(profile_.name), nullptr);
+  EXPECT_EQ(engine.WorkingSetFor(FunctionIdOf(profile_)), nullptr);
   EXPECT_EQ(engine.prefetch_nic().total_ops(), 0u);
   auto second = engine.Restore(profile_, ctx);
   ASSERT_TRUE(second.ok());
@@ -519,10 +519,10 @@ TEST_F(EngineTest, TrEnvRecordsWorkingSetOnFirstInvocation) {
   ASSERT_TRUE(outcome.ok());
   // Restore alone records nothing — the profile completes with the first
   // invocation's touches.
-  EXPECT_EQ(engine.WorkingSetFor(profile_.name), nullptr);
+  EXPECT_EQ(engine.WorkingSetFor(FunctionIdOf(profile_)), nullptr);
   ASSERT_TRUE(engine.OnExecute(profile_, *outcome->instance, ctx).ok());
   engine.OnExecuteDone(*outcome->instance);
-  const WorkingSetProfile* ws = engine.WorkingSetFor(profile_.name);
+  const WorkingSetProfile* ws = engine.WorkingSetFor(FunctionIdOf(profile_));
   ASSERT_NE(ws, nullptr);
   EXPECT_TRUE(ws->complete);
   EXPECT_GT(ws->TotalPages(), 0u);
@@ -545,7 +545,7 @@ TEST_F(EngineTest, TrEnvSecondAttachPrefetchesTheRecordedSet) {
   ASSERT_TRUE(first_exec.ok());
   engine.OnExecuteDone(*first->instance);
   engine.Retire(std::move(first->instance), ctx);
-  const WorkingSetProfile* ws = engine.WorkingSetFor(profile_.name);
+  const WorkingSetProfile* ws = engine.WorkingSetFor(FunctionIdOf(profile_));
   ASSERT_NE(ws, nullptr);
 
   obs::Tracer tracer;
@@ -584,7 +584,7 @@ TEST_F(EngineTest, TrEnvPrefetchSkipsByteAddressableTemplates) {
   engine.OnExecuteDone(*first->instance);
   engine.Retire(std::move(first->instance), ctx);
   // A working set was still recorded (it feeds promotion)...
-  EXPECT_NE(engine.WorkingSetFor(profile_.name), nullptr);
+  EXPECT_NE(engine.WorkingSetFor(FunctionIdOf(profile_)), nullptr);
   auto second = engine.Restore(profile_, ctx);
   ASSERT_TRUE(second.ok());
   // ...but the second attach fetched nothing: CXL pages need no prefetch.
@@ -617,7 +617,7 @@ TEST_F(EngineTest, TrEnvPromotionHeatsByRecordedWorkingSet) {
     engine.Retire(std::move(outcome->instance), ctx);
   }
   // Promotion alone arms the recorder — no prefetch needed.
-  const WorkingSetProfile* ws = engine.WorkingSetFor(profile_.name);
+  const WorkingSetProfile* ws = engine.WorkingSetFor(FunctionIdOf(profile_));
   ASSERT_NE(ws, nullptr);
   ASSERT_GT(ws->TotalPages(), 0u);
   ASSERT_LT(ws->TotalPages(), profile_.ImagePages());

@@ -298,11 +298,11 @@ TEST(ClusterFailoverTest, AllNodesDeadWithoutInjectorNamesTheFailure) {
   config.nodes = 2;
   Cluster cluster(config);
   ASSERT_TRUE(cluster.DeployTable4Functions().ok());
-  const Status ok = cluster.Submit(SimTime::Zero(), "JS");
+  const Status ok = cluster.Submit(SimTime::Zero(), InternFunction("JS"));
   EXPECT_TRUE(ok.ok());
   // An unknown function is rejected by the chosen node, and the error names
   // the node (satellite: actionable dispatch errors).
-  const Status bad = cluster.Submit(SimTime::Zero(), "no-such-function");
+  const Status bad = cluster.Submit(SimTime::Zero(), InternFunction("no-such-function"));
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.message().find("node "), std::string::npos) << bad.message();
   EXPECT_NE(bad.message().find("no-such-function"), std::string::npos) << bad.message();

@@ -145,7 +145,7 @@ TEST(IntegrationTest, SnapshotPoolSurvivesTemplateDestruction) {
   ASSERT_TRUE(bed.DeployTable4Functions().ok());
   const uint64_t pool_used = bed.cxl().used_bytes();
   auto* engine = static_cast<TrEnvEngine*>(&bed.engine());
-  const auto* templates = engine->TemplatesFor("JS");
+  const auto* templates = engine->TemplatesFor(InternFunction("JS"));
   ASSERT_NE(templates, nullptr);
   // (Destroy through the registry the way an unload would.)
   Testbed other(SystemKind::kTrEnvCxl);

@@ -30,7 +30,7 @@ std::vector<std::string> bench_names() {
 
 TEST(SecurityInvariantTest, RepurposedSandboxLeaksNothing) {
   SandboxFactory factory(std::make_shared<FsLayer>("base"));
-  auto cold = factory.CreateCold("tenant-a", std::make_shared<UnionFs>(), CgroupLimits{}, 0,
+  auto cold = factory.CreateCold(InternFunction("tenant-a"), std::make_shared<UnionFs>(), CgroupLimits{}, 0,
                                  /*use_clone_into=*/true);
   Sandbox& sandbox = *cold.sandbox;
 
@@ -41,7 +41,7 @@ TEST(SecurityInvariantTest, RepurposedSandboxLeaksNothing) {
   sandbox.cgroup().AddProcess(1234);
 
   sandbox.Cleanse(/*process_count=*/2);
-  auto repurposed = sandbox.Repurpose("tenant-b", std::make_shared<UnionFs>(), CgroupLimits{});
+  auto repurposed = sandbox.Repurpose(InternFunction("tenant-b"), std::make_shared<UnionFs>(), CgroupLimits{});
   ASSERT_TRUE(repurposed.ok());
 
   // Nothing of tenant A survives into tenant B's view.
@@ -53,11 +53,11 @@ TEST(SecurityInvariantTest, RepurposedSandboxLeaksNothing) {
 
 TEST(SecurityInvariantTest, NetnsConfigResetOnlyWhenCustomized) {
   SandboxFactory factory(std::make_shared<FsLayer>("base"));
-  auto cold = factory.CreateCold("a", nullptr, CgroupLimits{}, 0, true);
+  auto cold = factory.CreateCold(InternFunction("a"), nullptr, CgroupLimits{}, 0, true);
   Sandbox& sandbox = *cold.sandbox;
   sandbox.netns().AddFirewallRule();  // tenant customizes the netns
   sandbox.Cleanse(1);
-  ASSERT_TRUE(sandbox.Repurpose("b", std::make_shared<UnionFs>(), CgroupLimits{}).ok());
+  ASSERT_TRUE(sandbox.Repurpose(InternFunction("b"), std::make_shared<UnionFs>(), CgroupLimits{}).ok());
   // Custom config was wiped before handing the netns to the next tenant.
   EXPECT_FALSE(sandbox.netns().HasCustomConfig());
 }
@@ -233,7 +233,7 @@ TEST(KeepAliveFuzzTest, LruOrderAndCountsHold) {
   // the pool's expiry index must still evict due entries in list order.
   struct ModelEntry {
     uint64_t id;
-    std::string function;
+    FunctionId function;
     SimTime expiry;
   };
   Rng rng(5);
@@ -246,10 +246,11 @@ TEST(KeepAliveFuzzTest, LruOrderAndCountsHold) {
   std::vector<uint64_t> expected;
   SimTime now;
   uint64_t next_id = 1;
-  const std::vector<std::string> fns = {"a", "b", "c"};
+  const std::vector<FunctionId> fns = {InternFunction("a"), InternFunction("b"),
+                                       InternFunction("c")};
   for (int op = 0; op < 4000; ++op) {
     now += SimDuration::Seconds(static_cast<int64_t>(rng.NextBounded(10)));
-    const std::string fn = fns[rng.NextBounded(fns.size())];
+    const FunctionId fn = fns[rng.NextBounded(fns.size())];
     switch (rng.NextBounded(6)) {
       case 0:
       case 1: {
@@ -274,7 +275,7 @@ TEST(KeepAliveFuzzTest, LruOrderAndCountsHold) {
           EXPECT_EQ(taken, nullptr);
         } else {
           ASSERT_NE(taken, nullptr);
-          EXPECT_EQ(taken->function(), fn);
+          EXPECT_EQ(taken->function_id(), fn);
           EXPECT_EQ(taken->invocations, mru->id);
           model.erase(std::next(mru).base());
         }

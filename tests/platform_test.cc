@@ -85,7 +85,39 @@ TEST(PlatformTest, MemoryCapEvictsIdleInstances) {
 TEST(PlatformTest, UnknownFunctionRejected) {
   Testbed bed(SystemKind::kFaasd);
   ASSERT_TRUE(bed.DeployTable4Functions().ok());
-  EXPECT_EQ(bed.platform().Submit(SimTime::Zero(), "nope").code(), StatusCode::kNotFound);
+  EXPECT_EQ(bed.platform().Submit(SimTime::Zero(), InternFunction("nope")).code(),
+            StatusCode::kNotFound);
+}
+
+TEST(FunctionRegistryTest, DeployRejectsEmptyAndDuplicateNames) {
+  // The registry resolves a name once, at Deploy, and is indexed by id
+  // afterwards; the deploy-time checks on the name still hold.
+  FunctionRegistry registry;
+  const FunctionProfile profile = Table4Functions().front();
+  ASSERT_TRUE(registry.Deploy(profile).ok());
+  EXPECT_EQ(registry.Deploy(profile).code(), StatusCode::kAlreadyExists);
+  FunctionProfile unnamed = profile;
+  unnamed.name.clear();
+  EXPECT_EQ(registry.Deploy(unnamed).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(registry.size(), 1u);
+  const FunctionId id = InternFunction(profile.name);
+  const FunctionProfile* deployed = registry.FindById(id);
+  ASSERT_NE(deployed, nullptr);
+  EXPECT_EQ(deployed->name, profile.name);
+  EXPECT_EQ(deployed->id, id);
+  EXPECT_EQ(registry.FindById(kInvalidFunctionId), nullptr);
+}
+
+TEST(PlatformTest, InvalidFunctionIdRejected) {
+  // The id nothing is interned under, which a default Invocation carries, is
+  // rejected like any undeployed function; the error names the placeholder.
+  Testbed bed(SystemKind::kFaasd);
+  ASSERT_TRUE(bed.DeployTable4Functions().ok());
+  const Status status = bed.platform().Submit(SimTime::Zero(), kInvalidFunctionId);
+  EXPECT_EQ(status.code(), StatusCode::kNotFound);
+  EXPECT_NE(status.message().find(kUnknownFunctionName), std::string::npos) << status.message();
+  EXPECT_EQ(bed.platform().Run(Schedule{Invocation{}}).code(), StatusCode::kNotFound);
+  EXPECT_EQ(bed.platform().failed_invocations(), 0u);
 }
 
 TEST(PlatformTest, AllSystemsSurviveAMixedBurst) {
@@ -182,14 +214,14 @@ TEST(KeepAlivePoolTest, EvictsLruFirstUnderPressure) {
   std::vector<std::string> evicted;
   KeepAlivePool pool(SimDuration::Minutes(10),
                      [&evicted](std::unique_ptr<FunctionInstance> instance) {
-                       evicted.push_back(instance->function());
+                       evicted.push_back(std::string(FunctionName(instance->function_id())));
                      });
   SimTime now;
-  pool.Put(std::make_unique<FunctionInstance>("oldest", nullptr), now);
+  pool.Put(std::make_unique<FunctionInstance>(InternFunction("oldest"), nullptr), now);
   now += SimDuration::Seconds(1);
-  pool.Put(std::make_unique<FunctionInstance>("middle", nullptr), now);
+  pool.Put(std::make_unique<FunctionInstance>(InternFunction("middle"), nullptr), now);
   now += SimDuration::Seconds(1);
-  pool.Put(std::make_unique<FunctionInstance>("newest", nullptr), now);
+  pool.Put(std::make_unique<FunctionInstance>(InternFunction("newest"), nullptr), now);
   ASSERT_EQ(pool.size(), 3u);
 
   // Memory pressure evicts in LRU order, one victim per call.
@@ -199,10 +231,10 @@ TEST(KeepAlivePoolTest, EvictsLruFirstUnderPressure) {
   EXPECT_EQ(evicted[0], "oldest");
   EXPECT_EQ(evicted[1], "middle");
   EXPECT_EQ(pool.size(), 1u);
-  EXPECT_EQ(pool.CountFor("newest"), 1u);
+  EXPECT_EQ(pool.CountFor(InternFunction("newest")), 1u);
   // The survivor is still warm-takeable; the victims are gone.
-  EXPECT_EQ(pool.TakeWarm("oldest"), nullptr);
-  EXPECT_NE(pool.TakeWarm("newest"), nullptr);
+  EXPECT_EQ(pool.TakeWarm(InternFunction("oldest")), nullptr);
+  EXPECT_NE(pool.TakeWarm(InternFunction("newest")), nullptr);
   // Draining an empty pool reports false instead of looping forever.
   EXPECT_FALSE(pool.EvictLru());
 }
@@ -211,14 +243,14 @@ TEST(KeepAlivePoolTest, ReuseRefreshesLruPosition) {
   std::vector<std::string> evicted;
   KeepAlivePool pool(SimDuration::Minutes(10),
                      [&evicted](std::unique_ptr<FunctionInstance> instance) {
-                       evicted.push_back(instance->function());
+                       evicted.push_back(std::string(FunctionName(instance->function_id())));
                      });
   SimTime now;
-  pool.Put(std::make_unique<FunctionInstance>("a", nullptr), now);
+  pool.Put(std::make_unique<FunctionInstance>(InternFunction("a"), nullptr), now);
   now += SimDuration::Seconds(1);
-  pool.Put(std::make_unique<FunctionInstance>("b", nullptr), now);
+  pool.Put(std::make_unique<FunctionInstance>(InternFunction("b"), nullptr), now);
   // Take "a" warm and park it again: "b" becomes the LRU victim.
-  auto warm = pool.TakeWarm("a");
+  auto warm = pool.TakeWarm(InternFunction("a"));
   ASSERT_NE(warm, nullptr);
   now += SimDuration::Seconds(1);
   pool.Put(std::move(warm), now);
@@ -234,14 +266,14 @@ TEST(KeepAlivePoolTest, DropDiscardsWithoutEvictCallback) {
   KeepAlivePool pool(SimDuration::Minutes(10),
                      [&evict_calls](std::unique_ptr<FunctionInstance>) { ++evict_calls; });
   SimTime now;
-  pool.Put(std::make_unique<FunctionInstance>("a", nullptr), now);
-  pool.Put(std::make_unique<FunctionInstance>("b", nullptr), now);
+  pool.Put(std::make_unique<FunctionInstance>(InternFunction("a"), nullptr), now);
+  pool.Put(std::make_unique<FunctionInstance>(InternFunction("b"), nullptr), now);
   pool.Drop();
   EXPECT_EQ(pool.size(), 0u);
   EXPECT_EQ(evict_calls, 0);
-  EXPECT_EQ(pool.TakeWarm("a"), nullptr);
+  EXPECT_EQ(pool.TakeWarm(InternFunction("a")), nullptr);
   // The pool remains usable after a drop.
-  pool.Put(std::make_unique<FunctionInstance>("c", nullptr), now);
+  pool.Put(std::make_unique<FunctionInstance>(InternFunction("c"), nullptr), now);
   EXPECT_EQ(pool.size(), 1u);
 }
 
@@ -253,9 +285,9 @@ TEST(KeepAlivePoolTest, SlotReuseAfterEvictThenReRegister) {
   KeepAlivePool pool(SimDuration::Minutes(10),
                      [&evict_calls](std::unique_ptr<FunctionInstance>) { ++evict_calls; });
   SimTime now;
-  pool.Put(std::make_unique<FunctionInstance>("recycled", nullptr), now);
-  pool.Put(std::make_unique<FunctionInstance>("recycled", nullptr), now);
-  pool.Put(std::make_unique<FunctionInstance>("bystander", nullptr), now);
+  pool.Put(std::make_unique<FunctionInstance>(InternFunction("recycled"), nullptr), now);
+  pool.Put(std::make_unique<FunctionInstance>(InternFunction("recycled"), nullptr), now);
+  pool.Put(std::make_unique<FunctionInstance>(InternFunction("bystander"), nullptr), now);
   const FunctionId fid = GlobalFunctionInterner().Find("recycled");
   ASSERT_NE(fid, kInvalidFunctionId);
   ASSERT_EQ(pool.CountFor(fid), 2u);
@@ -271,9 +303,9 @@ TEST(KeepAlivePoolTest, SlotReuseAfterEvictThenReRegister) {
   // Re-register the same FunctionId: the freed slots are reused and the
   // per-function list is rebuilt from scratch.
   now += SimDuration::Seconds(1);
-  pool.Put(std::make_unique<FunctionInstance>("recycled", nullptr), now);
+  pool.Put(std::make_unique<FunctionInstance>(InternFunction("recycled"), nullptr), now);
   now += SimDuration::Seconds(1);
-  pool.Put(std::make_unique<FunctionInstance>("recycled", nullptr), now);
+  pool.Put(std::make_unique<FunctionInstance>(InternFunction("recycled"), nullptr), now);
   EXPECT_EQ(pool.CountFor(fid), 2u);
   EXPECT_EQ(pool.size(), 3u);
   // Warm takes drain the rebuilt list MRU-first, leaving the bystander.
@@ -281,7 +313,7 @@ TEST(KeepAlivePoolTest, SlotReuseAfterEvictThenReRegister) {
   EXPECT_NE(pool.TakeWarm(fid), nullptr);
   EXPECT_EQ(pool.TakeWarm(fid), nullptr);
   EXPECT_EQ(pool.CountFor(fid), 0u);
-  EXPECT_EQ(pool.CountFor("bystander"), 1u);
+  EXPECT_EQ(pool.CountFor(InternFunction("bystander")), 1u);
   // The LRU list survived the churn: the bystander is still evictable.
   EXPECT_TRUE(pool.EvictLru());
   EXPECT_FALSE(pool.EvictLru());

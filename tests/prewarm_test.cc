@@ -10,32 +10,32 @@ namespace {
 
 TEST(PrewarmPolicyTest, ConservativeWithoutData) {
   PrewarmPolicy policy;
-  EXPECT_EQ(policy.KeepAliveFor("fn"), SimDuration::Minutes(10));
-  EXPECT_FALSE(policy.PrewarmDelay("fn").has_value());
+  EXPECT_EQ(policy.KeepAliveFor(InternFunction("fn")), SimDuration::Minutes(10));
+  EXPECT_FALSE(policy.PrewarmDelay(InternFunction("fn")).has_value());
 }
 
 TEST(PrewarmPolicyTest, LearnsShortKeepAliveForFrequentFunction) {
   PrewarmPolicy policy;
   SimTime t;
   for (int i = 0; i < 20; ++i) {
-    policy.RecordArrival("chatty", t);
+    policy.RecordArrival(InternFunction("chatty"), t);
     t += SimDuration::Seconds(5);
   }
   // Arrivals every 5 s: keep-alive shrinks to the configured floor.
-  EXPECT_LT(policy.KeepAliveFor("chatty"), SimDuration::Minutes(1));
-  EXPECT_GE(policy.KeepAliveFor("chatty"), SimDuration::Seconds(30));
+  EXPECT_LT(policy.KeepAliveFor(InternFunction("chatty")), SimDuration::Minutes(1));
+  EXPECT_GE(policy.KeepAliveFor(InternFunction("chatty")), SimDuration::Seconds(30));
   // Gap < keep-alive: no pre-warm needed.
-  EXPECT_FALSE(policy.PrewarmDelay("chatty").has_value());
+  EXPECT_FALSE(policy.PrewarmDelay(InternFunction("chatty")).has_value());
 }
 
 TEST(PrewarmPolicyTest, PredictsPeriodicLongGapFunction) {
   PrewarmPolicy policy;
   SimTime t;
   for (int i = 0; i < 16; ++i) {
-    policy.RecordArrival("cron", t);
+    policy.RecordArrival(InternFunction("cron"), t);
     t += SimDuration::Minutes(20);  // periodic, past the max keep-alive
   }
-  auto delay = policy.PrewarmDelay("cron");
+  auto delay = policy.PrewarmDelay(InternFunction("cron"));
   ASSERT_TRUE(delay.has_value());
   // Fires a bit before the next predicted arrival (~20 min).
   EXPECT_GT(delay->seconds(), 15 * 60);
@@ -47,11 +47,11 @@ TEST(PrewarmPolicyTest, RefusesToPredictDispersedArrivals) {
   Rng rng(6);
   SimTime t;
   for (int i = 0; i < 30; ++i) {
-    policy.RecordArrival("bursty", t);
+    policy.RecordArrival(InternFunction("bursty"), t);
     // Wildly dispersed gaps: 1 s to ~80 min.
     t += SimDuration::FromSecondsF(1.0 + rng.NextPareto(2.0, 0.9) * 60.0);
   }
-  EXPECT_FALSE(policy.PrewarmDelay("bursty").has_value());
+  EXPECT_FALSE(policy.PrewarmDelay(InternFunction("bursty")).has_value());
 }
 
 TEST(PrewarmPolicyTest, SlidingWindowForgetsOldBehaviour) {
@@ -61,16 +61,16 @@ TEST(PrewarmPolicyTest, SlidingWindowForgetsOldBehaviour) {
   SimTime t;
   // Old phase: 20-minute gaps.
   for (int i = 0; i < 20; ++i) {
-    policy.RecordArrival("fn", t);
+    policy.RecordArrival(InternFunction("fn"), t);
     t += SimDuration::Minutes(20);
   }
   // New phase: 5-second gaps, enough to flush the window.
   for (int i = 0; i < 20; ++i) {
-    policy.RecordArrival("fn", t);
+    policy.RecordArrival(InternFunction("fn"), t);
     t += SimDuration::Seconds(5);
   }
-  EXPECT_EQ(policy.ObservationCount("fn"), 16u);
-  EXPECT_LT(policy.KeepAliveFor("fn"), SimDuration::Minutes(1));
+  EXPECT_EQ(policy.ObservationCount(InternFunction("fn")), 16u);
+  EXPECT_LT(policy.KeepAliveFor(InternFunction("fn")), SimDuration::Minutes(1));
 }
 
 TEST(PrewarmIntegrationTest, PeriodicFunctionGetsPrewarmedStart) {

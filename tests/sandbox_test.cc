@@ -140,11 +140,11 @@ class SandboxLifecycleTest : public ::testing::Test {
 
 TEST_F(SandboxLifecycleTest, ColdCreateCostBreakdown) {
   auto overlay = std::make_shared<UnionFs>();
-  auto result = factory_.CreateCold("fn-a", overlay, CgroupLimits{}, /*concurrent=*/0,
+  auto result = factory_.CreateCold(InternFunction("fn-a"), overlay, CgroupLimits{}, /*concurrent=*/0,
                                     /*use_clone_into=*/false);
   ASSERT_NE(result.sandbox, nullptr);
   EXPECT_EQ(result.sandbox->state(), SandboxState::kInUse);
-  EXPECT_EQ(result.sandbox->current_function(), "fn-a");
+  EXPECT_EQ(result.sandbox->current_function(), InternFunction("fn-a"));
   // Table 1 orders: network ~80 ms, rootfs >= 30 ms, cgroup >= 26 ms.
   EXPECT_NEAR(result.cost.network.millis(), 80, 1);
   EXPECT_GT(result.cost.rootfs.millis(), 25);
@@ -157,7 +157,7 @@ TEST_F(SandboxLifecycleTest, ColdCreateCostBreakdown) {
 }
 
 TEST_F(SandboxLifecycleTest, RepurposeIsOrdersOfMagnitudeCheaperThanCold) {
-  auto cold = factory_.CreateCold("fn-a", std::make_shared<UnionFs>(), CgroupLimits{}, 0, false);
+  auto cold = factory_.CreateCold(InternFunction("fn-a"), std::make_shared<UnionFs>(), CgroupLimits{}, 0, false);
   Sandbox& sandbox = *cold.sandbox;
   // Function A writes files, opens connections.
   sandbox.netns().OpenConnection(1);
@@ -171,9 +171,9 @@ TEST_F(SandboxLifecycleTest, RepurposeIsOrdersOfMagnitudeCheaperThanCold) {
   EXPECT_GT(cleanse.deferred, SimDuration::Zero());  // purge is async
 
   auto overlay_b = std::make_shared<UnionFs>();
-  auto repurpose = sandbox.Repurpose("fn-b", overlay_b, CgroupLimits{.cpu_cores = 2});
+  auto repurpose = sandbox.Repurpose(InternFunction("fn-b"), overlay_b, CgroupLimits{.cpu_cores = 2});
   ASSERT_TRUE(repurpose.ok());
-  EXPECT_EQ(sandbox.current_function(), "fn-b");
+  EXPECT_EQ(sandbox.current_function(), InternFunction("fn-b"));
   EXPECT_EQ(sandbox.state(), SandboxState::kInUse);
   EXPECT_EQ(sandbox.cgroup().limits().cpu_cores, 2);
   // Repurposing takes ~1 ms vs ~150+ ms cold.
@@ -182,14 +182,14 @@ TEST_F(SandboxLifecycleTest, RepurposeIsOrdersOfMagnitudeCheaperThanCold) {
 }
 
 TEST_F(SandboxLifecycleTest, RepurposeWhileInUseRejected) {
-  auto cold = factory_.CreateCold("fn-a", nullptr, CgroupLimits{}, 0, false);
-  auto result = cold.sandbox->Repurpose("fn-b", std::make_shared<UnionFs>(), CgroupLimits{});
+  auto cold = factory_.CreateCold(InternFunction("fn-a"), nullptr, CgroupLimits{}, 0, false);
+  auto result = cold.sandbox->Repurpose(InternFunction("fn-b"), std::make_shared<UnionFs>(), CgroupLimits{});
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(SandboxLifecycleTest, CleanupPurgesFunctionOverlayToo) {
   auto overlay = std::make_shared<UnionFs>();
-  auto cold = factory_.CreateCold("fn-a", overlay, CgroupLimits{}, 0, false);
+  auto cold = factory_.CreateCold(InternFunction("fn-a"), overlay, CgroupLimits{}, 0, false);
   ASSERT_TRUE(overlay->Write("/app/state.db", 1 * kMiB, 0xBAD).ok());
   cold.sandbox->Cleanse(1);
   EXPECT_EQ(overlay->upper_file_count(), 0u);
@@ -198,13 +198,13 @@ TEST_F(SandboxLifecycleTest, CleanupPurgesFunctionOverlayToo) {
 TEST(SandboxPoolTest, TakeIsFunctionAgnostic) {
   SandboxFactory factory(BaseLayer());
   SandboxPool pool;
-  auto a = factory.CreateCold("fn-a", nullptr, CgroupLimits{}, 0, true);
+  auto a = factory.CreateCold(InternFunction("fn-a"), nullptr, CgroupLimits{}, 0, true);
   a.sandbox->Cleanse(1);
   EXPECT_TRUE(pool.Put(std::move(a.sandbox)));
   auto taken = pool.Take();
   ASSERT_NE(taken, nullptr);
   // Repurposable into a *different* function.
-  EXPECT_TRUE(taken->Repurpose("fn-z", std::make_shared<UnionFs>(), CgroupLimits{}).ok());
+  EXPECT_TRUE(taken->Repurpose(InternFunction("fn-z"), std::make_shared<UnionFs>(), CgroupLimits{}).ok());
   EXPECT_EQ(pool.Take(), nullptr);
   EXPECT_EQ(pool.hits(), 1u);
   EXPECT_EQ(pool.misses(), 1u);
@@ -213,8 +213,8 @@ TEST(SandboxPoolTest, TakeIsFunctionAgnostic) {
 TEST(SandboxPoolTest, CapacityBound) {
   SandboxFactory factory(BaseLayer());
   SandboxPool pool(/*max_idle=*/1);
-  auto a = factory.CreateCold("a", nullptr, CgroupLimits{}, 0, true);
-  auto b = factory.CreateCold("b", nullptr, CgroupLimits{}, 0, true);
+  auto a = factory.CreateCold(InternFunction("a"), nullptr, CgroupLimits{}, 0, true);
+  auto b = factory.CreateCold(InternFunction("b"), nullptr, CgroupLimits{}, 0, true);
   EXPECT_TRUE(pool.Put(std::move(a.sandbox)));
   EXPECT_FALSE(pool.Put(std::move(b.sandbox)));
   EXPECT_EQ(pool.idle_count(), 1u);
@@ -226,17 +226,17 @@ TEST(SandboxPoolTest, OverlayCacheRoundTrip) {
   layer->AddFile("/app/handler.py", FileNode{1024, 9, 9});
   pool.RegisterFunctionLayer("fn", layer);
 
-  auto overlay = pool.AcquireOverlay("fn");
+  auto overlay = pool.AcquireOverlay(InternFunction("fn"));
   ASSERT_NE(overlay, nullptr);
   EXPECT_TRUE(overlay->Exists("/app/handler.py"));
   ASSERT_TRUE(overlay->Write("/app/out.txt", 10, 1).ok());
-  pool.ReleaseOverlay("fn", overlay);
-  EXPECT_EQ(pool.cached_overlay_count("fn"), 1u);
+  pool.ReleaseOverlay(InternFunction("fn"), overlay);
+  EXPECT_EQ(pool.cached_overlay_count(InternFunction("fn")), 1u);
   // Reacquired overlay is purged.
-  auto again = pool.AcquireOverlay("fn");
+  auto again = pool.AcquireOverlay(InternFunction("fn"));
   EXPECT_EQ(again, overlay);
   EXPECT_FALSE(again->Exists("/app/out.txt"));
-  EXPECT_EQ(pool.cached_overlay_count("fn"), 0u);
+  EXPECT_EQ(pool.cached_overlay_count(InternFunction("fn")), 0u);
 }
 
 }  // namespace

@@ -253,16 +253,16 @@ TEST(ShardedClusterTest, CrashRecoveryOrderIsArrivalThenTicket) {
   ASSERT_TRUE(cluster.DeployTable4Functions().ok());
   const SimTime early = SimTime::Zero() + SimDuration::Millis(5);
   const SimTime late = SimTime::Zero() + SimDuration::Millis(10);
-  ASSERT_TRUE(cluster.Submit(late, "JS").ok());
-  ASSERT_TRUE(cluster.Submit(late, "DH").ok());
-  ASSERT_TRUE(cluster.Submit(early, "IR").ok());
-  ASSERT_TRUE(cluster.Submit(late, "CR").ok());
-  ASSERT_TRUE(cluster.Submit(early, "PR").ok());
+  ASSERT_TRUE(cluster.Submit(late, InternFunction("JS")).ok());
+  ASSERT_TRUE(cluster.Submit(late, InternFunction("DH")).ok());
+  ASSERT_TRUE(cluster.Submit(early, InternFunction("IR")).ok());
+  ASSERT_TRUE(cluster.Submit(late, InternFunction("CR")).ok());
+  ASSERT_TRUE(cluster.Submit(early, InternFunction("PR")).ok());
   const std::vector<LostInvocation> lost = cluster.node(0).Crash();
   ASSERT_EQ(lost.size(), 5u);
   const std::vector<std::string> want = {"IR", "PR", "JS", "DH", "CR"};
   for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(lost[i].function, want[i]) << "position " << i;
+    EXPECT_EQ(FunctionName(lost[i].function), want[i]) << "position " << i;
   }
   for (size_t i = 1; i < lost.size(); ++i) {
     const bool ordered = lost[i - 1].arrival < lost[i].arrival ||

@@ -27,12 +27,12 @@ TEST(TraceCsvTest, ParsesBasicTrace) {
   }
   int js_minute0 = 0;
   for (const auto& inv : *schedule) {
-    if (inv.function == "JS" && inv.arrival.seconds() < 60.0) {
+    if (inv.function == InternFunction("JS") && inv.arrival.seconds() < 60.0) {
       ++js_minute0;
     }
   }
   EXPECT_EQ(js_minute0, 10);
-  EXPECT_EQ(schedule->back().function, "CR");
+  EXPECT_EQ(schedule->back().function, InternFunction("CR"));
   EXPECT_GE(schedule->back().arrival.seconds(), 180.0);
   EXPECT_LT(schedule->back().arrival.seconds(), 240.0);
 }
@@ -77,6 +77,32 @@ TEST(TraceCsvTest, BurstyMinutesFrontLoaded) {
   }
 }
 
+TEST(TraceCsvTest, WriteOrdersRowsByNameNotId) {
+  // Fresh names interned in reverse alphabetical order get ascending ids, so
+  // an export in id order would list them backwards. Rows must come out by
+  // minute, then by name.
+  const FunctionId zulu = InternFunction("csv-order-zulu");
+  const FunctionId mike = InternFunction("csv-order-mike");
+  const FunctionId alpha = InternFunction("csv-order-alpha");
+  ASSERT_LT(zulu, mike);
+  ASSERT_LT(mike, alpha);
+  const auto at = [](double seconds) {
+    return SimTime::Zero() + SimDuration::FromSecondsF(seconds);
+  };
+  const Schedule schedule = {{at(1), zulu},  {at(2), alpha}, {at(3), zulu}, {at(4), mike},
+                             {at(61), mike}, {at(62), zulu}, {at(63), alpha}};
+  std::ostringstream csv;
+  WriteTraceCsv(schedule, csv);
+  EXPECT_EQ(csv.str(),
+            "minute,function,count\n"
+            "0,csv-order-alpha,1\n"
+            "0,csv-order-mike,1\n"
+            "0,csv-order-zulu,2\n"
+            "1,csv-order-alpha,1\n"
+            "1,csv-order-mike,1\n"
+            "1,csv-order-zulu,1\n");
+}
+
 TEST(TraceCsvTest, RoundTripPreservesPerMinuteCounts) {
   Rng rng(9);
   Schedule original =
@@ -91,7 +117,7 @@ TEST(TraceCsvTest, RoundTripPreservesPerMinuteCounts) {
   // Per-(minute, function) counts are identical even though exact offsets
   // within each minute are re-randomized.
   auto counts = [](const Schedule& schedule) {
-    std::map<std::pair<uint64_t, std::string>, int> out;
+    std::map<std::pair<uint64_t, FunctionId>, int> out;
     for (const auto& inv : schedule) {
       out[{static_cast<uint64_t>(inv.arrival.seconds() / 60.0), inv.function}]++;
     }

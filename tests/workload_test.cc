@@ -32,7 +32,7 @@ TEST(BurstyWorkloadTest, BurstsSeparatedByMoreThanKeepAlive) {
   for (const auto& fn : kFns) {
     std::vector<double> times;
     for (const auto& inv : schedule) {
-      if (inv.function == fn) {
+      if (inv.function == InternFunction(fn)) {
         times.push_back(inv.arrival.seconds());
       }
     }
@@ -54,7 +54,7 @@ TEST(BurstyWorkloadTest, AllFunctionsCovered) {
   Schedule schedule = MakeBurstyWorkload(kFns, BurstyOptions{}, rng);
   std::map<std::string, int> counts;
   for (const auto& inv : schedule) {
-    counts[inv.function]++;
+    counts[std::string(FunctionName(inv.function))]++;
   }
   EXPECT_EQ(counts.size(), kFns.size());
 }
@@ -94,7 +94,7 @@ TEST(PoissonWorkloadTest, ZipfSkewConcentratesOnFirstFunction) {
       MakePoissonWorkload(kFns, 5.0, SimDuration::Minutes(10), /*skew=*/1.5, rng);
   std::map<std::string, int> counts;
   for (const auto& inv : schedule) {
-    counts[inv.function]++;
+    counts[std::string(FunctionName(inv.function))]++;
   }
   EXPECT_GT(counts["A"], counts["D"] * 3);
 }

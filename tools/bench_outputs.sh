@@ -19,6 +19,16 @@
 #     timestamped, host-stamped trajectory record and leave stdout unchanged,
 #     so those CI runs are repeated here without the two flags.
 #
+# The repository benchmark is covered too. perfbench/ is built (Release)
+# into <build-dir>/perfbench from the source tree that configured
+# <build-dir>, read from its CMakeCache.txt, so a parent checkout's build
+# compares against its own sources. Each workload in perfbench/spec.json runs
+# once at its default seed and once at its held-out seed, with --seconds 0
+# --trace 1, and <out-dir>/perfbench.<workload>.seed<seed>.json keeps what
+# must not move: the sub-trace digests, attempted and failed, and every
+# end-to-end and per-layer value whose clock in spec.json is not "host".
+# The perfbench build and its six runs take under 3 minutes on 4 cores.
+#
 # Exits 1 if any run exits non-zero (a bench failing its own gate); its
 # stdout file is still written.
 #
@@ -90,5 +100,41 @@ run "$b/peak_density" --functions=512 --minutes=8 --jobs=2
 run "$b/peak_density" --functions=1024 --minutes=10 --jobs=2
 run "$b/peak_density" --jobs=1
 run "$b/peak_density" --jobs=4
+
+# The repository benchmark, built from <build-dir>'s own source tree.
+src=$(sed -n 's/^CMAKE_HOME_DIRECTORY:INTERNAL=//p' "$build/CMakeCache.txt")
+pb="$build/perfbench"
+if ! { cmake -S "$src/perfbench" -B "$pb" -DCMAKE_BUILD_TYPE=Release &&
+       cmake --build "$pb" -j"$(nproc)"; } > /dev/null; then
+  echo "FAIL: perfbench build from $src" >&2
+  exit 1
+fi
+spec="$src/perfbench/spec.json"
+while read -r workload seed; do
+  rc=0
+  json=$("$pb/perfbench" --workload "$workload" --seed "$seed" --seconds 0 --trace 1 \
+         < /dev/null 2> /dev/null | tail -n 1) || rc=$?
+  if [[ $rc -ne 0 ]]; then
+    echo "FAIL (exit $rc): perfbench $workload seed $seed" >&2
+    failed=1
+  fi
+  python3 - "$spec" "$json" > "$out/perfbench.$workload.seed$seed.json" <<'PY'
+import json, sys
+spec = json.load(open(sys.argv[1]))
+result = json.loads(sys.argv[2]) if sys.argv[2] else {}
+kept = {key: result.get(key) for key in ("digests", "attempted", "failed")}
+for section in ("end_to_end", "per_layer"):
+    values = result.get(section, {})
+    kept[section] = {m["name"]: values.get(m["name"])
+                     for m in spec[section] if m["clock"] != "host"}
+json.dump(kept, sys.stdout, indent=1, sort_keys=True)
+print()
+PY
+done < <(python3 -c '
+import json, sys
+for name, w in json.load(open(sys.argv[1]))["workloads"].items():
+    print(name, w["default_seed"])
+    print(name, w["heldout_seed"])
+' "$spec")
 
 exit $failed
