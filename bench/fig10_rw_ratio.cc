@@ -17,10 +17,12 @@ void Run() {
   }
   FrameAllocator frames(64ULL * kGiB);
   PidAllocator pids;
+  obs::Registry stats;
   RestoreContext ctx;
   ctx.frames = &frames;
   ctx.backends = &bed.backends();
   ctx.pids = &pids;
+  ctx.stats = &stats;
 
   Table table({"Func", "Pages read-only", "Pages written", "Read-only ratio"});
   for (const auto& profile : Table4Functions()) {
@@ -29,18 +31,15 @@ void Run() {
       std::cerr << "restore failed for " << profile.name << "\n";
       continue;
     }
-    // One complete invocation's page work.
+    // One complete invocation's page work: its CoW faults are the written
+    // pages, its direct CXL loads the read-only ones.
+    stats.Reset();
     auto overheads = bed.engine().OnExecute(profile, *outcome->instance, ctx);
     if (!overheads.ok()) {
       continue;
     }
-    uint64_t read_only = 0;
-    uint64_t written = 0;
-    for (auto& process : outcome->instance->processes()) {
-      const MmStats& stats = process->mm().stats();
-      written += stats.cow_faults;
-      read_only += stats.direct_remote_reads;
-    }
+    const uint64_t written = stats.GetCounter("faults.cow")->count();
+    const uint64_t read_only = stats.GetCounter("reads.direct_remote")->count();
     const double ratio =
         read_only + written == 0
             ? 0

@@ -30,7 +30,7 @@ TimelineResult RunTimeline(const VmSystemConfig& config, const std::string& agen
   result.integral_gib_s = platform.memory_gauge().TimeIntegral(platform.scheduler().now()) /
                           static_cast<double>(kGiB);
   // Downsample the raw series to ~16 points.
-  const auto& raw = platform.memory_gauge().Series();
+  const auto& raw = platform.memory_series();
   const size_t stride = std::max<size_t>(1, raw.size() / 16);
   for (size_t i = 0; i < raw.size(); i += stride) {
     result.series.emplace_back(raw[i].first, raw[i].second / static_cast<double>(kGiB));

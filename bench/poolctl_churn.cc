@@ -167,7 +167,8 @@ ConsolidatedImage HotImage() {
   // replication funnels every fetch into its single primary.
   ConsolidatedImage image;
   PlacedRegion placed;
-  placed.chunks.push_back(PlacedChunk{PoolKind::kCxl, 0, 512, 0xA07ULL});
+  placed.chunks.push_back(
+      PlacedChunk{.pool = PoolKind::kCxl, .offset = 0, .npages = 512, .content_base = 0xA07ULL});
   image.processes.push_back({placed});
   image.total_pages = 512;
   return image;

@@ -118,7 +118,6 @@ void TimeSeriesGauge::Set(SimTime now, double value) {
   last_update_ = now;
   current_ = value;
   peak_ = std::max(peak_, current_);
-  points_.emplace_back(now.seconds(), current_);
 }
 
 void TimeSeriesGauge::Add(SimTime now, double delta) { Set(now, current_ + delta); }
@@ -126,7 +125,5 @@ void TimeSeriesGauge::Add(SimTime now, double delta) { Set(now, current_ + delta
 double TimeSeriesGauge::TimeIntegral(SimTime end) const {
   return integral_ + current_ * (end - last_update_).seconds();
 }
-
-std::vector<std::pair<double, double>> TimeSeriesGauge::Series() const { return points_; }
 
 }  // namespace trenv

@@ -55,7 +55,9 @@ class Histogram {
 };
 
 // Tracks a quantity over virtual time (e.g. memory in use) and reports the
-// peak as well as the time integral (byte-seconds, for cost modelling).
+// peak as well as the time integral (byte-seconds, for cost modelling). It
+// keeps no point log, so its size does not grow with the trace; a caller
+// that plots the timeline keeps its own samples.
 class TimeSeriesGauge {
  public:
   void Set(SimTime now, double value);
@@ -66,15 +68,11 @@ class TimeSeriesGauge {
   // Integral of the gauge over time, in value * seconds.
   double TimeIntegral(SimTime end) const;
 
-  // Sampled series for plotting: (seconds, value).
-  std::vector<std::pair<double, double>> Series() const;
-
  private:
   double current_ = 0;
   double peak_ = 0;
   double integral_ = 0;  // value * seconds accumulated up to last_update_.
   SimTime last_update_;
-  std::vector<std::pair<double, double>> points_;
 };
 
 }  // namespace trenv

@@ -1,81 +1,9 @@
 #include "src/criu/deduplicator.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
-#include "src/common/rng.h"
-
 namespace trenv {
-
-namespace {
-
-constexpr uint64_t kFingerprintSeed = 0x5ead0b6c0de5ULL;
-
-// Memoized hash chains. The fingerprint is a sequential chain
-// h_{i+1} = Mix(h_i ^ page_i), so it has no closed form — but its input is
-// fully determined by (content_base, npages): page_i is the arithmetic
-// progression content_base + i, or content_base repeated for constant-content
-// chunks. Chunking fingerprints the same progressions over and over (fixed
-// chunk size, runtimes shared across every function's snapshot), so we cache
-// the chain prefixes per content_base and answer repeats — and shorter or
-// longer prefixes of a seen progression — without re-mixing O(npages).
-// thread_local: parallel sweeps fingerprint concurrently without a lock.
-uint64_t MemoizedChain(PageContent base, uint64_t npages, bool constant) {
-  // Bound the per-thread footprint: drop the memo wholesale if it grows past
-  // a few thousand distinct bases (each chain is one chunk long).
-  constexpr size_t kMaxBases = 4096;
-  thread_local std::unordered_map<uint64_t, std::vector<uint64_t>> memo[2];
-  auto& table = memo[constant ? 1 : 0];
-  if (table.size() > kMaxBases) {
-    table.clear();
-  }
-  std::vector<uint64_t>& chain = table[base];
-  uint64_t hash = chain.empty() ? kFingerprintSeed : chain.back();
-  if (chain.capacity() < npages) {
-    chain.reserve(npages);
-  }
-  while (chain.size() < npages) {
-    const uint64_t i = chain.size();
-    hash = MixU64(hash ^ (constant ? base : base + i));
-    chain.push_back(hash);
-  }
-  return chain[npages - 1];
-}
-
-}  // namespace
-
-uint64_t SnapshotDedupStore::Fingerprint(PageContent content_base, uint64_t npages) {
-  if (npages == 0) {
-    return kFingerprintSeed;
-  }
-  // Chains are memoized per content_base up to the largest npages seen; very
-  // large one-off runs fall back to the plain loop so the memo stays small.
-  constexpr uint64_t kMemoMaxPages = 1 << 16;
-  if (npages <= kMemoMaxPages) {
-    return MemoizedChain(content_base, npages, /*constant=*/false);
-  }
-  uint64_t hash = kFingerprintSeed;
-  for (uint64_t i = 0; i < npages; ++i) {
-    hash = MixU64(hash ^ (content_base + i));
-  }
-  return hash;
-}
-
-uint64_t SnapshotDedupStore::FingerprintConstant(PageContent content, uint64_t npages) {
-  if (npages == 0) {
-    return kFingerprintSeed;
-  }
-  constexpr uint64_t kMemoMaxPages = 1 << 16;
-  if (npages <= kMemoMaxPages) {
-    return MemoizedChain(content, npages, /*constant=*/true);
-  }
-  uint64_t hash = kFingerprintSeed;
-  for (uint64_t i = 0; i < npages; ++i) {
-    hash = MixU64(hash ^ content);
-  }
-  return hash;
-}
 
 namespace {
 
@@ -99,9 +27,11 @@ Result<PlacedChunk> SnapshotDedupStore::StoreChunk(const ChunkKey& key, double h
   MemoryBackend* backend = pool_->TierFor(placement.kind);
   TRENV_RETURN_IF_ERROR(
       backend->WriteContent(placement.base, key.npages, key.content_base));
-  PlacedChunk chunk{placement.kind, placement.base, key.npages,
-                    key.constant ? FingerprintConstant(key.content_base, key.npages)
-                                 : Fingerprint(key.content_base, key.npages)};
+  const PlacedChunk chunk{.pool = placement.kind,
+                          .constant_content = key.constant,
+                          .offset = placement.base,
+                          .npages = key.npages,
+                          .content_base = key.content_base};
   chunk_index_.emplace(key, chunk);
   stored_unique_pages_ += key.npages;
   return chunk;

@@ -21,15 +21,18 @@
 namespace trenv {
 
 // Where one region of a consolidated image lives: a list of (pool, offset)
-// chunk placements in region order.
+// chunk placements in region order. Each chunk also carries its logical
+// content: page i holds content_base + i, or content_base on every page when
+// constant_content. Equal content means one chunk, so the pool control plane
+// (src/poolmgr/) hashes it into the shard key it places on its
+// consistent-hash ring. constant_content sits beside pool, where the struct
+// has padding anyway: every deployed function holds its own chunk list.
 struct PlacedChunk {
   PoolKind pool;
+  bool constant_content = false;
   PoolOffset offset;  // pool page offset of the chunk start
   uint64_t npages;
-  // Content hash of the chunk (Fingerprint / FingerprintConstant). Equal
-  // fingerprints mean equal content, so this is the shard key the pool
-  // control plane (src/poolmgr/) places on its consistent-hash ring.
-  uint64_t fingerprint = 0;
+  PageContent content_base = kZeroPageContent;
 };
 
 struct PlacedRegion {
@@ -59,18 +62,6 @@ class SnapshotDedupStore {
   // cold and earn its way up (the ablation's T-DRAM-live configuration).
   // Negative (default) = use the heuristic.
   void set_hotness_override(double hotness) { hotness_override_ = hotness; }
-
-  // Content hash of a chunk run, mixing every page's logical content
-  // (page i holds content_base + i). This is what catches injected
-  // page-fetch corruption: a payload whose fingerprint disagrees with the
-  // stored chunk's is discarded and refetched (see
-  // MemoryBackend::FetchLatency's retry loop). Repeated fingerprints of the
-  // same progression are memoized per thread, so re-hashing a shared chunk
-  // costs O(1) instead of O(npages).
-  static uint64_t Fingerprint(PageContent content_base, uint64_t npages);
-  // Fingerprint of a constant-content chunk (every page holds `content`,
-  // the ChunkKey::constant representation). Memoized like Fingerprint.
-  static uint64_t FingerprintConstant(PageContent content, uint64_t npages);
 
   // Global dedup statistics.
   uint64_t total_ingested_pages() const { return total_ingested_pages_; }

@@ -266,7 +266,6 @@ void TrEnvEngine::PrefetchWorkingSet(const FunctionProfile& profile, RestoreOutc
     flags.pool = PoolKind::kLocalDram;
     pr.mm->page_table().MapRange(pr.vpn, pr.run.npages, flags, frame_or.value(),
                                  pr.run.content_base, pr.run.constant_content);
-    pr.mm->stats().local_pages += pr.run.npages;
     const auto pool = static_cast<size_t>(pr.run.flags.pool);
     pool_pages[pool] += pr.run.npages;
     pool_runs[pool] += 1;

@@ -121,10 +121,7 @@ SimDuration DensityManager::OnTake(FunctionInstance& instance) {
       instance.swap_base = 0;
       instance.swap_pool = PoolKind::kLocalDram;
       instance.pending_demand_fetch = fetch;
-      promote_ms_.RecordDuration(fetch);
       promoted_pages_->Add(static_cast<double>(pages));
-    } else {
-      promote_ms_.Record(0.0);
     }
     promotions_->Increment();
     instance.density_tier = DensityTier::kDramHot;
@@ -192,11 +189,10 @@ bool DensityManager::Demote(FunctionInstance& instance, DensityTier to) {
       instance.swap_pool = dst->kind();
       instance.swap_base = *base;
       instance.swapped_out_pages = pages;
-      // Background copy cost (off any attach path) at the tier's real rate.
-      demote_ms_.RecordDuration(dst->FetchLatency(pages));
+      // Background copy (off any attach path): it still loads the tier, so
+      // it counts into the tier's fetch stats and meets its injected faults.
+      (void)dst->FetchLatency(pages);
       demoted_pages_->Add(static_cast<double>(pages));
-    } else {
-      demote_ms_.Record(0.0);
     }
   } else {
     // CXL-warm -> NAS-cold: move the existing swap block one rung down.
@@ -212,10 +208,8 @@ bool DensityManager::Demote(FunctionInstance& instance, DensityTier to) {
       }
       instance.swap_pool = dst->kind();
       instance.swap_base = *base;
-      demote_ms_.RecordDuration(dst->FetchLatency(pages));
+      (void)dst->FetchLatency(pages);
       demoted_pages_->Add(static_cast<double>(pages));
-    } else {
-      demote_ms_.Record(0.0);
     }
   }
   instance.density_tier = to;

@@ -115,8 +115,6 @@ class DensityManager {
   // --- Introspection --------------------------------------------------------
 
   const Histogram& attach_ms() const { return attach_ms_; }
-  const Histogram& promote_ms() const { return promote_ms_; }
-  const Histogram& demote_ms() const { return demote_ms_; }
   // Parked-instance count over virtual time for the given tier (peak +
   // timeline; sampled at every sweep and pressure storm).
   const TimeSeriesGauge& tier_timeline(DensityTier tier) const {
@@ -159,8 +157,6 @@ class DensityManager {
   bool sweep_armed_ = false;
 
   Histogram attach_ms_;
-  Histogram promote_ms_;
-  Histogram demote_ms_;
   TimeSeriesGauge timeline_[kDensityTierCount];
 
   // Registry instruments (owned by the platform's registry; null when the

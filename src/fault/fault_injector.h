@@ -53,7 +53,7 @@ class FaultInjector {
 
   struct FetchFault {
     bool fail = false;     // attempt times out; retry after backoff
-    bool corrupt = false;  // payload fails the dedup content hash; refetch
+    bool corrupt = false;  // payload fails the receiver's checksum; refetch
     double latency_multiplier = 1.0;
   };
   // Evaluates the schedule for one fetch attempt against pool `kind` at the

@@ -37,8 +37,9 @@ enum class FaultDomain : uint8_t {
   kCxlPortDegrade,
   // A NAS block read stalls past its timeout and is retried.
   kNasStall,
-  // The fetched payload fails the dedup store's content-hash check and is
-  // discarded and refetched (transient wire corruption).
+  // The fetched payload fails the receiver's checksum and is discarded and
+  // refetched (transient wire corruption). The injector's `corrupt` flag is
+  // the whole model: no content is hashed.
   kPageCorruption,
   // Shared-pool pressure: targeted nodes scale their soft memory cap by
   // `severity`, forcing keep-alive/template eviction until the window ends.

@@ -116,8 +116,8 @@ SimDuration MemoryBackend::FetchThroughFaults(uint64_t npages, ComputeFn&& compu
     return compute();
   }
   // Chaos path: each attempt may flap (costs a timeout, then backoff + retry)
-  // or deliver a corrupted payload (full transfer latency wasted — the dedup
-  // store's content hash rejects it — then refetch). The loop is fail-open:
+  // or deliver a corrupted payload (full transfer latency wasted — the
+  // receiver's checksum rejects it — then refetch). The loop is fail-open:
   // once attempts or the deadline are exhausted the fabric is assumed to
   // deliver, so injected faults degrade latency but never lose pages.
   const RetryPolicy& policy = injector_->retry_policy();
@@ -131,7 +131,7 @@ SimDuration MemoryBackend::FetchThroughFaults(uint64_t npages, ComputeFn&& compu
     }
     if (fault.corrupt) {
       injector_->CountCorrupt();
-      overhead += transfer;  // the bad payload crossed the wire before the hash caught it
+      overhead += transfer;  // the bad payload crossed the wire before the check caught it
     } else {
       overhead += policy.attempt_timeout;
     }

@@ -5,7 +5,8 @@
 
 namespace trenv {
 
-BlockAllocator::BlockAllocator(uint64_t total_pages) : total_pages_(total_pages) {
+BlockAllocator::BlockAllocator(uint64_t total_pages)
+    : total_pages_(total_pages), largest_free_bound_(total_pages) {
   if (total_pages > 0) {
     free_list_.push_back(Extent{0, total_pages});
   }
@@ -22,6 +23,9 @@ Result<PoolOffset> BlockAllocator::Allocate(uint64_t n) {
   if (n == 0) {
     return Status::InvalidArgument("zero-page allocation");
   }
+  if (n > largest_free_bound_) {
+    return Status::OutOfMemory("pool exhausted or fragmented");
+  }
   for (size_t i = 0; i < free_list_.size(); ++i) {
     Extent& extent = free_list_[i];
     if (extent.len >= n) {
@@ -37,6 +41,7 @@ Result<PoolOffset> BlockAllocator::Allocate(uint64_t n) {
       return base;
     }
   }
+  largest_free_bound_ = LargestFreeExtent();
   return Status::OutOfMemory("pool exhausted or fragmented");
 }
 
@@ -57,17 +62,21 @@ Status BlockAllocator::Free(PoolOffset base, uint64_t n) {
 
   const bool merge_prev = i > 0 && free_list_[i - 1].base + free_list_[i - 1].len == base;
   const bool merge_next = i < free_list_.size() && base + n == free_list_[i].base;
+  size_t merged = i;  // the extent that now holds [base, base + n)
   if (merge_prev && merge_next) {
     free_list_[i - 1].len += n + free_list_[i].len;
     free_list_.erase(free_list_.begin() + static_cast<ptrdiff_t>(i));
+    merged = i - 1;
   } else if (merge_prev) {
     free_list_[i - 1].len += n;
+    merged = i - 1;
   } else if (merge_next) {
     free_list_[i].base = base;
     free_list_[i].len += n;
   } else {
     free_list_.insert(free_list_.begin() + static_cast<ptrdiff_t>(i), Extent{base, n});
   }
+  largest_free_bound_ = std::max(largest_free_bound_, free_list_[merged].len);
   return Status::Ok();
 }
 

@@ -9,6 +9,12 @@
 // therefore runs allocation-free at steady state. Placement decisions are
 // bit-identical to the original std::map free list (first fit from the
 // lowest base; pinned by tests/flat_store_equivalence_test.cc).
+//
+// A request larger than every free extent fails without a scan: the
+// allocator keeps an upper bound on its largest free extent. A full pool's
+// retries (density re-demoting into a full tier every sweep) would otherwise
+// walk the whole free list on each failure. A failed allocation changes no
+// state, so the bound changes no placement and no failure.
 #ifndef TRENV_MEMPOOL_BLOCK_ALLOCATOR_H_
 #define TRENV_MEMPOOL_BLOCK_ALLOCATOR_H_
 
@@ -57,6 +63,10 @@ class BlockAllocator {
 
   uint64_t total_pages_;
   uint64_t used_pages_ = 0;
+  // Upper bound on the largest free extent: exact after a failed scan,
+  // raised by every Free to the extent it merged into, and never lowered
+  // by a successful Allocate (which only shrinks an extent).
+  uint64_t largest_free_bound_;
   // Free extents sorted by base, pairwise disjoint and non-adjacent.
   std::vector<Extent> free_list_;
 };

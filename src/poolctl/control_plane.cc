@@ -174,7 +174,6 @@ void PoolControlPlane::RebalanceTick() {
 
   rebalance_ticks_->Increment();
   pages_moved_->Add(static_cast<double>(moved));
-  tick_pages_.Record(static_cast<double>(moved));
   under_replicated_gauge_->Set(static_cast<double>(mgr_->UnderReplicatedShards()));
   if (tracer_ != nullptr && moved > 0) {
     const obs::SpanId id = tracer_->RecordSpanAt({trace_pid_, 0}, "rebalance.tick", "poolctl",

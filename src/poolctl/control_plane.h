@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/histogram.h"
 #include "src/common/time.h"
 #include "src/fault/fault_schedule.h"
 #include "src/obs/registry.h"
@@ -94,8 +93,6 @@ class PoolControlPlane {
   uint32_t ExtraReplicas(uint32_t shard_index) const {
     return shard_index < extra_.size() ? extra_[shard_index] : 0;
   }
-  // Pages of background copy traffic per rebalance tick.
-  const Histogram& tick_pages() const { return tick_pages_; }
 
  private:
   void OnTransition(const GossipMembership::Transition& transition);
@@ -115,8 +112,6 @@ class PoolControlPlane {
   std::vector<uint32_t> extra_;
   // Round-robin resume point for the budget-bound alignment pass.
   uint32_t cursor_ = 0;
-
-  Histogram tick_pages_;
 
   // Registry instruments: the only home of each count.
   obs::Counter* rebalance_ticks_;

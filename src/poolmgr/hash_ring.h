@@ -1,6 +1,6 @@
 // Consistent-hash ring for shard placement across pool nodes.
 //
-// Template chunks are content-addressed (the dedup store's fingerprint is the
+// Template chunks are content-addressed (a hash of the chunk's content is the
 // key), so placement must be a pure function of (key, live membership): any
 // node that knows the membership can compute where a shard lives without a
 // directory lookup, and a membership change remaps only the shards whose

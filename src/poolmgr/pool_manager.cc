@@ -7,6 +7,21 @@
 
 namespace trenv {
 
+namespace {
+
+// A chunk's shard key: a hash chain over every page's logical content,
+// h_{i+1} = Mix(h_i ^ page_i). Equal content gives an equal key, so a chunk
+// shared by several images lands on one shard.
+uint64_t ChunkFingerprint(const PlacedChunk& chunk) {
+  uint64_t hash = 0x5ead0b6c0de5ULL;
+  for (uint64_t i = 0; i < chunk.npages; ++i) {
+    hash = MixU64(hash ^ (chunk.constant_content ? chunk.content_base : chunk.content_base + i));
+  }
+  return hash;
+}
+
+}  // namespace
+
 PoolManager::PoolManager(PoolManagerConfig config, uint32_t worker_nodes,
                          MemoryBackend* fabric, obs::Registry& stats)
     : config_(config),
@@ -54,25 +69,32 @@ void PoolManager::RegisterTemplate(FunctionId fid, const ConsolidatedImage& imag
   for (const auto& process : image.processes) {
     for (const PlacedRegion& placed : process) {
       for (const PlacedChunk& chunk : placed.chunks) {
-        uint32_t index;
-        const auto it = shard_by_fingerprint_.find(chunk.fingerprint);
-        if (it != shard_by_fingerprint_.end()) {
-          index = it->second;  // dedup hit: runtimes shared across functions
-        } else {
-          index = static_cast<uint32_t>(shards_.size());
-          Shard shard;
-          shard.fingerprint = chunk.fingerprint;
-          shard.npages = chunk.npages;
-          ring_.OwnersFor(chunk.fingerprint, config_.replication, &shard.replicas);
-          shards_.push_back(std::move(shard));
-          shard_by_fingerprint_.emplace(chunk.fingerprint, index);
-        }
+        const uint32_t index = ShardFor(chunk);
         if (std::find(shard_ids.begin(), shard_ids.end(), index) == shard_ids.end()) {
           shard_ids.push_back(index);
         }
       }
     }
   }
+}
+
+uint32_t PoolManager::ShardFor(const PlacedChunk& chunk) {
+  const auto key = std::make_tuple(chunk.content_base, chunk.npages, chunk.constant_content);
+  if (const auto known = shard_by_content_.find(key); known != shard_by_content_.end()) {
+    return known->second;  // dedup hit: runtimes shared across functions
+  }
+  const uint64_t fingerprint = ChunkFingerprint(chunk);
+  const auto [it, fresh] =
+      shard_by_fingerprint_.try_emplace(fingerprint, static_cast<uint32_t>(shards_.size()));
+  if (fresh) {
+    Shard shard;
+    shard.fingerprint = fingerprint;
+    shard.npages = chunk.npages;
+    ring_.OwnersFor(fingerprint, config_.replication, &shard.replicas);
+    shards_.push_back(std::move(shard));
+  }
+  shard_by_content_.emplace(key, it->second);
+  return it->second;
 }
 
 bool PoolManager::EnsureLivePrimary(uint32_t shard_index) {

@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <map>
+#include <tuple>
 #include <vector>
 
 #include "src/common/histogram.h"
@@ -88,8 +89,9 @@ class PoolManager {
   // the worker-node schedulers and drains it at end of run.
   EventScheduler& clock() { return clock_; }
 
-  // Registers a function's consolidated image: every chunk fingerprint
-  // becomes (or joins) a shard placed on the ring. Idempotent per fid.
+  // Registers a function's consolidated image: every chunk's content
+  // fingerprint becomes (or joins) a shard placed on the ring. Idempotent
+  // per fid.
   void RegisterTemplate(FunctionId fid, const ConsolidatedImage& image);
 
   struct AttachOutcome {
@@ -216,6 +218,9 @@ class PoolManager {
   };
 
   void GrantLease(uint32_t worker, FunctionId fid, SimTime now);
+  // The shard holding `chunk`'s content, created on first sight. Each
+  // distinct content is hashed once, however many templates share it.
+  uint32_t ShardFor(const PlacedChunk& chunk);
   void ScheduleRebalance(SimTime when);
   // Ring removal + replica erase + promotion + lost-shard lease revocation —
   // the placement half of a crash, shared by OnPoolNodeCrash (legacy) and
@@ -245,6 +250,8 @@ class PoolManager {
 
   std::vector<Shard> shards_;
   std::map<uint64_t, uint32_t> shard_by_fingerprint_;
+  // (content_base, npages, constant_content) -> shard index.
+  std::map<std::tuple<PageContent, uint64_t, bool>, uint32_t> shard_by_content_;
   // fid -> shard indices (sparse, indexed by interned FunctionId).
   std::vector<std::vector<uint32_t>> templates_;
   // Per worker: fid -> lease. std::map so revocation scans are in id order.

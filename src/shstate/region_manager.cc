@@ -254,7 +254,6 @@ Result<RegionOp> RegionManager::ReadRegion(RegionId id, uint32_t worker, SimTime
                                  /*write=*/false));
   op.latency += stats.latency;
   reads_->Increment();
-  read_ms_.RecordDuration(op.latency);
   return op;
 }
 
@@ -300,7 +299,6 @@ Result<RegionOp> RegionManager::Transfer(RegionId id, uint32_t from, uint32_t to
   }
   TRENV_ASSIGN_OR_RETURN(RegionOp op, MoveOwnership(id, to, now));
   transfers_->Increment();
-  transfer_ms_.RecordDuration(op.latency);
   return op;
 }
 
@@ -317,7 +315,6 @@ Result<RegionOp> RegionManager::AcquireOwnership(RegionId id, uint32_t worker, S
   if (recovery) {
     ownership_recoveries_->Increment();
   }
-  transfer_ms_.RecordDuration(op.latency);
   return op;
 }
 

@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/histogram.h"
 #include "src/common/status.h"
 #include "src/common/time.h"
 #include "src/mempool/tiered_pool.h"
@@ -143,8 +142,6 @@ class RegionManager {
   uint64_t lease_grants() const { return lease_grants_->count(); }
   uint64_t leases_expired() const { return leases_expired_->count(); }
   uint64_t ownership_recoveries() const { return ownership_recoveries_->count(); }
-  const Histogram& transfer_ms() const { return transfer_ms_; }
-  const Histogram& read_ms() const { return read_ms_; }
 
  private:
   struct Reader {
@@ -194,8 +191,6 @@ class RegionManager {
 
   // Re-fetch traffic after revocation; no registry instrument counts it.
   uint64_t refetch_bytes_ = 0;
-  Histogram transfer_ms_;
-  Histogram read_ms_;
 
   // Registry instruments: the only home of each count.
   obs::Counter* regions_created_;

@@ -45,11 +45,21 @@ void BulkAccessStats::MergeFrom(const BulkAccessStats& other) {
   fetch_cpu += other.fetch_cpu;
 }
 
-Result<AccessOutcome> FaultHandler::Access(MmStruct& mm, Vaddr addr, bool write,
-                                           PageContent new_content) {
+template <typename NextContent>
+Result<BulkAccessStats> FaultHandler::Touch(MmStruct& mm, Vaddr addr, uint64_t npages,
+                                            bool write, NextContent next_content) {
+  BulkAccessStats stats;
+  if (npages == 0) {
+    return stats;
+  }
+  const Vpn first_vpn = AddrToVpn(addr);
+  const Vpn range_end = first_vpn + npages;
   const Vma* vma = mm.FindVma(addr);
   if (vma == nullptr) {
     return Status::PermissionDenied("segfault: no VMA maps this address");
+  }
+  if (mm.FindVma(VpnToAddr(range_end) - 1) != vma) {
+    return Status::InvalidArgument("range must lie within a single VMA");
   }
   if (write && !vma->prot.write) {
     return Status::PermissionDenied("segfault: write to read-only VMA " + vma->name);
@@ -57,166 +67,165 @@ Result<AccessOutcome> FaultHandler::Access(MmStruct& mm, Vaddr addr, bool write,
   if (!write && !vma->prot.read) {
     return Status::PermissionDenied("segfault: read from non-readable VMA " + vma->name);
   }
-  const Vpn vpn = AddrToVpn(addr);
   if (observer_ != nullptr) {
-    observer_->OnTouch(mm, vpn, 1);
-  }
-  auto pte = mm.page_table().Lookup(vpn);
-  if (!pte.has_value()) {
-    return HandleUnpopulated(mm, *vma, vpn, write, new_content);
+    observer_->OnTouch(mm, first_vpn, npages);
   }
 
-  if (!pte->flags.valid) {
-    // Lazy remote page (RDMA/NAS): major fault fetches 4 KiB and installs a
-    // private local copy, writable per the VMA.
-    MemoryBackend* backend = backends_->Get(pte->flags.pool);
+  // Snapshot the runs (the loop below mutates the table) into the reusable
+  // per-handler scratch buffer: steady state performs no allocation here.
+  std::vector<Segment>& segments = segments_scratch_;
+  segments.clear();
+  mm.page_table().ForEachRunIn(first_vpn, npages, [&](Vpn vpn, const PteRun& run) {
+    segments.push_back({vpn, run});
+  });
+
+  // The backend serving a remote run. A run that names an unregistered pool
+  // is a wiring error, never a silently free fetch.
+  auto backend_of = [&](const PteRun& run) -> Result<MemoryBackend*> {
+    MemoryBackend* backend = backends_->Get(run.flags.pool);
     if (backend == nullptr) {
       return Status::Internal("no backend registered for pool");
     }
-    TRENV_ASSIGN_OR_RETURN(FrameId frame, frames_->AllocatePages(1));
-    const PageContent content = write ? new_content : pte->content;
+    return backend;
+  };
+
+  Vpn cursor = first_vpn;
+  auto handle_gap = [&](Vpn gap_start, uint64_t gap_pages) -> Status {
+    if (gap_pages == 0) {
+      return Status::Ok();
+    }
+    // Unpopulated: bulk zero-fill minor faults.
+    TRENV_ASSIGN_OR_RETURN(FrameId frame, frames_->AllocatePages(gap_pages));
     PteFlags flags;
     flags.valid = true;
     flags.write_protected = !vma->prot.write;
     flags.pool = PoolKind::kLocalDram;
-    mm.page_table().MapRange(vpn, 1, flags, frame, content);
-    mm.stats().major_faults += 1;
-    mm.stats().local_pages += 1;
-    if (major_ != nullptr) {
-      major_->Increment();
-      fetched_bytes_->Add(static_cast<double>(kPageSize));
-    }
-    AccessOutcome outcome;
-    outcome.kind = AccessKind::kMajorFault;
-    outcome.latency = cost::kMajorFaultEntry + backend->FetchLatency(1);
-    outcome.content = content;
-    return outcome;
-  }
-
-  // Valid PTE.
-  if (!write) {
-    AccessOutcome outcome;
-    outcome.content = pte->content;
-    if (pte->flags.remote()) {
-      MemoryBackend* backend = backends_->Get(pte->flags.pool);
-      if (backend == nullptr) {
-        return Status::Internal("no backend registered for pool");
-      }
-      outcome.kind = AccessKind::kDirectRemote;
-      outcome.latency = backend->EffectiveDirectLoadLatency();
-      mm.stats().direct_remote_reads += 1;
-      if (direct_remote_ != nullptr) {
-        direct_remote_->Increment();
-      }
+    if (write) {
+      mm.page_table().MapRange(gap_start, gap_pages, flags, frame, next_content());
     } else {
-      outcome.kind = AccessKind::kDirectLocal;
-      outcome.latency = cost::kLocalDramLatency;
-      if (direct_local_ != nullptr) {
-        direct_local_->Increment();
-      }
+      mm.page_table().MapRange(gap_start, gap_pages, flags, frame, kZeroPageContent,
+                               /*constant_content=*/true);
     }
-    return outcome;
-  }
+    stats.minor_faults += gap_pages;
+    stats.new_local_pages += gap_pages;
+    stats.latency += cost::kMinorFault * static_cast<double>(gap_pages);
+    return Status::Ok();
+  };
 
-  // Write access.
-  if (pte->flags.write_protected) {
-    if (pte->flags.shared) {
+  for (const Segment& seg : segments) {
+    if (seg.vpn > cursor) {
+      TRENV_RETURN_IF_ERROR(handle_gap(cursor, seg.vpn - cursor));
+    }
+    const uint64_t n = seg.run.npages;
+    const PteRun& run = seg.run;
+    if (!run.flags.valid) {
+      // Lazy remote run (RDMA/NAS): bulk major faults fetch the pages and
+      // install private local copies, writable per the VMA.
+      TRENV_ASSIGN_OR_RETURN(MemoryBackend * backend, backend_of(run));
+      TRENV_ASSIGN_OR_RETURN(FrameId frame, frames_->AllocatePages(n));
+      PteFlags flags;
+      flags.valid = true;
+      flags.write_protected = !vma->prot.write;
+      flags.pool = PoolKind::kLocalDram;
+      PageContent content = run.content_base;
+      bool constant = run.constant_content;
+      if (write) {
+        content = next_content();
+        constant = false;
+      }
+      mm.page_table().MapRange(seg.vpn, n, flags, frame, content, constant);
+      stats.major_faults += n;
+      stats.new_local_pages += n;
+      stats.bytes_fetched += n * kPageSize;
+      stats.latency += cost::kMajorFaultEntry * static_cast<double>(n) + backend->FetchLatency(n);
+      stats.fetch_cpu += backend->FetchCpuPerPage() * static_cast<double>(n);
+    } else if (!write) {
+      if (run.flags.remote()) {
+        // Direct CXL loads: no fault, no latency charged here; the execution
+        // model accounts the load-latency slowdown in aggregate.
+        stats.direct_remote += n;
+      } else {
+        stats.direct_local += n;
+      }
+    } else if (run.flags.write_protected && run.flags.shared) {
       // Reader mapping of a shared region. CoW would fork the shared data
       // into a private copy, so the write is refused until shstate upgrades
       // this sandbox to owner (which revokes the other readers).
       return Status::PermissionDenied(
           "write to shared region reader mapping requires ownership upgrade");
+    } else if (run.flags.write_protected) {
+      // Bulk CoW: copy to fresh local frames and install writable PTEs; the
+      // shared original (e.g. in the CXL pool) is untouched (paper 5.1).
+      MemoryBackend* backend = nullptr;
+      if (run.flags.remote()) {
+        TRENV_ASSIGN_OR_RETURN(backend, backend_of(run));
+      }
+      TRENV_ASSIGN_OR_RETURN(FrameId frame, frames_->AllocatePages(n));
+      PteFlags flags;
+      flags.valid = true;
+      flags.write_protected = false;
+      flags.pool = PoolKind::kLocalDram;
+      mm.page_table().MapRange(seg.vpn, n, flags, frame, next_content());
+      stats.cow_faults += n;
+      stats.new_local_pages += n;
+      stats.latency += cost::kCowFault * static_cast<double>(n);
+      if (backend != nullptr) {
+        stats.latency += backend->FetchLatency(n);
+        stats.bytes_fetched += n * kPageSize;
+      }
+    } else if (run.flags.shared && run.flags.remote()) {
+      // Owner mapping of a shared region: bulk write-through to the pool
+      // copy (byte-addressable CXL / RDMA), marked dirty. Like direct remote
+      // reads, no latency is charged here; shstate accounts the pool write
+      // bytes, the execution model the load slowdown.
+      TRENV_RETURN_IF_ERROR(backend_of(run).status());
+      PteFlags flags = run.flags;
+      flags.dirty = true;
+      mm.page_table().MapRange(seg.vpn, n, flags, run.backing_base, next_content());
+      stats.direct_remote += n;
+    } else {
+      // Direct local writes: refresh content in place.
+      mm.page_table().MapRange(seg.vpn, n, run.flags, run.backing_base, next_content());
+      stats.direct_local += n;
     }
-    return HandleCow(mm, vpn, *pte, write, new_content);
+    cursor = seg.vpn + n;
   }
-  if (pte->flags.shared && pte->flags.remote()) {
-    // Owner mapping of a shared region: the store goes straight to the pool
-    // copy (byte-addressable CXL / RDMA write-through) and marks it dirty.
-    MemoryBackend* backend = backends_->Get(pte->flags.pool);
-    if (backend == nullptr) {
-      return Status::Internal("no backend registered for pool");
-    }
-    PteFlags flags = pte->flags;
-    flags.dirty = true;
-    mm.page_table().MapRange(vpn, 1, flags, pte->backing, new_content);
-    mm.stats().direct_remote_reads += 1;
-    if (direct_remote_ != nullptr) {
-      direct_remote_->Increment();
-    }
-    AccessOutcome outcome;
-    outcome.kind = AccessKind::kDirectRemote;
-    outcome.latency = backend->EffectiveDirectLoadLatency();
-    outcome.content = new_content;
-    return outcome;
+  if (cursor < range_end) {
+    TRENV_RETURN_IF_ERROR(handle_gap(cursor, range_end - cursor));
   }
-  // Direct local write: update the page's content in place.
-  PteFlags flags = pte->flags;
-  mm.page_table().MapRange(vpn, 1, flags, pte->backing, new_content);
-  if (direct_local_ != nullptr) {
-    direct_local_->Increment();
-  }
-  AccessOutcome outcome;
-  outcome.kind = AccessKind::kDirectLocal;
-  outcome.latency = cost::kLocalDramLatency;
-  outcome.content = new_content;
-  return outcome;
+  stats.pages = npages;
+  Count(stats);
+  return stats;
 }
 
-Result<AccessOutcome> FaultHandler::HandleUnpopulated(MmStruct& mm, const Vma& vma, Vpn vpn,
-                                                      bool write, PageContent new_content) {
-  (void)vma;
-  // Zero-fill (anonymous) or page-cache-resident (file) minor fault. Both
-  // allocate one private local frame.
-  TRENV_ASSIGN_OR_RETURN(FrameId frame, frames_->AllocatePages(1));
-  const PageContent content = write ? new_content : kZeroPageContent;
-  PteFlags flags;
-  flags.valid = true;
-  flags.write_protected = !vma.prot.write;
-  flags.pool = PoolKind::kLocalDram;
-  mm.page_table().MapRange(vpn, 1, flags, frame, content, /*constant_content=*/!write);
-  mm.stats().minor_faults += 1;
-  mm.stats().local_pages += 1;
-  if (minor_ != nullptr) {
-    minor_->Increment();
-  }
+Result<AccessOutcome> FaultHandler::Access(MmStruct& mm, Vaddr addr, bool write,
+                                           PageContent new_content) {
+  const Vpn vpn = AddrToVpn(addr);
+  TRENV_ASSIGN_OR_RETURN(
+      BulkAccessStats stats,
+      Touch(mm, VpnToAddr(vpn), 1, write, [new_content] { return new_content; }));
+  const PteView pte = *mm.page_table().Lookup(vpn);
   AccessOutcome outcome;
-  outcome.kind = AccessKind::kMinorFault;
-  outcome.latency = cost::kMinorFault;
-  outcome.content = content;
-  return outcome;
-}
-
-Result<AccessOutcome> FaultHandler::HandleCow(MmStruct& mm, Vpn vpn, const PteView& pte,
-                                              bool write, PageContent new_content) {
-  (void)write;
-  // Copy the page to a fresh local frame and install a writable PTE; the
-  // shared original (e.g. in the CXL pool) is untouched (paper section 5.1).
-  TRENV_ASSIGN_OR_RETURN(FrameId frame, frames_->AllocatePages(1));
-  SimDuration latency = cost::kCowFault;
-  if (pte.flags.remote()) {
+  outcome.latency = stats.latency;
+  outcome.content = pte.content;
+  if (stats.minor_faults > 0) {
+    outcome.kind = AccessKind::kMinorFault;
+  } else if (stats.major_faults > 0) {
+    outcome.kind = AccessKind::kMajorFault;
+  } else if (stats.cow_faults > 0) {
+    outcome.kind = AccessKind::kCowFault;
+  } else if (stats.direct_remote > 0) {
+    // A CXL load, or an owner's write-through to the pool copy.
     MemoryBackend* backend = backends_->Get(pte.flags.pool);
     if (backend == nullptr) {
       return Status::Internal("no backend registered for pool");
     }
-    latency += backend->FetchLatency(1);
+    outcome.kind = AccessKind::kDirectRemote;
+    outcome.latency += backend->EffectiveDirectLoadLatency();
+  } else {
+    outcome.kind = AccessKind::kDirectLocal;
+    outcome.latency += cost::kLocalDramLatency;
   }
-  PteFlags flags;
-  flags.valid = true;
-  flags.write_protected = false;
-  flags.pool = PoolKind::kLocalDram;
-  mm.page_table().MapRange(vpn, 1, flags, frame, new_content);
-  mm.stats().cow_faults += 1;
-  mm.stats().local_pages += 1;
-  if (cow_ != nullptr) {
-    cow_->Increment();
-    if (pte.flags.remote()) {
-      fetched_bytes_->Add(static_cast<double>(kPageSize));
-    }
-  }
-  AccessOutcome outcome;
-  outcome.kind = AccessKind::kCowFault;
-  outcome.latency = latency;
-  outcome.content = new_content;
   return outcome;
 }
 
@@ -231,146 +240,7 @@ Status FaultHandler::WritePage(MmStruct& mm, Vaddr addr, PageContent content) {
 
 Result<BulkAccessStats> FaultHandler::AccessRange(MmStruct& mm, Vaddr addr, uint64_t npages,
                                                   bool write) {
-  BulkAccessStats stats;
-  if (npages == 0) {
-    return stats;
-  }
-  const Vma* vma = mm.FindVma(addr);
-  const Vma* vma_end = mm.FindVma(addr + npages * kPageSize - 1);
-  if (vma == nullptr || vma_end != vma) {
-    return Status::InvalidArgument("range must lie within a single VMA");
-  }
-  if (write && !vma->prot.write) {
-    return Status::PermissionDenied("segfault: write to read-only VMA " + vma->name);
-  }
-  const Vpn first_vpn = AddrToVpn(addr);
-  if (observer_ != nullptr) {
-    observer_->OnTouch(mm, first_vpn, npages);
-  }
-
-  // Snapshot the runs (the loop below mutates the table) into the reusable
-  // per-handler scratch buffer: steady state performs no allocation here.
-  std::vector<Segment>& segments = segments_scratch_;
-  segments.clear();
-  mm.page_table().ForEachRunIn(first_vpn, npages, [&](Vpn vpn, const PteRun& run) {
-    segments.push_back({vpn, run});
-  });
-
-  Vpn cursor = first_vpn;
-  const Vpn range_end = first_vpn + npages;
-  auto handle_gap = [&](Vpn gap_start, uint64_t gap_pages) -> Status {
-    if (gap_pages == 0) {
-      return Status::Ok();
-    }
-    // Unpopulated: bulk zero-fill minor faults.
-    TRENV_ASSIGN_OR_RETURN(FrameId frame, frames_->AllocatePages(gap_pages));
-    PteFlags flags;
-    flags.valid = true;
-    flags.write_protected = !vma->prot.write;
-    flags.pool = PoolKind::kLocalDram;
-    if (write) {
-      const PageContent base = MixU64(write_seed_++);
-      mm.page_table().MapRange(gap_start, gap_pages, flags, frame, base);
-    } else {
-      mm.page_table().MapRange(gap_start, gap_pages, flags, frame, kZeroPageContent,
-                               /*constant_content=*/true);
-    }
-    mm.stats().minor_faults += gap_pages;
-    mm.stats().local_pages += gap_pages;
-    stats.minor_faults += gap_pages;
-    stats.new_local_pages += gap_pages;
-    stats.latency += cost::kMinorFault * static_cast<double>(gap_pages);
-    return Status::Ok();
-  };
-
-  for (const Segment& seg : segments) {
-    if (seg.vpn > cursor) {
-      TRENV_RETURN_IF_ERROR(handle_gap(cursor, seg.vpn - cursor));
-    }
-    const uint64_t n = seg.run.npages;
-    const PteRun& run = seg.run;
-    if (!run.flags.valid) {
-      // Lazy remote run: bulk major faults.
-      MemoryBackend* backend = backends_->Get(run.flags.pool);
-      if (backend == nullptr) {
-        return Status::Internal("no backend registered for pool");
-      }
-      TRENV_ASSIGN_OR_RETURN(FrameId frame, frames_->AllocatePages(n));
-      PteFlags flags;
-      flags.valid = true;
-      flags.write_protected = !vma->prot.write;
-      flags.pool = PoolKind::kLocalDram;
-      PageContent content = run.content_base;
-      bool constant = run.constant_content;
-      if (write) {
-        content = MixU64(write_seed_++);
-        constant = false;
-      }
-      mm.page_table().MapRange(seg.vpn, n, flags, frame, content, constant);
-      mm.stats().major_faults += n;
-      mm.stats().local_pages += n;
-      stats.major_faults += n;
-      stats.new_local_pages += n;
-      stats.bytes_fetched += n * kPageSize;
-      stats.latency += cost::kMajorFaultEntry * static_cast<double>(n) + backend->FetchLatency(n);
-      stats.fetch_cpu += backend->FetchCpuPerPage() * static_cast<double>(n);
-    } else if (!write) {
-      if (run.flags.remote()) {
-        // Direct CXL loads: no fault, no latency charged here; the execution
-        // model accounts the load-latency slowdown in aggregate.
-        mm.stats().direct_remote_reads += n;
-        stats.direct_remote += n;
-      } else {
-        stats.direct_local += n;
-      }
-    } else {
-      // Write path.
-      if (run.flags.write_protected) {
-        if (run.flags.shared) {
-          return Status::PermissionDenied(
-              "write to shared region reader mapping requires ownership upgrade");
-        }
-        // Bulk CoW.
-        MemoryBackend* backend =
-            run.flags.remote() ? backends_->Get(run.flags.pool) : nullptr;
-        TRENV_ASSIGN_OR_RETURN(FrameId frame, frames_->AllocatePages(n));
-        PteFlags flags;
-        flags.valid = true;
-        flags.write_protected = false;
-        flags.pool = PoolKind::kLocalDram;
-        mm.page_table().MapRange(seg.vpn, n, flags, frame, MixU64(write_seed_++));
-        mm.stats().cow_faults += n;
-        mm.stats().local_pages += n;
-        stats.cow_faults += n;
-        stats.new_local_pages += n;
-        stats.latency += cost::kCowFault * static_cast<double>(n);
-        if (backend != nullptr) {
-          stats.latency += backend->FetchLatency(n);
-          stats.bytes_fetched += n * kPageSize;
-        }
-      } else if (run.flags.shared && run.flags.remote()) {
-        // Owner mapping: bulk write-through to the pool copy. Like bulk
-        // direct remote reads, no latency is charged here; shstate accounts
-        // the pool write bytes, the execution model the load slowdown.
-        PteFlags flags = run.flags;
-        flags.dirty = true;
-        mm.page_table().MapRange(seg.vpn, n, flags, run.backing_base, MixU64(write_seed_++));
-        mm.stats().direct_remote_reads += n;
-        stats.direct_remote += n;
-      } else {
-        // Direct local writes: refresh content.
-        mm.page_table().MapRange(seg.vpn, n, run.flags, run.backing_base, MixU64(write_seed_++));
-        stats.direct_local += n;
-      }
-    }
-    cursor = seg.vpn + n;
-  }
-  if (cursor < range_end) {
-    TRENV_RETURN_IF_ERROR(handle_gap(cursor, range_end - cursor));
-  }
-  stats.pages = npages;
-  Count(stats);
-  return stats;
+  return Touch(mm, addr, npages, write, [this] { return MixU64(write_seed_++); });
 }
 
 }  // namespace trenv

@@ -14,8 +14,10 @@
 //                                           (never CoW — a private copy would
 //                                           silently fork the shared data)
 //
-// Bulk-range entry points process whole PTE runs at once so the platform can
-// model multi-GiB working sets in O(runs).
+// One implementation serves every entry point: the run loop behind
+// AccessRange processes whole PTE runs at once, so the platform can model
+// multi-GiB working sets in O(runs), and the single-page Access is that same
+// loop over a one-page range.
 #ifndef TRENV_SIMKERNEL_FAULT_HANDLER_H_
 #define TRENV_SIMKERNEL_FAULT_HANDLER_H_
 
@@ -83,15 +85,22 @@ class FaultHandler {
                obs::Registry* stats = nullptr, PageTouchObserver* observer = nullptr);
 
   // Touches one page. `write` requests write access. new_content is the
-  // content a write stores (ignored for reads).
+  // content a write stores (ignored for reads). Unlike a bulk touch, the
+  // outcome's latency includes the load itself on a direct access: local
+  // DRAM, or the backend's direct-load latency for a CXL read or an owner's
+  // write-through.
   Result<AccessOutcome> Access(MmStruct& mm, Vaddr addr, bool write,
                                PageContent new_content = kZeroPageContent);
 
   Result<PageContent> ReadPage(MmStruct& mm, Vaddr addr);
   Status WritePage(MmStruct& mm, Vaddr addr, PageContent content);
 
-  // Touches [addr, addr + npages * kPageSize). For writes the stored content
-  // is derived from the pages' prior content (modelling in-place updates).
+  // Touches [addr, addr + npages * kPageSize). Each written run stores fresh
+  // content (modelling in-place updates). Direct loads are charged no latency
+  // here: the execution model accounts the slowdown in aggregate. An address
+  // outside every VMA is kPermissionDenied (a segfault), as is a read of a
+  // non-readable or a write of a non-writable VMA; a range that leaves its
+  // VMA is kInvalidArgument.
   Result<BulkAccessStats> AccessRange(MmStruct& mm, Vaddr addr, uint64_t npages, bool write);
 
  private:
@@ -100,10 +109,12 @@ class FaultHandler {
     PteRun run;
   };
 
-  Result<AccessOutcome> HandleUnpopulated(MmStruct& mm, const Vma& vma, Vpn vpn, bool write,
-                                          PageContent new_content);
-  Result<AccessOutcome> HandleCow(MmStruct& mm, Vpn vpn, const PteView& pte, bool write,
-                                  PageContent new_content);
+  // The PTE state machine behind every entry point. `next_content()` yields
+  // the content each written run stores; it is a template parameter so the
+  // bulk path's choice costs nothing per run.
+  template <typename NextContent>
+  Result<BulkAccessStats> Touch(MmStruct& mm, Vaddr addr, uint64_t npages, bool write,
+                                NextContent next_content);
 
   // Applies a BulkAccessStats delta to the bound counters (no-op unbound).
   void Count(const BulkAccessStats& stats);

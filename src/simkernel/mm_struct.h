@@ -14,15 +14,6 @@
 
 namespace trenv {
 
-struct MmStats {
-  uint64_t minor_faults = 0;
-  uint64_t major_faults = 0;
-  uint64_t cow_faults = 0;
-  uint64_t direct_remote_reads = 0;  // CXL loads that avoided any fault
-  uint64_t local_pages = 0;          // resident local frames owned by this mm
-  uint64_t remote_mapped_pages = 0;  // pages still served from a pool
-};
-
 class MmStruct {
  public:
   MmStruct() = default;
@@ -48,9 +39,6 @@ class MmStruct {
   PageTable& page_table() { return page_table_; }
   const PageTable& page_table() const { return page_table_; }
 
-  MmStats& stats() { return stats_; }
-  const MmStats& stats() const { return stats_; }
-
   // Total virtual size of all VMAs in bytes.
   uint64_t VirtualBytes() const;
   // Pages resident in local DRAM (the node-memory footprint of the process).
@@ -61,7 +49,6 @@ class MmStruct {
  private:
   std::map<Vaddr, Vma> vmas_;  // keyed by start address
   PageTable page_table_;
-  MmStats stats_;
 };
 
 }  // namespace trenv

@@ -218,6 +218,7 @@ void AgentVmPlatform::RecomputeMemory() {
     }
   }
   memory_gauge_.Set(scheduler_.now(), static_cast<double>(total));
+  memory_series_.emplace_back(scheduler_.now().seconds(), static_cast<double>(total));
 }
 
 }  // namespace trenv

@@ -12,6 +12,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/agents/browser.h"
 #include "src/agents/llm_trace.h"
@@ -59,6 +61,10 @@ class AgentVmPlatform {
   PageCache& host_cache() { return host_cache_; }
   SharedBrowserPool& browsers() { return browsers_; }
   TimeSeriesGauge& memory_gauge() { return memory_gauge_; }
+  // Every memory sample as (seconds, bytes), for plotting the timeline.
+  const std::vector<std::pair<double, double>>& memory_series() const {
+    return memory_series_;
+  }
   const std::map<std::string, AgentMetrics>& metrics() const { return metrics_; }
   AgentMetrics& MetricsFor(const std::string& agent) { return metrics_[agent]; }
   uint64_t completed_runs() const { return completed_; }
@@ -99,6 +105,7 @@ class AgentVmPlatform {
   PageCache host_cache_;
   SharedBrowserPool browsers_;
   TimeSeriesGauge memory_gauge_;
+  std::vector<std::pair<double, double>> memory_series_;
   std::map<std::string, Deployment> deployments_;
   std::map<std::string, AgentMetrics> metrics_;
   std::map<uint64_t, Run> runs_;

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "src/common/cost_model.h"
-#include "src/common/rng.h"
 #include "src/criu/checkpointer.h"
 #include "src/criu/deduplicator.h"
 #include "src/criu/lazy_engines.h"
@@ -122,44 +121,6 @@ TEST_F(DedupTest, ContentActuallyInPool) {
   auto content = cxl_.ReadContent(chunk.offset);
   ASSERT_TRUE(content.ok());
   EXPECT_EQ(*content, placed.region.content_base);
-}
-
-// The memoized fingerprint fast paths must agree with the defining loop for
-// every (base, npages) — including repeats, prefix reuse (shorter chunk after
-// a longer one), and the chain-extension path (longer after shorter).
-TEST_F(DedupTest, FingerprintFastPathMatchesLoop) {
-  auto loop_progression = [](PageContent base, uint64_t npages) {
-    uint64_t hash = 0x5ead0b6c0de5ULL;
-    for (uint64_t i = 0; i < npages; ++i) {
-      hash = MixU64(hash ^ (base + i));
-    }
-    return hash;
-  };
-  auto loop_constant = [](PageContent content, uint64_t npages) {
-    uint64_t hash = 0x5ead0b6c0de5ULL;
-    for (uint64_t i = 0; i < npages; ++i) {
-      hash = MixU64(hash ^ content);
-    }
-    return hash;
-  };
-  const PageContent bases[] = {0, 1, 1000, 0xDEADBEEF, ~0ULL - 4096};
-  const uint64_t sizes[] = {0, 1, 2, 15, 16, 512, 513, 511, 512};  // repeats on purpose
-  for (const PageContent base : bases) {
-    for (const uint64_t n : sizes) {
-      EXPECT_EQ(SnapshotDedupStore::Fingerprint(base, n), loop_progression(base, n))
-          << "base " << base << " npages " << n;
-      EXPECT_EQ(SnapshotDedupStore::FingerprintConstant(base, n), loop_constant(base, n))
-          << "base " << base << " npages " << n;
-    }
-  }
-  // A second identical pass must hit the memo and return the same values.
-  for (const PageContent base : bases) {
-    EXPECT_EQ(SnapshotDedupStore::Fingerprint(base, 512), loop_progression(base, 512));
-    EXPECT_EQ(SnapshotDedupStore::FingerprintConstant(base, 512), loop_constant(base, 512));
-  }
-  // Constant and progression chains must stay distinct (npages > 1).
-  EXPECT_NE(SnapshotDedupStore::Fingerprint(42, 8),
-            SnapshotDedupStore::FingerprintConstant(42, 8));
 }
 
 // Engine fixture with the full substrate.

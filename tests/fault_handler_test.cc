@@ -12,10 +12,16 @@ namespace {
 class FaultHandlerTest : public ::testing::Test {
  protected:
   FaultHandlerTest()
-      : frames_(1 * kGiB), cxl_(1 * kGiB), rdma_(1 * kGiB), handler_(&frames_, &backends_) {
+      : frames_(1 * kGiB),
+        cxl_(1 * kGiB),
+        rdma_(1 * kGiB),
+        handler_(&frames_, &backends_, &stats_) {
     backends_.Register(&cxl_);
     backends_.Register(&rdma_);
   }
+
+  // The handler's registry count of `name` (e.g. "faults.minor").
+  uint64_t Count(std::string_view name) { return stats_.GetCounter(name)->count(); }
 
   // Maps `npages` of `mm` at `addr` to freshly-allocated pool space holding
   // content_base..; returns the pool offset.
@@ -36,6 +42,7 @@ class FaultHandlerTest : public ::testing::Test {
   CxlPool cxl_;
   RdmaPool rdma_;
   BackendRegistry backends_;
+  obs::Registry stats_;
   FaultHandler handler_;
 };
 
@@ -64,7 +71,7 @@ TEST_F(FaultHandlerTest, ZeroFillMinorFaultThenHit) {
   auto second = handler_.Access(mm, kBase, false);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->kind, AccessKind::kDirectLocal);
-  EXPECT_EQ(mm.stats().minor_faults, 1u);
+  EXPECT_EQ(Count("faults.minor"), 1u);
   EXPECT_EQ(frames_.used_pages(), 1u);
 }
 
@@ -77,8 +84,8 @@ TEST_F(FaultHandlerTest, CxlReadIsDirectNoFault) {
   EXPECT_EQ(outcome->kind, AccessKind::kDirectRemote);
   EXPECT_EQ(outcome->content, 1003u);
   EXPECT_EQ(outcome->latency, cost::kCxlLoadLatency);
-  EXPECT_EQ(mm.stats().major_faults, 0u);
-  EXPECT_EQ(mm.stats().cow_faults, 0u);
+  EXPECT_EQ(Count("faults.major"), 0u);
+  EXPECT_EQ(Count("faults.cow"), 0u);
   EXPECT_EQ(frames_.used_pages(), 0u);  // no local memory consumed
 }
 
@@ -89,7 +96,7 @@ TEST_F(FaultHandlerTest, CxlWriteTriggersCow) {
   auto outcome = handler_.Access(mm, kBase + kPageSize, true, 0xBEEF);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->kind, AccessKind::kCowFault);
-  EXPECT_EQ(mm.stats().cow_faults, 1u);
+  EXPECT_EQ(Count("faults.cow"), 1u);
   EXPECT_EQ(frames_.used_pages(), 1u);
   // The written page now reads the new content locally.
   auto read = handler_.Access(mm, kBase + kPageSize, false);
@@ -136,12 +143,12 @@ TEST_F(FaultHandlerTest, RdmaTouchIsMajorFault) {
   EXPECT_EQ(outcome->kind, AccessKind::kMajorFault);
   EXPECT_EQ(outcome->content, 2005u);
   EXPECT_GE(outcome->latency, cost::kMajorFaultEntry);
-  EXPECT_EQ(mm.stats().major_faults, 1u);
+  EXPECT_EQ(Count("faults.major"), 1u);
   EXPECT_EQ(frames_.used_pages(), 1u);
   // Second touch is resident local.
   auto again = handler_.Access(mm, kBase + 5 * kPageSize, false);
   EXPECT_EQ(again->kind, AccessKind::kDirectLocal);
-  EXPECT_EQ(mm.stats().major_faults, 1u);
+  EXPECT_EQ(Count("faults.major"), 1u);
 }
 
 TEST_F(FaultHandlerTest, BulkReadOnCxlCausesNoFaultsAndNoLocalMemory) {
@@ -210,6 +217,53 @@ TEST_F(FaultHandlerTest, RangeSpanningTwoVmasRejected) {
           .ok());
   EXPECT_EQ(handler_.AccessRange(mm, kBase, 8, false).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(FaultHandlerTest, RangeReadOfNonReadableVmaRejected) {
+  MmStruct mm;
+  const Protection write_only{/*read=*/false, /*write=*/true, /*exec=*/false};
+  ASSERT_TRUE(mm.AddVma(MakeAnonVma(kBase, 4 * kPageSize, write_only, "wo")).ok());
+  EXPECT_EQ(handler_.AccessRange(mm, kBase, 4, false).status().code(),
+            StatusCode::kPermissionDenied);
+  EXPECT_EQ(mm.page_table().mapped_pages(), 0u);
+  EXPECT_TRUE(handler_.AccessRange(mm, kBase, 4, true).ok());
+}
+
+TEST_F(FaultHandlerTest, RangeOutsideEveryVmaIsASegfault) {
+  MmStruct mm;
+  EXPECT_EQ(handler_.AccessRange(mm, kBase, 4, false).status().code(),
+            StatusCode::kPermissionDenied);
+}
+
+TEST_F(FaultHandlerTest, RangeCowOnUnregisteredPoolIsInternalError) {
+  // A CXL page whose backend the handler does not know: the CoW copy has
+  // nowhere to fetch from, which is a wiring error, not a free fault.
+  BackendRegistry none;
+  FaultHandler handler(&frames_, &none);
+  MmStruct mm;
+  ASSERT_TRUE(mm.AddVma(MakeAnonVma(kBase, 4 * kPageSize, Protection::ReadWrite(), "img")).ok());
+  BackRange(mm, cxl_, kBase, 4, 700);
+  EXPECT_EQ(handler.AccessRange(mm, kBase, 4, true).status().code(), StatusCode::kInternal);
+  EXPECT_EQ(frames_.used_pages(), 0u);
+}
+
+TEST_F(FaultHandlerTest, SinglePageLatencyAddsTheLoad) {
+  // The one-page wrapper charges the direct load the bulk path leaves to the
+  // execution model; fault kinds carry exactly the bulk latency.
+  MmStruct mm;
+  ASSERT_TRUE(mm.AddVma(MakeAnonVma(kBase, 8 * kPageSize, Protection::ReadWrite(), "img")).ok());
+  BackRange(mm, cxl_, kBase, 8, 1000);
+  auto cow = handler_.Access(mm, kBase, true, 0xC0);
+  ASSERT_TRUE(cow.ok());
+  EXPECT_EQ(cow->latency, cost::kCowFault + cxl_.FetchLatency(1));
+  auto local = handler_.Access(mm, kBase, false);
+  ASSERT_TRUE(local.ok());
+  EXPECT_EQ(local->latency, cost::kLocalDramLatency);
+  EXPECT_EQ(local->content, 0xC0u);
+  auto bulk = handler_.AccessRange(mm, kBase + kPageSize, 7, false);
+  ASSERT_TRUE(bulk.ok());
+  EXPECT_EQ(bulk->latency, SimDuration());
+  EXPECT_EQ(Count("reads.direct_remote"), 7u);
 }
 
 TEST_F(FaultHandlerTest, HeapGrowthAfterAttachStaysLocal) {

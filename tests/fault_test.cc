@@ -186,13 +186,6 @@ TEST(FaultBackendTest, CorruptionWastesTransfersThenFailsOpen) {
   EXPECT_EQ(injector.exhausted_fetches(), 1u);
 }
 
-TEST(FaultBackendTest, ContentFingerprintDetectsAnyPageFlip) {
-  const uint64_t good = SnapshotDedupStore::Fingerprint(1000, 16);
-  EXPECT_EQ(good, SnapshotDedupStore::Fingerprint(1000, 16));
-  EXPECT_NE(good, SnapshotDedupStore::Fingerprint(1001, 16));  // shifted content
-  EXPECT_NE(good, SnapshotDedupStore::Fingerprint(1000, 15));  // truncated run
-}
-
 TEST(FaultBackendTest, EmptyScheduleIsByteIdenticalToNoInjector) {
   // Acceptance (4): binding an idle injector must not perturb a single bit
   // of simulation output — no RNG draws, no latency scaling.

@@ -8,6 +8,7 @@
 // the same first-fit choices.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <tuple>
 #include <vector>
@@ -297,6 +298,43 @@ TEST(FlatStoreEquivalenceTest, BlockAllocatorRandomizedChurn) {
       }
       if (HasFatalFailure()) {
         FAIL() << "diverged at seed " << seed << " step " << step;
+      }
+    }
+    // Pressure mix: most requests exceed the largest free extent (a full
+    // tier retried every sweep), so they fail on the allocator's bound
+    // without a scan, or rescan when allocations left the bound stale;
+    // frees and fitting allocations keep moving it.
+    for (int step = 0; step < 4000; ++step) {
+      const uint64_t largest = ra.LargestFreeExtent();
+      if (rng.NextBool(0.7)) {
+        const uint64_t n = largest + 1 + rng.NextBounded(512);
+        const Result<PoolOffset> a = ba.Allocate(n);
+        ASSERT_FALSE(ra.Allocate(n).ok());
+        ASSERT_EQ(a.status().code(), StatusCode::kOutOfMemory) << "step " << step;
+      } else if (live.empty() || rng.NextBool(0.5)) {
+        // Any size the largest extent still fits: a bound that ever fell
+        // below the true largest extent would fail one of these.
+        const uint64_t n = 1 + rng.NextBounded(std::max<uint64_t>(largest, 1));
+        const Result<PoolOffset> a = ba.Allocate(n);
+        const Result<PoolOffset> b = ra.Allocate(n);
+        ASSERT_EQ(a.ok(), b.ok()) << "step " << step;
+        if (a.ok()) {
+          ASSERT_EQ(*a, *b) << "step " << step;
+          live.emplace_back(*a, n);
+        }
+      } else {
+        const size_t idx = rng.NextBounded(live.size());
+        const auto [base, n] = live[idx];
+        EXPECT_TRUE(ba.Free(base, n).ok());
+        EXPECT_TRUE(ra.Free(base, n).ok());
+        live[idx] = live.back();
+        live.pop_back();
+      }
+      if (step % 64 == 0) {
+        ExpectSameAllocator(ba, ra);
+      }
+      if (HasFatalFailure()) {
+        FAIL() << "pressure mix diverged at seed " << seed << " step " << step;
       }
     }
     // Double frees rejected identically, with no state change.

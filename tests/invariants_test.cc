@@ -160,7 +160,7 @@ TEST_P(CowIsolationFuzzTest, InstancesNeverObserveEachOthersWrites) {
   ASSERT_TRUE(cxl.WriteContent(*pool_base, kPages, 0xF00D).ok());
   ASSERT_TRUE(api.MmtSetupPt(id, kBase, kPages * kPageSize, *pool_base, PoolKind::kCxl).ok());
 
-  constexpr int kInstances = 4;
+  constexpr size_t kInstances = 4;
   std::vector<MmStruct> mms(kInstances);
   // Reference model: expected content per (instance, page).
   std::vector<std::map<uint64_t, PageContent>> expected(kInstances);
@@ -168,21 +168,51 @@ TEST_P(CowIsolationFuzzTest, InstancesNeverObserveEachOthersWrites) {
     ASSERT_TRUE(api.MmtAttach(id, &mm).ok());
   }
 
+  // The model's view: the instance's own write, else the template image.
+  auto want = [&](size_t instance, uint64_t page) {
+    auto it = expected[instance].find(page);
+    return it != expected[instance].end() ? it->second : 0xF00D + page;
+  };
   for (int op = 0; op < 500; ++op) {
-    const int instance = static_cast<int>(rng.NextBounded(kInstances));
+    const auto instance = static_cast<size_t>(rng.NextBounded(kInstances));
+    MmStruct& mm = mms[instance];
     const uint64_t page = rng.NextBounded(kPages);
     const Vaddr addr = kBase + page * kPageSize;
-    if (rng.NextBool(0.4)) {
+    if (rng.NextBool(0.3)) {
+      // A run of 1-16 pages through AccessRange, the path every engine runs:
+      // it splits and merges the instance's runs. A write stores fresh
+      // content, read back from the page table into the model.
+      const uint64_t npages = 1 + rng.NextBounded(std::min<uint64_t>(16, kPages - page));
+      const bool write = rng.NextBool(0.5);
+      ASSERT_TRUE(kernel.AccessRange(mm, addr, npages, write).ok());
+      for (uint64_t p = page; p < page + npages; ++p) {
+        const auto pte = mm.page_table().Lookup(AddrToVpn(kBase) + p);
+        ASSERT_TRUE(pte.has_value());
+        if (write) {
+          // Fresh content in a private local copy; the image page is intact.
+          EXPECT_NE(pte->content, 0xF00D + p) << "instance " << instance << " page " << p;
+          EXPECT_EQ(pte->flags.pool, PoolKind::kLocalDram);
+          expected[instance][p] = pte->content;
+        } else {
+          EXPECT_EQ(pte->content, want(instance, p)) << "instance " << instance << " page " << p;
+        }
+      }
+    } else if (rng.NextBool(0.4)) {
       const PageContent value = rng.NextU64() | 1;
-      ASSERT_TRUE(kernel.WritePage(mms[static_cast<size_t>(instance)], addr, value).ok());
-      expected[static_cast<size_t>(instance)][page] = value;
+      ASSERT_TRUE(kernel.WritePage(mm, addr, value).ok());
+      expected[instance][page] = value;
     } else {
-      auto content = kernel.ReadPage(mms[static_cast<size_t>(instance)], addr);
+      auto content = kernel.ReadPage(mm, addr);
       ASSERT_TRUE(content.ok());
-      auto it = expected[static_cast<size_t>(instance)].find(page);
-      const PageContent want =
-          it != expected[static_cast<size_t>(instance)].end() ? it->second : 0xF00D + page;
-      EXPECT_EQ(*content, want) << "instance " << instance << " page " << page;
+      EXPECT_EQ(*content, want(instance, page)) << "instance " << instance << " page " << page;
+    }
+  }
+  // Every instance sees exactly its own writes over the shared image.
+  for (size_t instance = 0; instance < kInstances; ++instance) {
+    for (uint64_t page = 0; page < kPages; ++page) {
+      auto content = kernel.ReadPage(mms[instance], kBase + page * kPageSize);
+      ASSERT_TRUE(content.ok());
+      EXPECT_EQ(*content, want(instance, page)) << "instance " << instance << " page " << page;
     }
   }
   // The shared pool image is never mutated.

@@ -136,11 +136,13 @@ TEST(MembershipTest, ShortBlipNeverReachesSuspicion) {
 
 // ------------------------------------------- PoolManager continuous policy
 
-ConsolidatedImage TwoChunkImage(uint64_t fp_a, uint64_t fp_b) {
+ConsolidatedImage TwoChunkImage(PageContent content_a, PageContent content_b) {
   ConsolidatedImage image;
   PlacedRegion placed;
-  placed.chunks.push_back(PlacedChunk{PoolKind::kCxl, 0, 512, fp_a});
-  placed.chunks.push_back(PlacedChunk{PoolKind::kCxl, 512, 512, fp_b});
+  placed.chunks.push_back(
+      PlacedChunk{.pool = PoolKind::kCxl, .offset = 0, .npages = 512, .content_base = content_a});
+  placed.chunks.push_back(PlacedChunk{
+      .pool = PoolKind::kCxl, .offset = 512, .npages = 512, .content_base = content_b});
   image.processes.push_back({placed});
   image.total_pages = 1024;
   return image;

@@ -214,11 +214,13 @@ TEST(FetchQueueTest, BusyWindowIsWorkConservingAcrossInterleavedBulkFetches) {
 
 // -------------------------------------------------------------- PoolManager
 
-ConsolidatedImage TwoChunkImage(uint64_t fp_a, uint64_t fp_b) {
+ConsolidatedImage TwoChunkImage(PageContent content_a, PageContent content_b) {
   ConsolidatedImage image;
   PlacedRegion placed;
-  placed.chunks.push_back(PlacedChunk{PoolKind::kCxl, 0, 512, fp_a});
-  placed.chunks.push_back(PlacedChunk{PoolKind::kCxl, 512, 512, fp_b});
+  placed.chunks.push_back(
+      PlacedChunk{.pool = PoolKind::kCxl, .offset = 0, .npages = 512, .content_base = content_a});
+  placed.chunks.push_back(PlacedChunk{
+      .pool = PoolKind::kCxl, .offset = 512, .npages = 512, .content_base = content_b});
   image.processes.push_back({placed});
   image.total_pages = 1024;
   return image;
@@ -252,6 +254,39 @@ TEST(PoolManagerTest, SharedChunksShareShards) {
     total += pages;
   }
   EXPECT_EQ(total, 3u * 512u * 2u);
+}
+
+TEST(PoolManagerTest, ShardsFollowChunkContentNotPlacement) {
+  // The shard key is a hash of the chunk's content. A constant chunk and a
+  // progression from the same base hold different pages, so they are two
+  // shards; one page of either holds the same content, so it is one shard,
+  // as is the same content placed at a different pool offset.
+  PoolManagerFixture fx(SmallPoolConfig(1));
+  // A one-chunk image placed at `offset`.
+  auto image = [](PoolKind pool, PoolOffset offset, uint64_t npages, PageContent content,
+                  bool constant) {
+    ConsolidatedImage one;
+    PlacedRegion placed;
+    placed.chunks.push_back(PlacedChunk{.pool = pool,
+                                        .constant_content = constant,
+                                        .offset = offset,
+                                        .npages = npages,
+                                        .content_base = content});
+    one.processes.push_back({placed});
+    return one;
+  };
+  fx.mgr.RegisterTemplate(0, image(PoolKind::kCxl, 0, 8, 0x77, false));
+  fx.mgr.RegisterTemplate(1, image(PoolKind::kCxl, 8, 8, 0x77, true));
+  EXPECT_EQ(fx.mgr.shard_count(), 2u);
+  fx.mgr.RegisterTemplate(2, image(PoolKind::kCxl, 16, 1, 0x99, false));
+  fx.mgr.RegisterTemplate(3, image(PoolKind::kCxl, 17, 1, 0x99, true));
+  EXPECT_EQ(fx.mgr.shard_count(), 3u);
+  fx.mgr.RegisterTemplate(4, image(PoolKind::kRdma, 64, 8, 0x77, false));
+  EXPECT_EQ(fx.mgr.shard_count(), 3u);
+  // Shifted or truncated content is a different chunk.
+  fx.mgr.RegisterTemplate(5, image(PoolKind::kCxl, 32, 8, 0x78, false));
+  fx.mgr.RegisterTemplate(6, image(PoolKind::kCxl, 40, 7, 0x77, false));
+  EXPECT_EQ(fx.mgr.shard_count(), 5u);
 }
 
 TEST(PoolManagerTest, LeaseHitSkipsTheFetch) {

@@ -75,12 +75,13 @@ TEST_F(PromotionTest, PromotedTemplateServesDirectReads) {
   // Fresh attach after the sweep: reads are now zero-fault CXL loads.
   MmStruct mm;
   ASSERT_TRUE(api_.MmtAttach(id, &mm).ok());
-  FaultHandler kernel(&frames_, &backends_);
+  obs::Registry stats;
+  FaultHandler kernel(&frames_, &backends_, &stats);
   auto outcome = kernel.Access(mm, kAddr + 3 * kPageSize, /*write=*/false);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->kind, AccessKind::kDirectRemote);
   EXPECT_EQ(outcome->content, 0xCAFEu + 3);
-  EXPECT_EQ(mm.stats().major_faults, 0u);
+  EXPECT_EQ(stats.GetCounter("faults.major")->count(), 0u);
 }
 
 TEST_F(PromotionTest, AlreadyAttachedTemplatesAreRewrittenToo) {

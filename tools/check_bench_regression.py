@@ -21,17 +21,24 @@ Other fields (counts, bytes, nested payloads such as the chaos reports) are
 kept for reference and not guarded.
 
 Records carry a "host" object ({"jobs": N, "cores": N, "compiler": "..."}).
-A wall-clock ratio across machines is noise, not a regression, so a
-wall-clock candidate is compared only when its baseline was recorded on the
-same host (same cores and compiler; records without a host are comparable);
-otherwise the row is skipped with a notice. Virtual-time numbers depend only
-on the model, so they are compared whatever the hosts. "jobs" is
-informational: the same machine at a different sweep width is comparable.
+A wall-clock ratio across machines is noise, not a regression, so each clock
+has its own baseline rule:
 
-For every benchmark name present in the candidate record, the baseline is the
-*latest* committed entry with a guarded number under the same name, whatever
-its clock (so an old "real_ns" baseline pairs with a "sim_ns" row of the same
-name). The check fails when the candidate is worse than max_ratio times the
+  * A wall-clock row's baseline is the *best* committed wall-clock entry
+    under the same name from the same host (same cores and compiler): the
+    lowest value when lower is better, the highest when higher is better.
+    A regression committed into the trajectory therefore never becomes the
+    bar the next record is held to. Records without a host stamp were taken
+    on an unknown machine and are not used. With no same-host entry the row
+    is skipped with a notice. "jobs" is informational: the same machine at a
+    different sweep width is comparable.
+  * A virtual-time row's baseline is the *latest* committed entry with a
+    guarded number under the same name, whatever its clock (so an old
+    "real_ns" baseline pairs with a "sim_ns" row of the same name), from any
+    host: virtual-time numbers depend only on the model, and a deliberate
+    model change resets them.
+
+The check fails when the candidate is worse than max_ratio times the
 baseline in the metric's bad direction: candidate/baseline when lower is
 better, baseline/candidate when higher is better. Benchmarks with no
 committed baseline pass with a note: they gain a baseline when their record
@@ -98,42 +105,55 @@ def metric_entries(record):
 
 def host_key(record):
     """The parts of a record's host metadata that decide comparability.
-    None when the record predates host stamping (always comparable)."""
+    None when the record predates host stamping (machine unknown)."""
     host = record.get("host")
     if not isinstance(host, dict):
         return None
     return (host.get("cores"), host.get("compiler"))
 
 
-def latest_baselines(records):
-    baselines = {}
+def baselines(records):
+    """Indexes the trajectory for compare(): per benchmark name, the latest
+    guarded entry as (value, label, host), and the host-stamped wall-clock
+    entries as {host: [(value, label), ...]}."""
+    latest, wall_by_host = {}, {}
     for record in records:  # later lines overwrite earlier: latest entry wins
-        for name, value, _, _ in metric_entries(record):
-            baselines[name] = (value, record.get("label", "?"), host_key(record))
-    return baselines
+        label, host = record.get("label", "?"), host_key(record)
+        for name, value, _, wall in metric_entries(record):
+            latest[name] = (value, label, host)
+            if wall and host is not None:
+                wall_by_host.setdefault(name, {}).setdefault(host, []).append(
+                    (value, label))
+    return latest, wall_by_host
 
 
 def compare(baselines, candidates, max_ratio):
-    """Checks every guarded number of the candidate records. Returns
-    (rows, failures, skipped): one (name, value, baseline, ratio, note) row
-    per number, the (name, ratio) pairs over max_ratio, and how many
-    wall-clock rows were skipped for a different host."""
+    """Checks every guarded number of the candidate records against the
+    baselines() index. Returns (rows, failures, skipped): one (name, value,
+    baseline, ratio, note) row per number, the (name, ratio) pairs over
+    max_ratio, and how many wall-clock rows had no same-host baseline."""
+    latest, wall_by_host = baselines
     rows, failures, skipped = [], [], 0
     for record in candidates:
         cand_host = host_key(record)
         for name, value, higher, wall in metric_entries(record):
             clock = "wall" if wall else "sim"
-            if name not in baselines:
+            if name not in latest:
                 rows.append((name, value, None, None, f"no baseline (new, {clock})"))
                 continue
-            base, base_label, base_host = baselines[name]
-            if (wall and cand_host is not None and base_host is not None
-                    and cand_host != base_host):
-                rows.append((name, value, base, None,
-                             f"skipped: different host than '{base_label}' "
-                             f"({base_host} vs {cand_host})"))
-                skipped += 1
-                continue
+            if wall:
+                same_host = wall_by_host.get(name, {}).get(cand_host)
+                if not same_host:
+                    _, last_label, last_host = latest[name]
+                    rows.append((name, value, None, None,
+                                 f"skipped: different host than every baseline "
+                                 f"(latest '{last_label}': {last_host} vs {cand_host})"))
+                    skipped += 1
+                    continue
+                best = max if higher else min
+                base, base_label = best(same_host, key=lambda entry: entry[0])
+            else:
+                base, base_label, _ = latest[name]
             # Ratio in the metric's bad direction, so > max_ratio always
             # means "regressed" regardless of which way better points.
             if higher:
@@ -163,12 +183,12 @@ def main():
     if not trajectory:
         print(f"notice: {args.trajectory} has no records; "
               "candidates pass and seed the baseline when committed")
-    baselines = latest_baselines(trajectory)
     candidates = load_records(args.candidate)
     if not candidates:
         raise SystemExit(f"{args.candidate}: no records")
 
-    rows, failures, skipped_hosts = compare(baselines, candidates, args.max_ratio)
+    rows, failures, skipped_hosts = compare(baselines(trajectory), candidates,
+                                            args.max_ratio)
 
     width = max((len(r[0]) for r in rows), default=10)
     print(f"{'benchmark'.ljust(width)}  {'candidate':>12}  {'baseline':>12}  {'ratio':>6}")
@@ -185,7 +205,7 @@ def main():
         return 1
     if skipped_hosts:
         print(f"\nnotice: {skipped_hosts} wall-clock comparison(s) skipped — "
-              "baseline was recorded on a different host (cores/compiler mismatch)")
+              "no baseline was recorded on this host (same cores and compiler)")
     print(f"\nOK: no benchmark regressed more than {args.max_ratio}x")
     return 0
 

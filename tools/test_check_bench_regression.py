@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Tests for check_bench_regression.py: which rows the guard compares, which
-it skips across hosts, and how it reads the trajectory.
+it skips across hosts, which committed entry each row is held to, and how it
+reads the trajectory.
 
 Run: python3 tools/test_check_bench_regression.py
 """
@@ -35,7 +36,7 @@ def record(benchmarks, host=None, label="r"):
 def check(trajectory, candidate, max_ratio=2.0):
     """compare() over in-memory records; returns rows keyed by name."""
     rows, failures, skipped = guard.compare(
-        guard.latest_baselines(trajectory), candidate, max_ratio)
+        guard.baselines(trajectory), candidate, max_ratio)
     return {row[0]: row for row in rows}, failures, skipped
 
 
@@ -89,12 +90,17 @@ class HostGatingTest(unittest.TestCase):
         _, failures, skipped = check([base], [cand])
         self.assertEqual((failures, skipped), ([], 1))
 
-    def test_records_without_host_are_comparable(self):
-        base = record({"BM_Foo": {"real_ns": 100}})
-        cand = record({"BM_Foo": {"real_ns": 150}}, FOUR_CORES)
-        rows, _, skipped = check([base], [cand])
-        self.assertEqual(skipped, 0)
-        self.assertAlmostEqual(rows["BM_Foo"][3], 1.5)
+    def test_records_without_host_are_not_wall_clock_baselines(self):
+        # A host-less record's machine is unknown: its wall-clock numbers
+        # are not a baseline, while its virtual-time numbers still are.
+        base = record({"BM_Foo": {"real_ns": 10}, "fig27/chain4": {"sim_ns": 100}})
+        cand = record({"BM_Foo": {"real_ns": 150}, "fig27/chain4": {"sim_ns": 150}},
+                      FOUR_CORES)
+        rows, failures, skipped = check([base], [cand])
+        self.assertEqual((failures, skipped), ([], 1))
+        self.assertIsNone(rows["BM_Foo"][3])
+        self.assertIn("skipped: different host", rows["BM_Foo"][4])
+        self.assertAlmostEqual(rows["fig27/chain4"][3], 1.5)
 
 
 class BaselineTest(unittest.TestCase):
@@ -108,13 +114,51 @@ class BaselineTest(unittest.TestCase):
         self.assertAlmostEqual(rows["poolctl_churn/n16_static"][3], 1.0)
         self.assertIn("sim", rows["poolctl_churn/n16_static"][4])
 
-    def test_latest_entry_is_the_baseline(self):
-        first = record({"BM_Foo": {"real_ns": 100}}, label="first")
-        second = record({"BM_Foo": {"real_ns": 400}}, label="second")
-        rows, failures, _ = check([first, second], [record({"BM_Foo": {"real_ns": 500}})])
+    def test_latest_entry_is_the_virtual_time_baseline(self):
+        first = record({"fig27/chain4": {"sim_ns": 100}}, ONE_CORE, label="first")
+        second = record({"fig27/chain4": {"sim_ns": 400}}, ONE_CORE, label="second")
+        rows, failures, _ = check([first, second],
+                                  [record({"fig27/chain4": {"sim_ns": 500}}, FOUR_CORES)])
         self.assertEqual(failures, [])
-        self.assertEqual(rows["BM_Foo"][2], 400)
-        self.assertIn("'second'", rows["BM_Foo"][4])
+        self.assertEqual(rows["fig27/chain4"][2], 400)
+        self.assertIn("'second'", rows["fig27/chain4"][4])
+
+    def test_best_same_host_entry_is_the_wall_clock_baseline(self):
+        first = record({"BM_Foo": {"real_ns": 100}}, FOUR_CORES, label="first")
+        second = record({"BM_Foo": {"real_ns": 400}}, FOUR_CORES, label="second")
+        rows, failures, _ = check([first, second],
+                                  [record({"BM_Foo": {"real_ns": 150}}, FOUR_CORES)])
+        self.assertEqual(failures, [])
+        self.assertEqual(rows["BM_Foo"][2], 100)
+        self.assertIn("'first'", rows["BM_Foo"][4])
+
+    def test_committed_step_two_records_back_still_fails(self):
+        # A 10x wall-clock regression that landed in the trajectory does not
+        # become the new bar: the next record is still held to the best.
+        before = record({"BM_Foo": {"real_ns": 100}}, FOUR_CORES, label="before")
+        step = record({"BM_Foo": {"real_ns": 1000}}, FOUR_CORES, label="step")
+        after = record({"BM_Foo": {"real_ns": 1000}}, FOUR_CORES, label="after")
+        rows, failures, _ = check([before, step, after],
+                                  [record({"BM_Foo": {"real_ns": 1000}}, FOUR_CORES)])
+        self.assertEqual(failures, [("BM_Foo", 10.0)])
+        self.assertIn("'before'", rows["BM_Foo"][4])
+
+    def test_faster_record_from_another_host_is_not_used(self):
+        other = record({"BM_Foo": {"real_ns": 10}}, ONE_CORE, label="other")
+        mine = record({"BM_Foo": {"real_ns": 100}}, FOUR_CORES, label="mine")
+        rows, failures, _ = check([other, mine],
+                                  [record({"BM_Foo": {"real_ns": 150}}, FOUR_CORES)])
+        self.assertEqual(failures, [])
+        self.assertEqual(rows["BM_Foo"][2], 100)
+        self.assertIn("'mine'", rows["BM_Foo"][4])
+
+    def test_best_higher_is_better_wall_gauge_is_its_maximum(self):
+        gauge = lambda v, label: record(
+            {"g": {"value": v, "direction": "higher_is_better", "clock": "wall"}},
+            FOUR_CORES, label=label)
+        rows, failures, _ = check([gauge(8, "high"), gauge(2, "low")], [gauge(3, "c")])
+        self.assertEqual(rows["g"][2], 8)
+        self.assertEqual(len(failures), 1)
 
     def test_new_name_passes_without_baseline(self):
         rows, failures, _ = check([], [record({"BM_New": {"sim_ns": 5}})])
