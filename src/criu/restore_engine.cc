@@ -69,7 +69,14 @@ Result<BulkAccessStats> RestoreEngine::TouchInvocationPages(const FunctionProfil
   if (snapshot == nullptr) {
     return Status::FailedPrecondition("function was never prepared: " + profile.name);
   }
-  FaultHandler handler(ctx.frames, ctx.backends, ctx.stats, ctx.fault_observer);
+  if (!fault_handler_.has_value() ||
+      !fault_handler_->BoundTo(ctx.frames, ctx.backends, ctx.stats)) {
+    fault_handler_.emplace(ctx.frames, ctx.backends, ctx.stats);
+  }
+  // Every invocation starts from a new handler's state, so the contents its
+  // writes store do not depend on what the engine ran before.
+  FaultHandler& handler = *fault_handler_;
+  handler.Restart(ctx.fault_observer);
   BulkAccessStats total;
   // Write budget: write_fraction of the WHOLE image, distributed over the
   // writable regions (heap, stack, .data) until exhausted — interpreters

@@ -14,6 +14,7 @@
 #define TRENV_CRIU_RESTORE_ENGINE_H_
 
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -115,7 +116,9 @@ struct RestoreContext {
   PageTouchObserver* fault_observer = nullptr;
   // Observability: engines record phase-detail spans under `trace_parent` at
   // `trace_loc` and bump counters in `stats`. All optional — a null tracer /
-  // registry costs one branch per site.
+  // registry costs one branch per site. The engine's fault handler caches the
+  // counters of the last `stats` it saw and recognizes it by address, so a
+  // registry passed here must stay alive while the engine is in use.
   obs::Tracer* tracer = nullptr;
   obs::Loc trace_loc;
   obs::SpanId trace_parent = obs::kInvalidSpanId;
@@ -199,6 +202,13 @@ class RestoreEngine {
   // Indexed by FunctionId (global id space — may be sparse); null = never
   // prepared. unique_ptr keeps snapshot addresses stable across growth.
   std::vector<std::unique_ptr<FunctionSnapshot>> snapshots_;
+
+ private:
+  // The engine's one fault handler, bound to the frames, backends and
+  // registry of the contexts that touch pages. A node owns one engine and
+  // hands it the same three every time, so the cached counters and scratch
+  // serve the whole run; a context naming different ones rebinds it.
+  std::optional<FaultHandler> fault_handler_;
 };
 
 // faasd-style cold start: full sandbox creation + interpreter bootstrap.

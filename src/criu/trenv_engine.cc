@@ -324,12 +324,9 @@ Result<ExecutionOverheads> TrEnvEngine::OnExecute(const FunctionProfile& profile
   // Open fetch streams on any message-model pools backing this instance, so
   // the pool's contention model sees the concurrent load.
   std::vector<MemoryBackend*> streams;
-  uint64_t remote_cxl_pages = 0;
   for (auto& process : instance.processes()) {
     const uint64_t lazy_pages = process->mm().page_table().CountPagesIf(
         [](const PteFlags& f) { return f.remote() && !f.valid; });
-    remote_cxl_pages += process->mm().page_table().CountPagesIf(
-        [](const PteFlags& f) { return f.remote() && f.valid; });
     if (lazy_pages > 0) {
       for (PoolKind kind : {PoolKind::kRdma, PoolKind::kNas}) {
         MemoryBackend* backend = ctx.backends->Get(kind);
@@ -376,7 +373,6 @@ Result<ExecutionOverheads> TrEnvEngine::OnExecute(const FunctionProfile& profile
   // The slowdown scales with the fraction of reads actually served from
   // remote byte-addressable memory: templates that keep hot regions in
   // local DRAM (the paper's suggested optimization) shrink it.
-  (void)remote_cxl_pages;
   const uint64_t direct_reads = stats.direct_remote + stats.direct_local;
   if (stats.direct_remote > 0 && direct_reads > 0) {
     const double remote_fraction =

@@ -9,6 +9,29 @@
 #include "src/common/interner.h"
 
 namespace trenv {
+namespace {
+
+// The alive node with the smallest key, ties to the lowest index; the node
+// count when none is alive. Each node's key is computed once per call: the
+// best key so far is kept beside its index.
+template <typename Nodes, typename KeyFn>
+size_t ArgMinAlive(const Nodes& nodes, KeyFn key) {
+  size_t best = nodes.size();
+  std::optional<decltype(key(size_t{0}))> best_key;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    if (!nodes[i]->alive) {
+      continue;
+    }
+    auto candidate = key(i);
+    if (!best_key.has_value() || candidate < *best_key) {
+      best = i;
+      best_key = std::move(candidate);
+    }
+  }
+  return best;
+}
+
+}  // namespace
 
 Cluster::Cluster(ClusterConfig config)
     : config_(config),
@@ -146,38 +169,15 @@ size_t Cluster::PickNode(FunctionId function, SimTime arrival) {
                              n.platform->concurrent_startups() + WindowLoad(i),
                              n.platform->frames().used_bytes());
     };
-    size_t best = nodes_.size();
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      if (!nodes_[i]->alive) {
-        continue;
-      }
-      if (best == nodes_.size() || key(i) < key(best)) {
-        best = i;
-      }
-    }
-    return best;
+    return ArgMinAlive(nodes_, key);
   }
   // Least-loaded: fewest in-flight startups, then least DRAM in use — the
   // "dispatch to whichever node has available CPU" ideal of section 3.2.
-  size_t best = nodes_.size();
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i]->alive) {
-      continue;
-    }
-    if (best == nodes_.size()) {
-      best = i;
-      continue;
-    }
-    const auto key = [&](size_t j) {
-      const Node& n = *nodes_[j];
-      return std::make_pair(n.platform->concurrent_startups() + WindowLoad(j),
-                            n.platform->frames().used_bytes());
-    };
-    if (key(i) < key(best)) {
-      best = i;
-    }
-  }
-  return best;
+  return ArgMinAlive(nodes_, [&](size_t i) {
+    const Node& n = *nodes_[i];
+    return std::make_pair(n.platform->concurrent_startups() + WindowLoad(i),
+                          n.platform->frames().used_bytes());
+  });
 }
 
 Status Cluster::Submit(SimTime arrival, FunctionId function, SubmitOptions options) {

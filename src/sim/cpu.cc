@@ -15,7 +15,7 @@ FairShareCpu::FairShareCpu(EventScheduler* scheduler, double cores)
 
 double FairShareCpu::current_load() const {
   double load = 0;
-  for (const auto& [id, task] : tasks_) {
+  for (const Task& task : tasks_) {
     load += task.weight;
   }
   return load;
@@ -31,7 +31,7 @@ double FairShareCpu::consumed_cpu_seconds(SimTime now) const {
   // Account the in-flight interval since the last sync.
   const double elapsed_ns = static_cast<double>((now - last_sync_).nanos());
   const double rate = RatePerUnitWeight();
-  for (const auto& [id, task] : tasks_) {
+  for (const Task& task : tasks_) {
     consumed += std::min(task.remaining_work_ns, elapsed_ns * rate * task.weight);
   }
   return consumed / 1e9;
@@ -55,19 +55,17 @@ CpuTaskId FairShareCpu::SubmitWeighted(SimDuration work, double weight,
   assert(weight > 0);
   Sync();
   const CpuTaskId id = next_id_++;
-  Task task;
-  task.remaining_work_ns = std::max<double>(0.0, static_cast<double>(work.nanos()));
-  task.weight = weight;
-  task.on_complete = std::move(on_complete);
-  tasks_.emplace(id, std::move(task));
+  tasks_.push_back(Task{id, std::max<double>(0.0, static_cast<double>(work.nanos())), weight,
+                        std::move(on_complete)});
   Rearm();
   return id;
 }
 
 bool FairShareCpu::Cancel(CpuTaskId id) {
   Sync();
-  auto it = tasks_.find(id);
-  if (it == tasks_.end()) {
+  auto it = std::lower_bound(tasks_.begin(), tasks_.end(), id,
+                             [](const Task& task, CpuTaskId key) { return task.id < key; });
+  if (it == tasks_.end() || it->id != id) {
     return false;
   }
   tasks_.erase(it);
@@ -89,7 +87,7 @@ void FairShareCpu::Sync() {
     return;
   }
   const double rate = RatePerUnitWeight();
-  for (auto& [id, task] : tasks_) {
+  for (Task& task : tasks_) {
     const double done = std::min(task.remaining_work_ns, elapsed_ns * rate * task.weight);
     task.remaining_work_ns -= done;
     consumed_work_ns_ += done;
@@ -108,7 +106,7 @@ void FairShareCpu::Rearm() {
   const double rate = RatePerUnitWeight();
   assert(rate > 0);
   double min_finish_ns = std::numeric_limits<double>::infinity();
-  for (const auto& [id, task] : tasks_) {
+  for (const Task& task : tasks_) {
     const double finish_ns = task.remaining_work_ns / (rate * task.weight);
     min_finish_ns = std::min(min_finish_ns, finish_ns);
   }
@@ -116,19 +114,24 @@ void FairShareCpu::Rearm() {
   pending_event_ = scheduler_->ScheduleAfter(delay, [this] {
     pending_event_ = kInvalidEventId;
     Sync();
-    // Collect all tasks that have (numerically) finished. A small epsilon
-    // absorbs floating-point residue from the rate computation.
+    // Collect all tasks that have (numerically) finished, compacting the
+    // survivors in place. A small epsilon absorbs floating-point residue from
+    // the rate computation.
     constexpr double kEpsilonNs = 0.5;
     std::vector<std::function<void()>> done;
-    for (auto it = tasks_.begin(); it != tasks_.end();) {
-      if (it->second.remaining_work_ns <= kEpsilonNs) {
-        consumed_work_ns_ += it->second.remaining_work_ns;
-        done.push_back(std::move(it->second.on_complete));
-        it = tasks_.erase(it);
+    auto kept = tasks_.begin();
+    for (Task& task : tasks_) {
+      if (task.remaining_work_ns <= kEpsilonNs) {
+        consumed_work_ns_ += task.remaining_work_ns;
+        done.push_back(std::move(task.on_complete));
       } else {
-        ++it;
+        if (&*kept != &task) {
+          *kept = std::move(task);
+        }
+        ++kept;
       }
     }
+    tasks_.erase(kept, tasks_.end());
     Rearm();
     for (auto& fn : done) {
       fn();

@@ -14,7 +14,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <vector>
 
 #include "src/common/time.h"
 #include "src/sim/event_scheduler.h"
@@ -52,6 +52,7 @@ class FairShareCpu {
 
  private:
   struct Task {
+    CpuTaskId id;
     double remaining_work_ns;  // at full-speed execution
     double weight;
     std::function<void()> on_complete;
@@ -65,7 +66,11 @@ class FairShareCpu {
 
   EventScheduler* scheduler_;
   double cores_;
-  std::map<CpuTaskId, Task> tasks_;
+  // Runnable tasks in ascending id order (ids only grow, so Submit appends).
+  // Every walk (weight sums, progress updates, completion callbacks) runs in
+  // that order: the floating-point sums depend on it, and the completion
+  // instants on the sums.
+  std::vector<Task> tasks_;
   CpuTaskId next_id_ = 1;
   SimTime last_sync_;
   EventId pending_event_ = kInvalidEventId;

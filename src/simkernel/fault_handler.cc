@@ -9,7 +9,7 @@ namespace trenv {
 
 FaultHandler::FaultHandler(FrameAllocator* frames, const BackendRegistry* backends,
                            obs::Registry* stats, PageTouchObserver* observer)
-    : frames_(frames), backends_(backends), observer_(observer) {
+    : frames_(frames), backends_(backends), stats_(stats), observer_(observer) {
   if (stats != nullptr) {
     minor_ = stats->GetCounter("faults.minor");
     major_ = stats->GetCounter("faults.major");
@@ -24,12 +24,17 @@ void FaultHandler::Count(const BulkAccessStats& stats) {
   if (minor_ == nullptr) {
     return;
   }
-  minor_->Add(static_cast<double>(stats.minor_faults));
-  major_->Add(static_cast<double>(stats.major_faults));
-  cow_->Add(static_cast<double>(stats.cow_faults));
-  fetched_bytes_->Add(static_cast<double>(stats.bytes_fetched));
-  direct_remote_->Add(static_cast<double>(stats.direct_remote));
-  direct_local_->Add(static_cast<double>(stats.direct_local));
+  const auto add = [](obs::Counter* counter, uint64_t delta) {
+    if (delta != 0) {
+      counter->Add(static_cast<double>(delta));
+    }
+  };
+  add(minor_, stats.minor_faults);
+  add(major_, stats.major_faults);
+  add(cow_, stats.cow_faults);
+  add(fetched_bytes_, stats.bytes_fetched);
+  add(direct_remote_, stats.direct_remote);
+  add(direct_local_, stats.direct_local);
 }
 
 void BulkAccessStats::MergeFrom(const BulkAccessStats& other) {

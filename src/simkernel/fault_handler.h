@@ -84,6 +84,21 @@ class FaultHandler {
   FaultHandler(FrameAllocator* frames, const BackendRegistry* backends,
                obs::Registry* stats = nullptr, PageTouchObserver* observer = nullptr);
 
+  // True when the handler was constructed over exactly these three.
+  bool BoundTo(const FrameAllocator* frames, const BackendRegistry* backends,
+               const obs::Registry* stats) const {
+    return frames_ == frames && backends_ == backends && stats_ == stats;
+  }
+
+  // Returns the handler to the state a newly constructed one has (the first
+  // write seed, `observer` notified of touches) while keeping its bindings,
+  // cached counters and scratch buffer, so a long-lived handler can serve
+  // many independent access sequences without per-sequence setup.
+  void Restart(PageTouchObserver* observer) {
+    observer_ = observer;
+    write_seed_ = kFirstWriteSeed;
+  }
+
   // Touches one page. `write` requests write access. new_content is the
   // content a write stores (ignored for reads). Unlike a bulk touch, the
   // outcome's latency includes the load itself on a direct access: local
@@ -117,16 +132,21 @@ class FaultHandler {
                                 NextContent next_content);
 
   // Applies a BulkAccessStats delta to the bound counters (no-op unbound).
+  // Zero deltas are skipped: adding 0 to a counter changes nothing.
   void Count(const BulkAccessStats& stats);
+
+  static constexpr uint64_t kFirstWriteSeed = 0x57a7e;
 
   FrameAllocator* frames_;
   const BackendRegistry* backends_;
+  obs::Registry* stats_;
   PageTouchObserver* observer_ = nullptr;
-  uint64_t write_seed_ = 0x57a7e;  // distinguishes freshly written content
+  uint64_t write_seed_ = kFirstWriteSeed;  // distinguishes freshly written content
   // Scratch for AccessRange's run snapshot, reused across calls so bulk
   // accesses don't allocate once the buffer has grown to the working size.
   std::vector<Segment> segments_scratch_;
-  // Telemetry counters, cached once so the hot path pays one add each.
+  // Telemetry counters, created and cached at construction so the hot path
+  // pays one add per nonzero delta and exports list all six from the start.
   obs::Counter* minor_ = nullptr;
   obs::Counter* major_ = nullptr;
   obs::Counter* cow_ = nullptr;

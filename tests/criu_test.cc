@@ -2,6 +2,10 @@
 // restore engines' cost structure and page behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+
 #include "src/common/cost_model.h"
 #include "src/criu/checkpointer.h"
 #include "src/criu/deduplicator.h"
@@ -552,6 +556,91 @@ TEST_F(EngineTest, TrEnvPrefetchSkipsByteAddressableTemplates) {
   EXPECT_EQ(engine.prefetch_nic().total_ops(), 0u);
   EXPECT_EQ(second->instance->ResidentLocalPages(), 0u);
   engine.OnExecuteDone(*second->instance);
+}
+
+// The integer a span carries under `key`, or -1 when it has none.
+int64_t SpanInt(const obs::Span& span, std::string_view key) {
+  for (const auto& [name, value] : span.args) {
+    if (name == key) {
+      const int64_t* v = std::get_if<int64_t>(&value);
+      return v != nullptr ? *v : -1;
+    }
+  }
+  return -1;
+}
+
+// The engine keeps one fault handler for all its invocations, and each
+// invocation must still see the state a handler built for it alone would
+// have: its writes store the same page contents (the write seed starts over)
+// and the six fault counters add up to what the invocations touched, all six
+// present even when every delta was zero. An invocation without a registry
+// comes first, so the registry's binding is a rebind. The contents were
+// recorded with a handler constructed per invocation.
+TEST_F(EngineTest, TrEnvFaultPathStartsEveryInvocationAfresh) {
+  const FunctionProfile& js = *FindTable4Function("JS");
+  obs::Registry stats;
+  obs::Tracer tracer;
+  SnapshotDedupStore dedup(&tiered_cxl_);
+  TrEnvEngine engine(&factory_, &pool_, &mmt_, &dedup);
+  ASSERT_TRUE(engine.Prepare(js).ok());
+  RestoreContext unbound = Ctx();
+  RestoreContext ctx = Ctx();
+  // Bound the way ServerlessPlatform::MakeContext binds its registry.
+  ctx.stats = &stats;
+  ctx.tracer = &tracer;
+  ctx.trace_loc = {tracer.RegisterProcess("test", [] { return SimTime(); }), 0};
+  auto outcome = engine.Restore(js, ctx);
+  ASSERT_TRUE(outcome.ok());
+  const MmStruct& mm = outcome->instance->main_process()->mm();
+  const Vpn heap = AddrToVpn(
+      std::find_if(mm.vmas().begin(), mm.vmas().end(),
+                   [](const auto& entry) { return entry.second.name == "[heap]"; })
+          ->first);
+  const auto content_of = [&] { return mm.page_table().Lookup(heap)->content; };
+
+  // In every invocation the heap's first page takes the second written run.
+  constexpr PageContent kHeapHeadAfterEachCall = 4056350825441902884u;
+  ASSERT_TRUE(engine.OnExecute(js, *outcome->instance, unbound).ok());
+  engine.OnExecuteDone(*outcome->instance);
+  EXPECT_EQ(content_of(), kHeapHeadAfterEachCall);
+  ASSERT_TRUE(engine.OnExecute(js, *outcome->instance, ctx).ok());
+  engine.OnExecuteDone(*outcome->instance);
+  EXPECT_EQ(content_of(), kHeapHeadAfterEachCall);
+  ASSERT_TRUE(engine.OnExecute(js, *outcome->instance, ctx).ok());
+  engine.OnExecuteDone(*outcome->instance);
+  EXPECT_EQ(content_of(), kHeapHeadAfterEachCall);
+
+  // Each traced invocation's "fault.touch" span carries its BulkAccessStats.
+  std::map<std::string, int64_t> touched;
+  int spans = 0;
+  for (const obs::Span& span : tracer.spans()) {
+    if (span.name != "fault.touch") {
+      continue;
+    }
+    ++spans;
+    for (const char* key : {"minor_faults", "major_faults", "cow_faults", "bytes_fetched",
+                            "direct_remote", "direct_local"}) {
+      ASSERT_GE(SpanInt(span, key), 0) << key;
+      touched[key] += SpanInt(span, key);
+    }
+  }
+  ASSERT_EQ(spans, 2);
+  const std::pair<const char*, const char*> kCounters[] = {
+      {"faults.minor", "minor_faults"},        {"faults.major", "major_faults"},
+      {"faults.cow", "cow_faults"},            {"fetch.bytes", "bytes_fetched"},
+      {"reads.direct_remote", "direct_remote"}, {"reads.direct_local", "direct_local"}};
+  for (const auto& [counter, key] : kCounters) {
+    const obs::Counter* found = stats.FindCounter(counter);
+    ASSERT_NE(found, nullptr) << counter;
+    EXPECT_EQ(found->value(), static_cast<double>(touched[key])) << counter;
+  }
+  // The unbound invocation took every CoW; the traced ones only load and
+  // store directly, so the fault and fetch counters exist with value 0.
+  EXPECT_EQ(touched["cow_faults"], 0);
+  EXPECT_EQ(touched["major_faults"], 0);
+  EXPECT_EQ(touched["bytes_fetched"], 0);
+  EXPECT_GT(touched["direct_local"], 0);
+  EXPECT_GT(touched["direct_remote"], 0);
 }
 
 TEST_F(EngineTest, TrEnvPromotionHeatsByRecordedWorkingSet) {

@@ -1,11 +1,12 @@
-// Bitwise equivalence of the sorted-vector hot-path stores against the
-// original std::map implementations (tests/reference_stores.h). Randomized
-// operation sequences — the same seeded stream applied to both stores — must
-// leave bit-identical observable state after every step: run boundaries and
-// every per-run field, lookups, removal counts, page/extent counts, and
-// allocator placement decisions. This is the acceptance bar for the flat
-// rewrite: not "equivalent behavior" but the same splits, the same merges,
-// the same first-fit choices.
+// Bitwise equivalence of the sorted-vector hot-path stores and CPU model
+// against the original std::map implementations (tests/reference_stores.h).
+// Randomized operation sequences — the same seeded stream applied to both
+// sides — must leave bit-identical observable state after every step: run
+// boundaries and every per-run field, lookups, removal counts, page/extent
+// counts, allocator placement decisions, and the instant and order of every
+// CPU completion. This is the acceptance bar for the flat rewrites: not
+// "equivalent behavior" but the same splits, the same merges, the same
+// first-fit choices, the same floating-point results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,8 @@
 #include "src/common/rng.h"
 #include "src/mempool/backend.h"
 #include "src/mempool/block_allocator.h"
+#include "src/sim/cpu.h"
+#include "src/sim/event_scheduler.h"
 #include "src/simkernel/page_table.h"
 #include "tests/reference_stores.h"
 
@@ -346,6 +349,111 @@ TEST(FlatStoreEquivalenceTest, BlockAllocatorRandomizedChurn) {
       EXPECT_FALSE(ra.Free(base, n).ok());
     }
     ExpectSameAllocator(ba, ra);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// FairShareCpu
+// ---------------------------------------------------------------------------
+
+// One CPU model on its own scheduler, logging every completion as (virtual
+// time in ns, task tag) in the order the callbacks fire. A first-generation
+// burst whose tag is a multiple of 5 submits one follow-up from inside its
+// callback, the way a finished bootstrap hands its invocation back to the
+// CPU.
+template <typename Cpu>
+struct CpuHarness {
+  static constexpr uint64_t kFollowUpTag = 1000000;
+
+  explicit CpuHarness(double cores) : cpu(&sched, cores) {}
+
+  CpuTaskId Submit(uint64_t tag, SimDuration work, double weight) {
+    return cpu.SubmitWeighted(work, weight, [this, tag, work, weight] {
+      completions.emplace_back(sched.now().nanos(), tag);
+      if (tag < kFollowUpTag && tag % 5 == 0) {
+        Submit(tag + kFollowUpTag, work / 2 + SimDuration::Micros(3), weight);
+      }
+    });
+  }
+
+  EventScheduler sched;
+  Cpu cpu;
+  std::vector<std::pair<int64_t, uint64_t>> completions;
+};
+
+TEST(FlatStoreEquivalenceTest, FairShareCpuRandomizedMix) {
+  for (uint64_t seed : {3u, 41u, 977u}) {
+    Rng rng(seed);
+    const double cores = static_cast<double>(2 + rng.NextBounded(15));
+    CpuHarness<FairShareCpu> flat(cores);
+    CpuHarness<ref::RefFairShareCpu> ref(cores);
+    std::vector<CpuTaskId> submitted;
+    uint64_t next_tag = 1;
+    // Each phase draws a concurrency target between 1 and 300 and a clock
+    // pace, so both the undersubscribed (rate 1) and the deeply overcommitted
+    // share are exercised; slow phases let the backlog build up to target.
+    uint64_t target = 1;
+    uint64_t max_advance_ns = 1;
+    size_t peak_runnable = 0;
+    for (int step = 0; step < 8000; ++step) {
+      if (step % 500 == 0) {
+        // Every fourth phase aims for the full 300.
+        target = step % 2000 == 1500 ? 300 : 1 + rng.NextBounded(300);
+        static constexpr uint64_t kPaces[] = {20000, 400000, 4000000};
+        max_advance_ns = kPaces[rng.NextBounded(3)];
+      }
+      const double roll = rng.NextDouble();
+      if (roll < 0.45 && flat.cpu.runnable_count() < target) {
+        // Whole and fractional weights; occasionally zero work.
+        static constexpr double kWeights[] = {1.0, 1.0, 0.5, 2.0, 0.3, 1.7, 4.0};
+        const double weight = rng.NextBool(0.2) ? rng.NextUniform(0.05, 6.0)
+                                                : kWeights[rng.NextBounded(7)];
+        const SimDuration work =
+            rng.NextBool(0.02) ? SimDuration::Zero()
+                               : SimDuration(static_cast<int64_t>(1 + rng.NextBounded(20000000)));
+        const uint64_t tag = next_tag++;
+        const CpuTaskId a = flat.Submit(tag, work, weight);
+        const CpuTaskId b = ref.Submit(tag, work, weight);
+        ASSERT_EQ(a, b) << "step " << step;
+        submitted.push_back(a);
+      } else if (roll < 0.60 && !submitted.empty()) {
+        // Live, finished and never-issued ids alike.
+        const CpuTaskId id = rng.NextBool(0.1) ? submitted.back() + 1 + rng.NextBounded(3)
+                                               : submitted[rng.NextBounded(submitted.size())];
+        ASSERT_EQ(flat.cpu.Cancel(id), ref.cpu.Cancel(id)) << "step " << step;
+      } else if (roll < 0.601) {
+        // Crash recovery: the schedulers drop the pending completion first.
+        flat.sched.Clear();
+        ref.sched.Clear();
+        flat.cpu.Reset();
+        ref.cpu.Reset();
+      } else {
+        const SimTime until =
+            flat.sched.now() + SimDuration(static_cast<int64_t>(rng.NextBounded(max_advance_ns)));
+        flat.sched.RunUntil(until);
+        ref.sched.RunUntil(until);
+      }
+      ASSERT_EQ(flat.sched.now(), ref.sched.now());
+      ASSERT_EQ(flat.completions, ref.completions) << "step " << step;
+      ASSERT_EQ(flat.cpu.runnable_count(), ref.cpu.runnable_count()) << "step " << step;
+      ASSERT_EQ(flat.cpu.current_load(), ref.cpu.current_load()) << "step " << step;
+      ASSERT_EQ(flat.cpu.current_utilization(), ref.cpu.current_utilization());
+      ASSERT_EQ(flat.cpu.consumed_cpu_seconds(flat.sched.now()),
+                ref.cpu.consumed_cpu_seconds(ref.sched.now()))
+          << "step " << step;
+      peak_runnable = std::max(peak_runnable, flat.cpu.runnable_count());
+    }
+    flat.sched.RunUntilIdle();
+    ref.sched.RunUntilIdle();
+    EXPECT_EQ(flat.sched.now(), ref.sched.now());
+    EXPECT_EQ(flat.completions, ref.completions);
+    EXPECT_EQ(flat.cpu.runnable_count(), 0u);
+    EXPECT_EQ(ref.cpu.runnable_count(), 0u);
+    EXPECT_EQ(flat.cpu.consumed_cpu_seconds(flat.sched.now()),
+              ref.cpu.consumed_cpu_seconds(ref.sched.now()));
+    // The mix really reached deep overcommit and finished plenty of bursts.
+    EXPECT_GE(peak_runnable, 200u) << "seed " << seed;
+    EXPECT_GT(flat.completions.size(), 1000u) << "seed " << seed;
   }
 }
 

@@ -1,23 +1,31 @@
-// Test-only reference implementations of the hot-path run stores, preserved
-// verbatim (modulo naming and dump accessors) from the original std::map
-// code that shipped before the sorted-vector rewrite. The equivalence test
+// Test-only reference implementations of the hot-path run stores and the
+// processor-sharing CPU, preserved verbatim (modulo naming and dump
+// accessors) from the original std::map code that shipped before the
+// sorted-vector rewrites. The equivalence test
 // (flat_store_equivalence_test.cc) drives randomized operation sequences
-// through both a reference store and its production counterpart and asserts
-// the externally observable state — run boundaries, per-field values,
-// lookups, counts — is bit-identical after every operation. These classes
-// exist only to pin that bar; nothing outside tests/ may include this file.
+// through both a reference and its production counterpart and asserts the
+// externally observable state — run boundaries, per-field values, lookups,
+// counts, completion instants — is bit-identical after every operation.
+// These classes exist only to pin that bar; nothing outside tests/ may
+// include this file.
 #ifndef TRENV_TESTS_REFERENCE_STORES_H_
 #define TRENV_TESTS_REFERENCE_STORES_H_
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <optional>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/common/time.h"
+#include "src/sim/cpu.h"
+#include "src/sim/event_scheduler.h"
 #include "src/simkernel/page_table.h"
 #include "src/simkernel/types.h"
 
@@ -380,6 +388,154 @@ class RefBlockAllocator {
   uint64_t total_pages_;
   uint64_t used_pages_ = 0;
   std::map<PoolOffset, uint64_t> free_list_;
+};
+
+// The original std::map-backed FairShareCpu (task key = CpuTaskId).
+class RefFairShareCpu {
+ public:
+  RefFairShareCpu(EventScheduler* scheduler, double cores)
+      : scheduler_(scheduler), cores_(cores), last_sync_(scheduler->now()) {
+    assert(cores > 0);
+  }
+
+  CpuTaskId Submit(SimDuration work, std::function<void()> on_complete) {
+    return SubmitWeighted(work, 1.0, std::move(on_complete));
+  }
+
+  CpuTaskId SubmitWeighted(SimDuration work, double weight, std::function<void()> on_complete) {
+    assert(weight > 0);
+    Sync();
+    const CpuTaskId id = next_id_++;
+    Task task;
+    task.remaining_work_ns = std::max<double>(0.0, static_cast<double>(work.nanos()));
+    task.weight = weight;
+    task.on_complete = std::move(on_complete);
+    tasks_.emplace(id, std::move(task));
+    Rearm();
+    return id;
+  }
+
+  bool Cancel(CpuTaskId id) {
+    Sync();
+    auto it = tasks_.find(id);
+    if (it == tasks_.end()) {
+      return false;
+    }
+    tasks_.erase(it);
+    Rearm();
+    return true;
+  }
+
+  void Reset() {
+    tasks_.clear();
+    pending_event_ = kInvalidEventId;
+    last_sync_ = scheduler_->now();
+  }
+
+  size_t runnable_count() const { return tasks_.size(); }
+
+  double current_load() const {
+    double load = 0;
+    for (const auto& [id, task] : tasks_) {
+      load += task.weight;
+    }
+    return load;
+  }
+
+  double current_utilization() const {
+    const double load = current_load();
+    return std::min(1.0, load / cores_);
+  }
+
+  double consumed_cpu_seconds(SimTime now) const {
+    double consumed = consumed_work_ns_;
+    // Account the in-flight interval since the last sync.
+    const double elapsed_ns = static_cast<double>((now - last_sync_).nanos());
+    const double rate = RatePerUnitWeight();
+    for (const auto& [id, task] : tasks_) {
+      consumed += std::min(task.remaining_work_ns, elapsed_ns * rate * task.weight);
+    }
+    return consumed / 1e9;
+  }
+
+ private:
+  struct Task {
+    double remaining_work_ns;  // at full-speed execution
+    double weight;
+    std::function<void()> on_complete;
+  };
+
+  double RatePerUnitWeight() const {
+    const double load = current_load();
+    if (load <= 0) {
+      return 0;
+    }
+    // Each unit of weight progresses at min(1, cores/load) of full speed.
+    return std::min(1.0, cores_ / load);
+  }
+
+  void Sync() {
+    const SimTime now = scheduler_->now();
+    const double elapsed_ns = static_cast<double>((now - last_sync_).nanos());
+    last_sync_ = now;
+    if (elapsed_ns <= 0 || tasks_.empty()) {
+      return;
+    }
+    const double rate = RatePerUnitWeight();
+    for (auto& [id, task] : tasks_) {
+      const double done = std::min(task.remaining_work_ns, elapsed_ns * rate * task.weight);
+      task.remaining_work_ns -= done;
+      consumed_work_ns_ += done;
+    }
+  }
+
+  void Rearm() {
+    if (pending_event_ != kInvalidEventId) {
+      scheduler_->Cancel(pending_event_);
+      pending_event_ = kInvalidEventId;
+    }
+    if (tasks_.empty()) {
+      return;
+    }
+    // Find the earliest finisher under the current share.
+    const double rate = RatePerUnitWeight();
+    assert(rate > 0);
+    double min_finish_ns = std::numeric_limits<double>::infinity();
+    for (const auto& [id, task] : tasks_) {
+      const double finish_ns = task.remaining_work_ns / (rate * task.weight);
+      min_finish_ns = std::min(min_finish_ns, finish_ns);
+    }
+    const auto delay = SimDuration(static_cast<int64_t>(std::ceil(min_finish_ns)));
+    pending_event_ = scheduler_->ScheduleAfter(delay, [this] {
+      pending_event_ = kInvalidEventId;
+      Sync();
+      // Collect all tasks that have (numerically) finished. A small epsilon
+      // absorbs floating-point residue from the rate computation.
+      constexpr double kEpsilonNs = 0.5;
+      std::vector<std::function<void()>> done;
+      for (auto it = tasks_.begin(); it != tasks_.end();) {
+        if (it->second.remaining_work_ns <= kEpsilonNs) {
+          consumed_work_ns_ += it->second.remaining_work_ns;
+          done.push_back(std::move(it->second.on_complete));
+          it = tasks_.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      Rearm();
+      for (auto& fn : done) {
+        fn();
+      }
+    });
+  }
+
+  EventScheduler* scheduler_;
+  double cores_;
+  std::map<CpuTaskId, Task> tasks_;
+  CpuTaskId next_id_ = 1;
+  SimTime last_sync_;
+  EventId pending_event_ = kInvalidEventId;
+  double consumed_work_ns_ = 0;
 };
 
 }  // namespace ref
