@@ -114,9 +114,6 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& out, const Registry* r
     if (!span.category.empty()) {
       out << ",\"cat\":\"" << JsonEscape(span.category) << "\"";
     }
-    if (span.wall_us > 0.0) {
-      out << ",\"wall_us\":" << FormatDouble(span.wall_us);
-    }
     out << ",\"args\":";
     WriteArgs(span, out);
     out << "}";

@@ -37,9 +37,6 @@ SpanId Tracer::StartSpan(Loc loc, std::string_view name, std::string_view catego
   span.open = true;
   spans_.push_back(std::move(span));
   stack.push_back(spans_.back().id);
-  if (capture_wall_time_) {
-    wall_starts_.emplace(spans_.back().id, std::chrono::steady_clock::now());
-  }
   return spans_.back().id;
 }
 
@@ -56,15 +53,6 @@ void Tracer::EndSpan(SpanId id) {
     stack.erase(std::remove(stack.begin(), stack.end(), id), stack.end());
     if (stack.empty()) {
       open_.erase(stack_it);
-    }
-  }
-  if (capture_wall_time_) {
-    auto wall_it = wall_starts_.find(id);
-    if (wall_it != wall_starts_.end()) {
-      span->wall_us = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - wall_it->second)
-                          .count();
-      wall_starts_.erase(wall_it);
     }
   }
 }
@@ -155,7 +143,6 @@ size_t Tracer::open_span_count() const {
 void Tracer::Clear() {
   spans_.clear();
   open_.clear();
-  wall_starts_.clear();
 }
 
 }  // namespace obs

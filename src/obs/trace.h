@@ -3,7 +3,7 @@
 // A span is one phase of one invocation — "restore.sandbox", "mmt.attach",
 // "exec.cpu" — placed on a (process, track) pair: the process is one platform
 // / evaluated system (it owns the virtual clock), the track is one concurrent
-// strand inside it (the platform uses its invocation token). Spans on the
+// strand inside it (the platform numbers one per startup). Spans on the
 // same track nest: StartSpan parents a new span under the track's innermost
 // open span, which is exactly the invocation → restore → fault → fetch
 // hierarchy when the call sites bracket their phases.
@@ -11,15 +11,13 @@
 // Because the platform is event-driven, phases of one invocation start and
 // end in different scheduler callbacks; span ids are plain values that live
 // in the caller's state (e.g. the platform's InFlight record) between events.
-// ScopedSpan covers the synchronous sections.
 //
 // Cost when disabled: every entry point checks one branch and returns; no
 // allocation, no clock read, no map touch. Call sites may also simply hold a
-// null Tracer* — ScopedSpan and all methods-on-null-free helpers tolerate it.
+// null Tracer* and skip the calls.
 #ifndef TRENV_OBS_TRACE_H_
 #define TRENV_OBS_TRACE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -40,7 +38,7 @@ inline constexpr SpanId kInvalidSpanId = 0;
 using ProcessId = uint64_t;
 
 // Where a span lives: which registered process (clock domain) and which
-// track (concurrent strand — e.g. an invocation token) inside it.
+// track (concurrent strand — e.g. one invocation's startup) inside it.
 struct Loc {
   ProcessId pid = 0;
   uint64_t track = 0;
@@ -59,9 +57,6 @@ struct Span {
   SimTime end;
   bool open = false;
   bool instant = false;
-  // Wall-clock duration of the simulator itself (self-profiling), captured
-  // only when the tracer's capture_wall_time option is on.
-  double wall_us = 0.0;
   std::vector<std::pair<std::string, AnnotationValue>> args;
 
   SimDuration duration() const { return end - start; }
@@ -77,10 +72,6 @@ class Tracer {
   // was handed no tracer at all passes nullptr and pays only a null check.
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
-
-  // Also stamp spans with the wall-clock time the simulator spent inside
-  // them (profiling the simulator, not the simulation).
-  void set_capture_wall_time(bool capture) { capture_wall_time_ = capture; }
 
   // Registers a clock domain (one platform / scheduler). All spans at a Loc
   // with this pid are stamped by `clock`. Returns the pid to put in Locs.
@@ -129,7 +120,6 @@ class Tracer {
   Span* Mutable(SpanId id);
 
   bool enabled_ = true;
-  bool capture_wall_time_ = false;
   ProcessId next_pid_ = 1;
   std::map<ProcessId, std::string> process_names_;
   std::map<ProcessId, std::function<SimTime()>> clocks_;
@@ -137,34 +127,6 @@ class Tracer {
   std::vector<Span> spans_;
   // Innermost-open-span stacks, keyed by (pid, track).
   std::map<std::pair<ProcessId, uint64_t>, std::vector<SpanId>> open_;
-  // Wall-clock start stamps for open spans (self-profiling only).
-  std::map<SpanId, std::chrono::steady_clock::time_point> wall_starts_;
-};
-
-// RAII span for synchronous sections. Tolerates a null tracer.
-class ScopedSpan {
- public:
-  ScopedSpan(Tracer* tracer, Loc loc, std::string_view name, std::string_view category = {})
-      : tracer_(tracer),
-        id_(tracer != nullptr ? tracer->StartSpan(loc, name, category) : kInvalidSpanId) {}
-  ~ScopedSpan() {
-    if (tracer_ != nullptr) {
-      tracer_->EndSpan(id_);
-    }
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  void Annotate(std::string_view key, AnnotationValue value) {
-    if (tracer_ != nullptr) {
-      tracer_->Annotate(id_, key, std::move(value));
-    }
-  }
-  SpanId id() const { return id_; }
-
- private:
-  Tracer* tracer_;
-  SpanId id_;
 };
 
 }  // namespace obs

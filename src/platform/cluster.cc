@@ -1,6 +1,7 @@
 #include "src/platform/cluster.h"
 
 #include <algorithm>
+#include <cassert>
 #include <functional>
 #include <optional>
 #include <tuple>
@@ -188,14 +189,6 @@ Status Cluster::Submit(SimTime arrival, FunctionId function, SubmitOptions optio
   return status;
 }
 
-Status Cluster::Rejected(size_t node, FunctionId function, const Status& status) {
-  // Name the rejecting node: "invocation failed" without a culprit is
-  // useless in a rack-sized log.
-  return Status(status.code(), "node " + std::to_string(node) + " rejected invocation of '" +
-                                   std::string(FunctionName(function)) +
-                                   "': " + status.message());
-}
-
 Status Cluster::Dispatch(SimTime arrival, FunctionId function, SubmitOptions options) {
   if (!AnyAlive()) {
     if (injector_ == nullptr) {
@@ -204,7 +197,8 @@ Status Cluster::Dispatch(SimTime arrival, FunctionId function, SubmitOptions opt
     }
     // Whole-rack outage mid-chaos: park the invocation; the next restart
     // flushes the deferred queue.
-    deferred_.push_back(Deferred{arrival, function, std::move(options.on_complete)});
+    deferred_.push_back(LostInvocation{
+        .function = function, .arrival = arrival, .on_complete = std::move(options.on_complete)});
     injector_->CountDeferred();
     return Status::Ok();
   }
@@ -240,21 +234,21 @@ Status Cluster::Dispatch(SimTime arrival, FunctionId function, SubmitOptions opt
       platform.tracer()->Annotate(id, "latency_us", attach.latency.nanos() / 1000);
     }
   }
+  if (platform.registry().FindById(function) == nullptr) {
+    // Name the rejecting node: "invocation failed" without a culprit is
+    // useless in a rack-sized log.
+    const std::string name(FunctionName(function));
+    return Status::NotFound("node " + std::to_string(node_index) + " rejected invocation of '" +
+                            name + "': no such function: " + name);
+  }
+  if (!window_dispatches_.empty()) {
+    ++window_dispatches_[node_index];
+  }
   if (mailbox_ != nullptr) {
-    // Sharded run: defer the platform submit into the owning shard's mailbox;
-    // it is applied at the start of the next epoch, before any scheduler
-    // drains, so event sequence numbers match an immediate submit. A
-    // rejection surfaces when the mailbox drains (it still aborts the run).
-    mailbox_->cmds.push_back(SubmitCmd{start, static_cast<uint32_t>(node_index), function,
-                                       std::move(options.on_complete)});
-    mailbox_->inboxes[mailbox_->shard_of[node_index]].push_back(mailbox_->cmds.size() - 1);
-    if (!window_dispatches_.empty()) {
-      ++window_dispatches_[node_index];
-    }
+    (*mailbox_)[node_index].push_back(SubmitCmd{start, function, std::move(options.on_complete)});
     return Status::Ok();
   }
-  const Status status = platform.Submit(start, function, std::move(options.on_complete));
-  return status.ok() ? status : Rejected(node_index, function, status);
+  return platform.Submit(start, function, std::move(options.on_complete));
 }
 
 void Cluster::FocusNode(size_t i) {
@@ -265,13 +259,22 @@ void Cluster::FocusNode(size_t i) {
   injector_->SetActiveNode(static_cast<uint32_t>(i));
 }
 
-void Cluster::AdvanceClocksTo(SimTime t) {
+void Cluster::AdvanceNodes(size_t first, size_t last, std::optional<SimTime> target) {
   // Dead nodes advance too (their queue is empty; only the clock moves), so
-  // a restarted node rejoins at the cluster-wide instant.
-  for (size_t i = 0; i < nodes_.size(); ++i) {
+  // a restarted node rejoins at the cluster-wide instant. Without a target
+  // each node runs to completion, so node clocks diverge.
+  for (size_t i = first; i < last; ++i) {
     FocusNode(i);
-    nodes_[i]->platform->scheduler().RunUntil(t);
+    if (target.has_value()) {
+      nodes_[i]->platform->scheduler().RunUntil(*target);
+    } else {
+      nodes_[i]->platform->RunToCompletion();
+    }
   }
+}
+
+void Cluster::AdvanceClocksTo(SimTime t) {
+  AdvanceNodes(0, nodes_.size(), t);
   AdvanceSideClocksTo(t);
 }
 
@@ -331,10 +334,10 @@ void Cluster::RestartNode(size_t i, SimTime when) {
     return;
   }
   // Flush invocations parked during a whole-rack outage.
-  std::vector<Deferred> parked;
+  std::vector<LostInvocation> parked;
   parked.swap(deferred_);
   const SimTime ready = when + cost::kFailoverDetectionLatency;
-  for (Deferred& d : parked) {
+  for (LostInvocation& d : parked) {
     injector_->CountFailover(ready - d.arrival);
     SubmitOptions options;
     options.on_complete = std::move(d.on_complete);
@@ -426,18 +429,13 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
   }
   sharded_effective_shards_ = shards;
 
-  // Contiguous node ranges per shard; node -> shard for the mailbox router.
+  // Contiguous node ranges per shard.
   std::vector<std::pair<size_t, size_t>> shard_range(shards);
-  MailboxSink sink;
-  sink.inboxes.resize(shards);
-  sink.shard_of.resize(nodes_.size());
   for (uint32_t s = 0; s < shards; ++s) {
     shard_range[s] = {nodes_.size() * s / shards, nodes_.size() * (s + 1) / shards};
-    for (size_t i = shard_range[s].first; i < shard_range[s].second; ++i) {
-      sink.shard_of[i] = s;
-    }
   }
-  mailbox_ = &sink;
+  std::vector<std::vector<SubmitCmd>> inboxes(nodes_.size());
+  mailbox_ = &inboxes;
   const bool windowed = options.lookahead > SimDuration::Zero();
   if (windowed) {
     window_dispatches_.assign(nodes_.size(), 0);
@@ -452,60 +450,38 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
 
   ShardCoordinator coordinator(shards);
 
-  // One epoch: each shard first applies its mailbox (in global push order,
-  // before any drain, so scheduler sequence numbers match an immediate
-  // submit), then drains its nodes in index order up to the target — or, in
-  // the final epoch (no target), to completion. The side clocks follow on
-  // the coordinator thread. The lambda is built once; `target` is rebound
-  // per epoch. FocusNode is a no-op without an injector, and an injector
-  // implies one shard, so it stays coordinator-serial.
+  // One epoch: each shard first applies its nodes' inboxes (before any drain,
+  // so scheduler sequence numbers match an immediate submit), then advances
+  // its nodes to the target, or in the final epoch (no target) to completion,
+  // exactly as the public steps do. The lambda is built once; `target` is
+  // rebound per epoch. FocusNode is a no-op without an injector, and an
+  // injector implies one shard, so it stays coordinator-serial.
   std::optional<SimTime> target;
   const std::function<void(size_t)> run_shard = [&](size_t s) {
-    for (const size_t idx : sink.inboxes[s]) {
-      const SubmitCmd& cmd = sink.cmds[idx];
-      sink.statuses[idx] =
-          nodes_[cmd.node]->platform->Submit(cmd.start, cmd.function, cmd.on_complete);
-    }
     for (size_t i = shard_range[s].first; i < shard_range[s].second; ++i) {
-      FocusNode(i);
-      if (target.has_value()) {
-        nodes_[i]->platform->scheduler().RunUntil(*target);
-      } else {
-        nodes_[i]->platform->RunToCompletion();
+      for (SubmitCmd& cmd : inboxes[i]) {
+        // Dispatch rejected undeployed functions before queueing, so this
+        // submit cannot fail.
+        [[maybe_unused]] const Status status =
+            nodes_[i]->platform->Submit(cmd.start, cmd.function, std::move(cmd.on_complete));
+        assert(status.ok());
       }
+      inboxes[i].clear();
     }
+    AdvanceNodes(shard_range[s].first, shard_range[s].second, target);
   };
-  // Runs one epoch, then scans mailbox outcomes in global sequence order (the
-  // deterministic (time, shard, seq) drain order), clears the epoch's
-  // mailboxes, and surfaces the first rejection exactly as the sequential
-  // Dispatch would.
-  const auto run_epoch = [&](std::optional<SimTime> t) -> Status {
+  const auto run_epoch = [&](std::optional<SimTime> t) {
     target = t;
-    sink.statuses.resize(sink.cmds.size());
     coordinator.RunEpoch(run_shard);
-    Status first = Status::Ok();
-    for (size_t idx = 0; idx < sink.cmds.size(); ++idx) {
-      const Status& status = sink.statuses[idx];
-      if (!status.ok() && first.ok()) {
-        first = Rejected(sink.cmds[idx].node, sink.cmds[idx].function, status);
-      }
-    }
-    sink.cmds.clear();
-    sink.statuses.clear();
-    for (auto& inbox : sink.inboxes) {
-      inbox.clear();
-    }
-    return first;
   };
-  const auto epoch_advance = [&](SimTime t) -> Status {
-    TRENV_RETURN_IF_ERROR(run_epoch(t));
+  const auto epoch_advance = [&](SimTime t) {
+    run_epoch(t);
     AdvanceSideClocksTo(t);
     if (windowed) {
       // A sync point refreshes the real load state; the window's provisional
       // placement counts are now visible as concurrent startups.
       std::fill(window_dispatches_.begin(), window_dispatches_.end(), 0u);
     }
-    return Status::Ok();
   };
 
   // Node-level fault events (crashes, restarts, pressure windows) merge into
@@ -516,13 +492,13 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
   while (pending.has_value() || next_event < plan.size()) {
     if (next_event < plan.size() &&
         (!pending.has_value() || plan[next_event].time <= pending->arrival)) {
-      TRENV_RETURN_IF_ERROR(epoch_advance(plan[next_event].time));
+      epoch_advance(plan[next_event].time);
       ApplyFaultEvent(plan[next_event]);
       ++next_event;
       continue;
     }
     const SimTime window_start = pending->arrival;
-    TRENV_RETURN_IF_ERROR(epoch_advance(window_start));
+    epoch_advance(window_start);
     if (!windowed) {
       // Per-arrival epochs: dispatch sees exactly the sequential load state.
       TRENV_RETURN_IF_ERROR(Submit(pending->arrival, pending->function));
@@ -541,10 +517,9 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
     }
   }
 
-  // Final epoch: flush the last window's mailboxes, then drain every node to
-  // completion (nodes diverge in time here, exactly like DrainAll — no
-  // cross-node interaction remains), then the side clocks.
-  TRENV_RETURN_IF_ERROR(run_epoch(std::nullopt));
+  // Final epoch: flush the last window's inboxes, drain every node to
+  // completion exactly like DrainAll, then the side clocks.
+  run_epoch(std::nullopt);
   DrainSideClocks();
   sharded_epochs_ = coordinator.epochs();
   sharded_barrier_wait_ = coordinator.barrier_wait_seconds();
@@ -552,10 +527,7 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
 }
 
 void Cluster::DrainAll() {
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    FocusNode(i);
-    nodes_[i]->platform->RunToCompletion();
-  }
+  AdvanceNodes(0, nodes_.size(), std::nullopt);
   DrainSideClocks();
 }
 

@@ -11,6 +11,7 @@
 #define TRENV_PLATFORM_CLUSTER_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -117,12 +118,13 @@ class Cluster {
 
   // Sharded run: the trace pulls lazily from `arrivals` (a 10M-invocation
   // trace never materializes) and the per-node EventSchedulers advance in
-  // parallel epochs under conservative-lookahead synchronization. Cross-shard
-  // interactions (dispatch, poolmgr attach, failover re-dispatch) stay on the
-  // coordinator thread between epochs; platform submits travel through
-  // per-shard mailboxes drained in deterministic global-sequence order at the
-  // next epoch. Output is byte-identical at any `shards` setting, and with
-  // lookahead zero it is byte-identical to the sequential per-arrival loop.
+  // parallel epochs under conservative-lookahead synchronization. Cross-node
+  // work (dispatch, poolmgr attach, fault events, failover re-dispatch) stays
+  // on the coordinator thread between epochs; platform submits wait in
+  // per-node mailboxes that each shard applies at the start of the next
+  // epoch, before it drains. Output is byte-identical at any `shards`
+  // setting, and with lookahead zero it is byte-identical to the sequential
+  // per-arrival loop.
   //
   // Preconditions for cross-thread sharding: no fault injector, no tracer,
   // no prewarm policy, density off, no shstate plane. When any of those is
@@ -197,30 +199,14 @@ class Cluster {
     bool alive = true;
   };
 
-  // An invocation accepted while every node was down, parked until restart.
-  struct Deferred {
-    SimTime arrival;  // the invocation's original arrival
-    FunctionId function;
-    CompletionFn on_complete;
-  };
-
-  // A platform Submit deferred into a per-shard mailbox: the owning shard
-  // applies it at the start of the next epoch, in global push order, before
-  // draining any scheduler — so event sequence numbers match the sequential
-  // run's exactly.
+  // A platform Submit that a sharded run defers to the next epoch: the node's
+  // own shard applies its inbox in push order before draining, so the shards
+  // run their nodes' submits in parallel and event sequence numbers match an
+  // immediate submit's.
   struct SubmitCmd {
     SimTime start;
-    uint32_t node;
     FunctionId function;
     CompletionFn on_complete;
-  };
-  // Mailbox state live only inside RunSharded; Dispatch routes platform
-  // submits here instead of calling Submit directly when non-null.
-  struct MailboxSink {
-    std::vector<SubmitCmd> cmds;                // global (time, seq) order
-    std::vector<std::vector<size_t>> inboxes;   // per shard: indices into cmds
-    std::vector<Status> statuses;               // indexed like cmds
-    std::vector<uint32_t> shard_of;             // node index -> shard
   };
 
   bool AnyAlive() const;
@@ -235,14 +221,17 @@ class Cluster {
   }
   size_t PickNode(FunctionId function, SimTime arrival);
   // Submit minus acceptance accounting: used both for fresh arrivals and for
-  // re-dispatching recovered invocations (which were already counted).
+  // re-dispatching recovered invocations (which were already counted). A
+  // function the chosen node has not deployed is rejected here, before a
+  // sharded run queues the submit, so a rejection is never counted.
   Status Dispatch(SimTime arrival, FunctionId function, SubmitOptions options);
-  // The error for a platform's rejection, naming the node and the function;
-  // Dispatch and RunSharded's mailbox scan both build it here.
-  static Status Rejected(size_t node, FunctionId function, const Status& status);
   // Points the injector's clock and CXL-port scope at node i before its
   // scheduler is drained (node clocks diverge during DrainAll).
   void FocusNode(size_t i);
+  // Runs nodes [first, last) in index order up to `target`, or to completion
+  // without one: the node half of AdvanceClocksTo, DrainAll and each
+  // RunSharded epoch's shard.
+  void AdvanceNodes(size_t first, size_t last, std::optional<SimTime> target);
   // The control-plane clocks that follow the node schedulers: advanced by
   // AdvanceClocksTo and each RunSharded epoch, drained (after quiescing the
   // pool control plane's periodic ticks) by DrainAll and RunSharded's end.
@@ -266,11 +255,14 @@ class Cluster {
   std::unique_ptr<PoolControlPlane> pool_ctl_;
   std::unique_ptr<RegionManager> shstate_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<Deferred> deferred_;
+  // Invocations accepted while every node was down, parked until a restart
+  // (their ticket is unused).
+  std::vector<LostInvocation> deferred_;
   size_t next_node_ = 0;
   uint64_t accepted_ = 0;
-  // Non-null only while RunSharded is on the stack.
-  MailboxSink* mailbox_ = nullptr;
+  // Non-null only while RunSharded is on the stack: one inbox per node, which
+  // Dispatch fills instead of calling Submit directly.
+  std::vector<std::vector<SubmitCmd>>* mailbox_ = nullptr;
   // Windowed dispatch only: per-node count of placements already made in the
   // current lookahead window, added to the load key so a burst inside one
   // window spreads instead of dog-piling the snapshot's least-loaded node.

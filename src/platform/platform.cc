@@ -45,21 +45,19 @@ Status ServerlessPlatform::Deploy(const FunctionProfile& profile) {
 
 Status ServerlessPlatform::Submit(SimTime arrival, FunctionId function,
                                   CompletionFn on_complete) {
-  if (registry_.FindById(function) == nullptr) {
+  const FunctionProfile* profile = registry_.FindById(function);
+  if (profile == nullptr) {
     return Status::NotFound("no such function: " + std::string(FunctionName(function)));
   }
   // Track the invocation from acceptance, not from its arrival event: if the
-  // node crashes first, Crash() finds it in queued_ and hands it back for
+  // node crashes first, Crash() finds it queued and hands it back for
   // re-dispatch instead of silently losing it with the event queue.
   const uint64_t ticket = next_ticket_++;
-  queued_.emplace(ticket, LostInvocation{function, arrival, ticket, std::move(on_complete)});
-  scheduler_.ScheduleAt(arrival, [this, ticket] {
-    auto it = queued_.find(ticket);
-    const FunctionId fn = it->second.function;
-    CompletionFn done = std::move(it->second.on_complete);
-    queued_.erase(it);
-    StartInvocation(fn, ticket, std::move(done));
-  });
+  InFlight& flight = inflight_[ticket];
+  flight.profile = profile;
+  flight.on_complete = std::move(on_complete);
+  flight.arrival = arrival;
+  scheduler_.ScheduleAt(arrival, [this, ticket] { StartInvocation(ticket); });
   return Status::Ok();
 }
 
@@ -139,27 +137,22 @@ void ServerlessPlatform::SetSoftMemCapScale(double scale) {
 
 std::vector<LostInvocation> ServerlessPlatform::Crash() {
   std::vector<LostInvocation> lost;
-  lost.reserve(queued_.size() + inflight_.size());
-  for (auto& [ticket, invocation] : queued_) {
-    lost.push_back(std::move(invocation));
-  }
-  for (auto& [token, flight] : inflight_) {
+  lost.reserve(inflight_.size());
+  for (auto& [ticket, flight] : inflight_) {
     if (tracer_ != nullptr && flight.root_span != obs::kInvalidSpanId) {
       tracer_->Annotate(flight.root_span, "failed", std::string("node-crash"));
       tracer_->EndSpan(flight.root_span);
     }
-    lost.push_back(LostInvocation{flight.profile->id, flight.arrival, flight.ticket,
+    lost.push_back(LostInvocation{flight.profile->id, flight.arrival, ticket,
                                   std::move(flight.on_complete)});
   }
   // (arrival, ticket) is a strict total order — tickets are unique — so the
-  // re-dispatch order is fully determined even when a queued and an in-flight
-  // invocation share an arrival time. (Arrival alone was ambiguous there:
-  // queued_ and inflight_ interleave by acceptance vs. start order.)
+  // re-dispatch order is fully determined even when a queued and a running
+  // invocation share an arrival time.
   std::sort(lost.begin(), lost.end(),
             [](const LostInvocation& a, const LostInvocation& b) {
               return a.arrival != b.arrival ? a.arrival < b.arrival : a.ticket < b.ticket;
             });
-  queued_.clear();
   inflight_.clear();
   concurrent_startups_ = 0;
   if (density_.enabled()) {
@@ -174,14 +167,10 @@ std::vector<LostInvocation> ServerlessPlatform::Crash() {
   return lost;
 }
 
-void ServerlessPlatform::StartInvocation(FunctionId function, uint64_t ticket,
-                                         CompletionFn on_complete) {
-  const FunctionProfile* found = registry_.FindById(function);
-  if (found == nullptr) {
-    ++failed_invocations_;
-    return;
-  }
-  const FunctionProfile& profile = *found;
+void ServerlessPlatform::StartInvocation(uint64_t ticket) {
+  InFlight& flight = inflight_.at(ticket);
+  const FunctionProfile& profile = *flight.profile;
+  const FunctionId function = profile.id;
   keep_alive_.ExpireStale(scheduler_.now());
   if (mem_cap_scale_ != 1.0) {
     // Under an injected pressure window the squeezed cap applies before the
@@ -197,14 +186,9 @@ void ServerlessPlatform::StartInvocation(FunctionId function, uint64_t ticket,
     density_.OnArrival(function, scheduler_.now());
   }
 
-  const uint64_t token = next_token_++;
-  InFlight& flight = inflight_[token];
-  flight.profile = &profile;
-  flight.ticket = ticket;
-  flight.on_complete = std::move(on_complete);
-  flight.arrival = scheduler_.now();
+  flight.track = next_track_++;
   if (tracer_ != nullptr) {
-    flight.root_span = tracer_->StartSpan(TraceLoc(token), "invocation", "invocation");
+    flight.root_span = tracer_->StartSpan(TraceLoc(flight.track), "invocation", "invocation");
     tracer_->Annotate(flight.root_span, "function", profile.name);
   }
 
@@ -214,7 +198,7 @@ void ServerlessPlatform::StartInvocation(FunctionId function, uint64_t ticket,
     flight.warm = true;
     metrics_.ForFunction(profile).warm_starts += 1;
     if (tracer_ != nullptr) {
-      tracer_->Instant(TraceLoc(token), "warm.hit", "invocation");
+      tracer_->Instant(TraceLoc(flight.track), "warm.hit", "invocation");
     }
     if (density_.enabled()) {
       // Demoted instances pay the tier's fetch latency before executing.
@@ -222,11 +206,11 @@ void ServerlessPlatform::StartInvocation(FunctionId function, uint64_t ticket,
       if (flight.promote_latency > SimDuration::Zero()) {
         SampleMemory();
         scheduler_.ScheduleAfter(flight.promote_latency,
-                                 [this, token] { BeginExecution(token); });
+                                 [this, ticket] { BeginExecution(ticket); });
         return;
       }
     }
-    BeginExecution(token);
+    BeginExecution(ticket);
     return;
   }
 
@@ -234,7 +218,7 @@ void ServerlessPlatform::StartInvocation(FunctionId function, uint64_t ticket,
   ++concurrent_startups_;
   RestoreContext ctx = MakeContext();
   ctx.tracer = tracer_;
-  ctx.trace_loc = TraceLoc(token);
+  ctx.trace_loc = TraceLoc(flight.track);
   ctx.trace_parent = flight.root_span;
   auto outcome = engine_->Restore(profile, ctx);
   if (!outcome.ok()) {
@@ -245,7 +229,7 @@ void ServerlessPlatform::StartInvocation(FunctionId function, uint64_t ticket,
       tracer_->Annotate(flight.root_span, "failed", std::string("restore"));
       tracer_->EndSpan(flight.root_span);
     }
-    inflight_.erase(token);
+    inflight_.erase(ticket);
     return;
   }
   flight.instance = std::move(outcome->instance);
@@ -257,34 +241,34 @@ void ServerlessPlatform::StartInvocation(FunctionId function, uint64_t ticket,
     fn_metrics.cold_starts += 1;
   }
   SampleMemory();
-  BeginStartupPhases(token);
+  BeginStartupPhases(ticket);
 }
 
-void ServerlessPlatform::BeginStartupPhases(uint64_t token) {
-  InFlight& flight = inflight_.at(token);
+void ServerlessPlatform::BeginStartupPhases(uint64_t ticket) {
+  InFlight& flight = inflight_.at(ticket);
   if (tracer_ != nullptr) {
-    flight.phase_span = tracer_->StartSpan(TraceLoc(token), "restore.sandbox", "restore");
+    flight.phase_span = tracer_->StartSpan(TraceLoc(flight.track), "restore.sandbox", "restore");
     tracer_->Annotate(flight.phase_span, "repurposed",
                       static_cast<int64_t>(flight.startup.sandbox_repurposed ? 1 : 0));
   }
   // Phase 1: sandbox setup (wall latency; holds the contention window).
-  scheduler_.ScheduleAfter(flight.startup.sandbox, [this, token] {
+  scheduler_.ScheduleAfter(flight.startup.sandbox, [this, ticket] {
     --concurrent_startups_;
-    InFlight& f = inflight_.at(token);
+    InFlight& f = inflight_.at(ticket);
     if (tracer_ != nullptr) {
       tracer_->EndSpan(f.phase_span);
-      f.phase_span = tracer_->StartSpan(TraceLoc(token), "restore.process", "restore");
+      f.phase_span = tracer_->StartSpan(TraceLoc(f.track), "restore.process", "restore");
     }
     // Phase 2: process state (bootstrap burns CPU; CRIU restore is mostly
     // kernel-side latency).
-    auto then_memory = [this, token] {
-      InFlight& f2 = inflight_.at(token);
+    auto then_memory = [this, ticket] {
+      InFlight& f2 = inflight_.at(ticket);
       if (tracer_ != nullptr) {
         tracer_->EndSpan(f2.phase_span);
-        f2.phase_span = tracer_->StartSpan(TraceLoc(token), "restore.memory", "restore");
+        f2.phase_span = tracer_->StartSpan(TraceLoc(f2.track), "restore.memory", "restore");
       }
       // Phase 3: memory restoration (copy or attach).
-      scheduler_.ScheduleAfter(f2.startup.memory, [this, token] { BeginExecution(token); });
+      scheduler_.ScheduleAfter(f2.startup.memory, [this, ticket] { BeginExecution(ticket); });
     };
     if (f.startup.process_is_cpu) {
       cpu_.Submit(f.startup.process, then_memory);
@@ -294,17 +278,17 @@ void ServerlessPlatform::BeginStartupPhases(uint64_t token) {
   });
 }
 
-void ServerlessPlatform::BeginExecution(uint64_t token) {
-  InFlight& flight = inflight_.at(token);
+void ServerlessPlatform::BeginExecution(uint64_t ticket) {
+  InFlight& flight = inflight_.at(ticket);
   flight.exec_start = scheduler_.now();
   const FunctionProfile& profile = *flight.profile;
 
   RestoreContext ctx = MakeContext();
   if (tracer_ != nullptr) {
     tracer_->EndSpan(flight.phase_span);  // close restore.memory (cold path)
-    flight.phase_span = tracer_->StartSpan(TraceLoc(token), "exec", "invocation");
+    flight.phase_span = tracer_->StartSpan(TraceLoc(flight.track), "exec", "invocation");
     ctx.tracer = tracer_;
-    ctx.trace_loc = TraceLoc(token);
+    ctx.trace_loc = TraceLoc(flight.track);
     ctx.trace_parent = flight.phase_span;
   }
   auto overheads_or = engine_->OnExecute(profile, *flight.instance, ctx);
@@ -317,7 +301,7 @@ void ServerlessPlatform::BeginExecution(uint64_t token) {
       tracer_->EndSpan(flight.root_span);
     }
     RetireInstance(std::move(flight.instance));
-    inflight_.erase(token);
+    inflight_.erase(ticket);
     return;
   }
   SampleMemory();
@@ -328,31 +312,31 @@ void ServerlessPlatform::BeginExecution(uint64_t token) {
   if (tracer_ != nullptr) {
     tracer_->Annotate(flight.phase_span, "added_cpu_ms", overheads_or->added_cpu.millis());
     tracer_->Annotate(flight.phase_span, "fault_ms", plan.fault_latency.millis());
-    cpu_span = tracer_->StartSpan(TraceLoc(token), "exec.cpu", "exec");
+    cpu_span = tracer_->StartSpan(TraceLoc(flight.track), "exec.cpu", "exec");
   }
   // A lazy promote left its pages streaming in from the swap tier: this
   // invocation pays the demand faults (zero unless density promoted it).
   const SimDuration demand = flight.instance->pending_demand_fetch;
   flight.instance->pending_demand_fetch = SimDuration();
   // CPU burst first; fault latency and I/O wait extend wall time afterwards.
-  cpu_.Submit(plan.cpu_work, [this, token, plan, demand, cpu_span] {
+  cpu_.Submit(plan.cpu_work, [this, ticket, plan, demand, cpu_span] {
     obs::SpanId wait_span = obs::kInvalidSpanId;
     if (tracer_ != nullptr) {
       tracer_->EndSpan(cpu_span);
-      wait_span = tracer_->StartSpan(TraceLoc(token), "exec.wait", "exec");
+      wait_span = tracer_->StartSpan(TraceLoc(inflight_.at(ticket).track), "exec.wait", "exec");
     }
     scheduler_.ScheduleAfter(plan.io_wait + plan.fault_latency + demand,
-                             [this, token, wait_span] {
+                             [this, ticket, wait_span] {
       if (tracer_ != nullptr) {
         tracer_->EndSpan(wait_span);
       }
-      Complete(token);
+      Complete(ticket);
     });
   });
 }
 
-void ServerlessPlatform::Complete(uint64_t token) {
-  InFlight& flight = inflight_.at(token);
+void ServerlessPlatform::Complete(uint64_t ticket) {
+  InFlight& flight = inflight_.at(ticket);
   engine_->OnExecuteDone(*flight.instance);
   if (tracer_ != nullptr) {
     tracer_->EndSpan(flight.phase_span);  // close exec
@@ -375,7 +359,7 @@ void ServerlessPlatform::Complete(uint64_t token) {
                               : config_.keep_alive_ttl;
   Park(std::move(flight.instance), ttl);
   CompletionFn done = std::move(flight.on_complete);
-  inflight_.erase(token);
+  inflight_.erase(ticket);
   SampleMemory();
   if (done) {
     // Last: the callback may submit follow-on work (pipeline successors) to
@@ -419,9 +403,9 @@ void ServerlessPlatform::PrewarmNow(FunctionId function) {
     return;
   }
   EnforceMemoryCap();
-  // Pre-warms run off the invocation-token track space but still burn a
-  // token, so every trace track maps to exactly one startup.
-  const uint64_t track = next_token_++;
+  // Pre-warms run off the invocations' tracks but still burn one, so every
+  // trace track maps to exactly one startup.
+  const uint64_t track = next_track_++;
   obs::SpanId span = obs::kInvalidSpanId;
   RestoreContext ctx = MakeContext();
   if (tracer_ != nullptr) {

@@ -14,9 +14,9 @@
 #define TRENV_PLATFORM_PLATFORM_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/cost_model.h"
@@ -99,7 +99,8 @@ class ServerlessPlatform {
 
   // Node failure: drops all node-local state (pending events, CPU bursts,
   // warm instances, sandboxes' frames) and returns every accepted-but-
-  // incomplete invocation, sorted by arrival, for re-dispatch elsewhere.
+  // incomplete invocation, queued or running, sorted by (arrival, ticket),
+  // for re-dispatch elsewhere.
   // Deployed functions and engine snapshots survive — they live in the
   // shared pool / control plane, which is the paper's cross-node story.
   std::vector<LostInvocation> Crash();
@@ -131,15 +132,18 @@ class ServerlessPlatform {
   void EvictAllIdle();
 
  private:
+  // One accepted invocation, from Submit until it completes, fails or its
+  // node crashes. Queued until its arrival event fires, running after.
   struct InFlight {
-    // Resolved once at start: the deployed profile (stable registry entry),
+    // Resolved once at Submit: the deployed profile (stable registry entry),
     // whose id and name serve every later callback.
     const FunctionProfile* profile = nullptr;
-    // The acceptance ticket from Submit, carried through so Crash() can
-    // rebuild the (arrival, ticket) total order across queued_ + inflight_.
-    uint64_t ticket = 0;
     CompletionFn on_complete;
+    // The invocation's arrival.
     SimTime arrival;
+    // Trace track, stamped when the arrival fires: tracks number startups in
+    // start order (pre-warms draw from the same counter).
+    uint64_t track = 0;
     SimTime exec_start;
     StartupBreakdown startup;
     std::unique_ptr<FunctionInstance> instance;
@@ -155,11 +159,12 @@ class ServerlessPlatform {
 
   RestoreContext MakeContext();
   // The (process, track) pair all of one invocation's spans live on.
-  obs::Loc TraceLoc(uint64_t token) const { return {trace_pid_, token}; }
-  void StartInvocation(FunctionId function, uint64_t ticket, CompletionFn on_complete);
-  void BeginStartupPhases(uint64_t token);
-  void BeginExecution(uint64_t token);
-  void Complete(uint64_t token);
+  obs::Loc TraceLoc(uint64_t track) const { return {trace_pid_, track}; }
+  // Each step takes the invocation's acceptance ticket.
+  void StartInvocation(uint64_t ticket);
+  void BeginStartupPhases(uint64_t ticket);
+  void BeginExecution(uint64_t ticket);
+  void Complete(uint64_t ticket);
   void SampleMemory();
   void EnforceMemoryCap();
   // The soft cap after the current pressure scale (clamped at the floor).
@@ -190,12 +195,12 @@ class ServerlessPlatform {
   obs::Tracer* tracer_ = nullptr;
   obs::ProcessId trace_pid_ = 0;
 
-  std::map<uint64_t, InFlight> inflight_;
-  // Accepted invocations whose arrival event has not fired yet, keyed by
-  // ticket. Tracked so a crash can recover work that was only queued.
-  std::map<uint64_t, LostInvocation> queued_;
-  uint64_t next_token_ = 1;
+  // Every accepted invocation, keyed by its acceptance ticket: a crash hands
+  // back queued and running work alike from this one map. Hashed, because a
+  // whole trace submitted up front keeps every record here at once.
+  std::unordered_map<uint64_t, InFlight> inflight_;
   uint64_t next_ticket_ = 1;
+  uint64_t next_track_ = 1;
   uint32_t concurrent_startups_ = 0;
   uint64_t failed_invocations_ = 0;
   double mem_cap_scale_ = 1.0;

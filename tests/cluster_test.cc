@@ -76,10 +76,11 @@ TEST(ClusterTest, InvalidFunctionIdRejected) {
 
 TEST(ClusterTest, RejectionNamesNodeAndFunctionOnBothDispatchPaths) {
   // A rack with only JS deployed gets an arrival for a name that is interned
-  // but deployed nowhere. Cluster::Submit rejects it at once; RunSharded
-  // rejects it when the owning shard's mailbox drains. Both errors name the
-  // node (round robin sends the second arrival to node 1) and the function,
-  // in the same words, at any shard count.
+  // but deployed nowhere. Cluster::Submit and RunSharded both reject it at
+  // dispatch, before a sharded run would queue it in the node's mailbox. Both
+  // errors name the node (round robin sends the second arrival to node 1) and
+  // the function, in the same words, at any shard count, and neither path
+  // counts the rejected arrival as accepted.
   const FunctionId undeployed = InternFunction("cluster-test-undeployed");
   ClusterConfig config;
   config.nodes = 2;
@@ -102,6 +103,7 @@ TEST(ClusterTest, RejectionNamesNodeAndFunctionOnBothDispatchPaths) {
   EXPECT_NE(rejected.message().find("node 1 rejected"), std::string::npos) << rejected.message();
   EXPECT_NE(rejected.message().find("'cluster-test-undeployed'"), std::string::npos)
       << rejected.message();
+  EXPECT_EQ(direct.accepted_invocations(), 1u);
 
   const Schedule schedule = {{first, "JS"}, {second, undeployed}};
   for (const uint32_t shards : {1u, 2u}) {
@@ -114,6 +116,8 @@ TEST(ClusterTest, RejectionNamesNodeAndFunctionOnBothDispatchPaths) {
     EXPECT_EQ(status.code(), StatusCode::kNotFound) << "shards " << shards;
     EXPECT_EQ(status.message(), rejected.message()) << "shards " << shards;
     EXPECT_EQ(cluster.sharded_effective_shards(), shards);
+    EXPECT_EQ(cluster.accepted_invocations(), direct.accepted_invocations())
+        << "shards " << shards;
   }
 }
 

@@ -169,12 +169,6 @@ TEST(TracerTest, DisabledTracerRecordsNothing) {
   EXPECT_EQ(tracer.open_span_count(), 0u);
 }
 
-TEST(TracerTest, ScopedSpanToleratesNullTracer) {
-  obs::ScopedSpan span(nullptr, obs::Loc{}, "anything");
-  span.Annotate("k", 1.0);
-  EXPECT_EQ(span.id(), obs::kInvalidSpanId);
-}
-
 // ---------------------------------------------------------------------------
 // Minimal JSON parser (objects, arrays, strings, numbers, bools, null) used
 // to verify the Chrome-trace exporter produces well-formed JSON.

@@ -376,6 +376,53 @@ TEST(PlatformTest, SoftMemCapScaleClampsAtFloorAndExportsGauge) {
                    static_cast<double>(cost::kDefaultSoftMemCap));
 }
 
+TEST(PlatformTest, CrashHandsBackQueuedAndRunningWorkInArrivalTicketOrder) {
+  // A is running when B is accepted with the same arrival, so only the
+  // acceptance ticket orders them; C is queued for later. Crash() must hand
+  // back all three in (arrival, ticket) order, each with its own callback.
+  Testbed bed(SystemKind::kTrEnvCxl);
+  ServerlessPlatform& platform = bed.platform();
+  ASSERT_TRUE(bed.DeployTable4Functions().ok());
+  const FunctionId js = InternFunction("JS");
+  std::string fired;
+  const auto callback = [&fired](char name) {
+    return [&fired, name](uint32_t /*node*/, SimTime /*when*/) { fired += name; };
+  };
+  const SimTime tie = SimTime::Zero() + SimDuration::Millis(5);
+  const SimTime later = SimTime::Zero() + SimDuration::Seconds(1);
+  ASSERT_TRUE(platform.Submit(tie, js, callback('A')).ok());
+  platform.scheduler().RunUntil(tie);
+  ASSERT_EQ(platform.concurrent_startups(), 1u);  // A is restoring
+  ASSERT_TRUE(platform.Submit(tie, js, callback('B')).ok());
+  ASSERT_TRUE(platform.Submit(later, js, callback('C')).ok());
+
+  std::vector<LostInvocation> lost = platform.Crash();
+  ASSERT_EQ(lost.size(), 3u);
+  const std::string expected = "ABC";
+  const SimTime arrivals[] = {tie, tie, later};
+  for (size_t i = 0; i < lost.size(); ++i) {
+    EXPECT_EQ(lost[i].function, js) << i;
+    EXPECT_EQ(lost[i].arrival, arrivals[i]) << i;
+    if (i > 0) {
+      EXPECT_LT(lost[i - 1].ticket, lost[i].ticket) << i;
+    }
+    ASSERT_TRUE(lost[i].on_complete) << i;
+    fired.clear();
+    lost[i].on_complete(0, later);
+    EXPECT_EQ(fired, std::string(1, expected[i])) << i;
+  }
+  EXPECT_EQ(platform.frames().used_bytes(), 0u);
+  EXPECT_EQ(platform.concurrent_startups(), 0u);
+
+  // The crashed node still serves fresh work.
+  fired.clear();
+  ASSERT_TRUE(platform.Submit(later + SimDuration::Seconds(1), js, callback('D')).ok());
+  platform.RunToCompletion();
+  EXPECT_EQ(fired, "D");
+  EXPECT_EQ(platform.failed_invocations(), 0u);
+  EXPECT_EQ(platform.metrics().per_function().at("JS").invocations, 1u);
+}
+
 TEST(PlatformTest, DeterministicAcrossRuns) {
   auto digest = [] {
     Testbed bed(SystemKind::kTrEnvCxl);

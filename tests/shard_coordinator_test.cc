@@ -49,7 +49,8 @@ TEST(ShardCoordinatorTest, EpochBarrierPublishesPlainWrites) {
   // cells from epoch e. Plain (non-atomic) accesses on purpose: the epoch
   // barrier itself must provide the happens-before edges, exactly as the
   // sharded cluster relies on when the coordinator reads node metrics and
-  // applies mailbox commands between epochs. TSan verifies the ordering.
+  // fills the nodes' submit inboxes between epochs. TSan verifies the
+  // ordering.
   constexpr size_t kShards = 4;
   constexpr uint64_t kEpochs = 500;
   ShardCoordinator coordinator(kShards);
