@@ -189,7 +189,8 @@ HotResult RunHotShard(bool mitigation) {
   pool.replication = 1;
   pool.lease_ttl = SimDuration::Millis(40);  // every 50 ms round is a miss
   obs::Registry stats;
-  PoolManager mgr(pool, kHotWorkers, &fabric, stats);
+  EventScheduler clock;
+  PoolManager mgr(pool, kHotWorkers, &fabric, &clock, stats);
   PoolCtlConfig ctl;
   ctl.hot_shard_mitigation = mitigation;
   ctl.hot_promote_score = 16;

@@ -24,8 +24,6 @@ std::string_view StatusCodeName(StatusCode code) {
       return "UNAVAILABLE";
     case StatusCode::kInternal:
       return "INTERNAL";
-    case StatusCode::kUnimplemented:
-      return "UNIMPLEMENTED";
   }
   return "UNKNOWN";
 }

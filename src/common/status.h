@@ -27,7 +27,6 @@ enum class StatusCode {
   kResourceExhausted,
   kUnavailable,
   kInternal,
-  kUnimplemented,
 };
 
 std::string_view StatusCodeName(StatusCode code);
@@ -62,9 +61,6 @@ class [[nodiscard]] Status {
     return Status(StatusCode::kUnavailable, std::move(msg));
   }
   static Status Internal(std::string msg) { return Status(StatusCode::kInternal, std::move(msg)); }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
-  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }

@@ -207,12 +207,7 @@ Status MemoryBackend::WriteContent(PoolOffset page, uint64_t npages, PageContent
 
 void BackendRegistry::Register(MemoryBackend* backend) {
   assert(backend != nullptr);
-  backends_[backend->kind()] = backend;
-}
-
-MemoryBackend* BackendRegistry::Get(PoolKind kind) const {
-  auto it = backends_.find(kind);
-  return it == backends_.end() ? nullptr : it->second;
+  backends_[static_cast<size_t>(backend->kind())] = backend;
 }
 
 }  // namespace trenv

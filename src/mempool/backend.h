@@ -8,9 +8,9 @@
 #ifndef TRENV_MEMPOOL_BACKEND_H_
 #define TRENV_MEMPOOL_BACKEND_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -155,10 +155,11 @@ class MemoryBackend {
 class BackendRegistry {
  public:
   void Register(MemoryBackend* backend);
-  MemoryBackend* Get(PoolKind kind) const;
+  // Null for a kind nothing registered.
+  MemoryBackend* Get(PoolKind kind) const { return backends_[static_cast<size_t>(kind)]; }
 
  private:
-  std::map<PoolKind, MemoryBackend*> backends_;
+  std::array<MemoryBackend*, kPoolKindCount> backends_{};
 };
 
 }  // namespace trenv

@@ -59,9 +59,9 @@ Cluster::Cluster(ClusterConfig config)
       fabric_->BindFaultInjector(injector_.get());
     }
     pool_mgr_ = std::make_unique<PoolManager>(config_.poolmgr, config_.nodes, fabric_.get(),
-                                              stats_);
+                                              &clock_, stats_);
     if (config_.poolctl.enabled) {
-      // The continuous control plane runs on the pool clock from time zero;
+      // The continuous control plane runs on the rack clock from time zero;
       // it installs the continuous read/admission policy into the manager
       // and takes over crash/restart routing (see ApplyFaultEvent).
       pool_ctl_ = std::make_unique<PoolControlPlane>(config_.poolctl, pool_mgr_.get(),
@@ -71,10 +71,10 @@ Cluster::Cluster(ClusterConfig config)
     }
   }
   if (config_.shstate.enabled) {
-    // Shared-state regions live on the same tiered pool as templates; the
-    // data plane's clock joins the lock-step advance like poolmgr's.
+    // Shared-state regions live on the same tiered pool as templates, and
+    // the data plane schedules on the same rack clock as poolmgr.
     shstate_ = std::make_unique<RegionManager>(config_.shstate, config_.nodes, &tiered_,
-                                               &backends_, stats_);
+                                               &backends_, &clock_, stats_);
   }
 
   for (uint32_t i = 0; i < config_.nodes; ++i) {
@@ -221,7 +221,7 @@ Status Cluster::Dispatch(SimTime arrival, FunctionId function, SubmitOptions opt
     // Attach the template through the control plane before the invocation
     // can start: a lease hit is metadata-only; a miss pulls the shards over
     // the chosen node's NIC. Expired leases up to `arrival` lapse first.
-    pool_mgr_->clock().RunUntil(arrival);
+    clock_.RunUntil(arrival);
     const PoolManager::AttachOutcome attach =
         pool_mgr_->Attach(static_cast<uint32_t>(node_index), function, arrival);
     start = arrival + attach.latency;
@@ -275,20 +275,7 @@ void Cluster::AdvanceNodes(size_t first, size_t last, std::optional<SimTime> tar
 
 void Cluster::AdvanceClocksTo(SimTime t) {
   AdvanceNodes(0, nodes_.size(), t);
-  AdvanceSideClocksTo(t);
-}
-
-void Cluster::AdvanceSideClocksTo(SimTime t) {
-  if (pool_mgr_ != nullptr) {
-    // The control plane's clock (lease expiries, rebalances) moves in
-    // lock-step with the worker nodes.
-    pool_mgr_->clock().RunUntil(t);
-  }
-  if (shstate_ != nullptr) {
-    // Invalidation shootdowns and reader-lease expiries follow the same
-    // lock-step timeline.
-    shstate_->clock().RunUntil(t);
-  }
+  clock_.RunUntil(t);
 }
 
 void Cluster::CrashNode(size_t i, SimTime when) {
@@ -476,7 +463,7 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
   };
   const auto epoch_advance = [&](SimTime t) {
     run_epoch(t);
-    AdvanceSideClocksTo(t);
+    clock_.RunUntil(t);
     if (windowed) {
       // A sync point refreshes the real load state; the window's provisional
       // placement counts are now visible as concurrent startups.
@@ -518,9 +505,9 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
   }
 
   // Final epoch: flush the last window's inboxes, drain every node to
-  // completion exactly like DrainAll, then the side clocks.
+  // completion exactly like DrainAll, then the rack clock.
   run_epoch(std::nullopt);
-  DrainSideClocks();
+  DrainRackClock();
   sharded_epochs_ = coordinator.epochs();
   sharded_barrier_wait_ = coordinator.barrier_wait_seconds();
   return Status::Ok();
@@ -528,25 +515,19 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
 
 void Cluster::DrainAll() {
   AdvanceNodes(0, nodes_.size(), std::nullopt);
-  DrainSideClocks();
+  DrainRackClock();
 }
 
-void Cluster::DrainSideClocks() {
+void Cluster::DrainRackClock() {
   if (pool_ctl_ != nullptr) {
     // Cancel the periodic ticks (heartbeats, rebalancing) so the drain
     // below terminates. No final converge: replication at trace end is
     // whatever the continuous loop actually restored.
     pool_ctl_->Quiesce();
   }
-  if (pool_mgr_ != nullptr) {
-    // Let outstanding lease-expiry and rebalance events lapse; every grant
-    // schedules exactly one expiry, so this drains.
-    pool_mgr_->clock().RunUntilIdle();
-  }
-  if (shstate_ != nullptr) {
-    // Same for invalidation shootdowns and reader-lease expiries.
-    shstate_->clock().RunUntilIdle();
-  }
+  // Let outstanding lease expiries, rebalances, shootdowns and reader-lease
+  // expiries lapse; every grant schedules exactly one expiry, so this drains.
+  clock_.RunUntilIdle();
 }
 
 std::optional<SimTime> Cluster::NextEventTime() {
@@ -559,12 +540,7 @@ std::optional<SimTime> Cluster::NextEventTime() {
   for (auto& node : nodes_) {
     consider(node->platform->scheduler().NextEventTime());
   }
-  if (pool_mgr_ != nullptr) {
-    consider(pool_mgr_->clock().NextEventTime());
-  }
-  if (shstate_ != nullptr) {
-    consider(shstate_->clock().NextEventTime());
-  }
+  consider(clock_.NextEventTime());
   return earliest;
 }
 

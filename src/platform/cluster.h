@@ -24,6 +24,7 @@
 #include "src/poolctl/control_plane.h"
 #include "src/poolmgr/pool_manager.h"
 #include "src/shstate/region_manager.h"
+#include "src/sim/event_scheduler.h"
 #include "src/sim/shard_coordinator.h"
 #include "src/workload/arrival_stream.h"
 
@@ -157,20 +158,20 @@ class Cluster {
   const RegionManager* shared_state() const { return shstate_.get(); }
 
   // --- timeline steps ---------------------------------------------------------
-  // shstate::PipelineDriver interleaves its own action queue with the
+  // shstate::PipelineDriver interleaves its own step scheduler with the
   // cluster's timeline through these, and the sequential reference loop in
   // tests/sharded_cluster_test.cc is built from them.
   //
-  // Earliest pending event across node schedulers and control-plane clocks.
+  // Earliest pending event across the node schedulers and the rack clock.
   std::optional<SimTime> NextEventTime();
-  // Runs every node scheduler, then the side clocks (poolmgr, shstate), up to
-  // t in lock-step, so cross-node ordering stays deterministic.
+  // Runs every node scheduler, then the rack clock, up to t in lock-step, so
+  // cross-node ordering stays deterministic.
   void AdvanceClocksTo(SimTime t);
   // Node-level fault plan (empty without an injector) and its application,
   // merged into the arrival timeline by RunSharded() and PipelineDriver.
   std::vector<FaultInjector::NodeEvent> PlanFaultEvents();
   void ApplyFaultEvent(const FaultInjector::NodeEvent& event);
-  // Drains every node scheduler to completion, then the side clocks.
+  // Drains every node scheduler to completion, then the rack clock.
   void DrainAll();
   // Invocations the cluster accepted via Submit — the chaos bench's
   // zero-loss check compares this against completed counts.
@@ -232,11 +233,9 @@ class Cluster {
   // without one: the node half of AdvanceClocksTo, DrainAll and each
   // RunSharded epoch's shard.
   void AdvanceNodes(size_t first, size_t last, std::optional<SimTime> target);
-  // The control-plane clocks that follow the node schedulers: advanced by
-  // AdvanceClocksTo and each RunSharded epoch, drained (after quiescing the
-  // pool control plane's periodic ticks) by DrainAll and RunSharded's end.
-  void AdvanceSideClocksTo(SimTime t);
-  void DrainSideClocks();
+  // Quiesces the pool control plane's periodic ticks, then runs the rack
+  // clock until idle: the end of DrainAll and of RunSharded.
+  void DrainRackClock();
   void CrashNode(size_t i, SimTime when);
   void RestartNode(size_t i, SimTime when);
 
@@ -251,6 +250,11 @@ class Cluster {
   // Inter-node transfer fabric for the pool control plane's shard pulls;
   // separate from the MHD so attach traffic contends on its own NIC path.
   std::unique_ptr<RdmaPool> fabric_;
+  // The rack clock: lease expiries, rebalances, the pool control plane's
+  // ticks, shootdowns and reader-lease expiries all run on it, and it follows
+  // the node schedulers in lock-step. Declared before the managers, which
+  // hold pointers to it, so it outlives them.
+  EventScheduler clock_;
   std::unique_ptr<PoolManager> pool_mgr_;
   std::unique_ptr<PoolControlPlane> pool_ctl_;
   std::unique_ptr<RegionManager> shstate_;

@@ -426,9 +426,7 @@ void ServerlessPlatform::PrewarmNow(FunctionId function) {
   // The instance becomes warm once its (off-critical-path) startup elapses.
   auto shared = std::make_shared<std::unique_ptr<FunctionInstance>>(
       std::move(outcome->instance));
-  const SimDuration ttl = config_.prewarm != nullptr
-                              ? config_.prewarm->KeepAliveFor(function)
-                              : config_.keep_alive_ttl;
+  const SimDuration ttl = config_.prewarm->KeepAliveFor(function);
   scheduler_.ScheduleAfter(outcome->startup.Total(), [this, shared, ttl, span] {
     if (tracer_ != nullptr) {
       tracer_->EndSpan(span);

@@ -2,7 +2,7 @@
 //
 // The legacy poolmgr wiring is single-shot: a crash instantly rewires the
 // ring and schedules one delayed rebalance sweep that moves everything at
-// once. This module replaces that with a running control plane on the pool
+// once. This module replaces that with a running control plane on the rack
 // clock (docs/control_plane.md):
 //
 //   * Membership — a GossipMembership detector observes heartbeats and
@@ -25,7 +25,7 @@
 //     poolmgr shed cold attaches to NAS when a worker NIC's backlog passes
 //     the threshold (never dropping an accepted invocation).
 //
-// Determinism: every decision runs on the lock-stepped pool clock, iterates
+// Determinism: every decision runs on the lock-stepped rack clock, iterates
 // in node/shard order, and draws randomness only from the membership
 // detector's private seeded Rng — output stays byte-identical across
 // --jobs and --shards.
@@ -72,7 +72,7 @@ class PoolControlPlane {
 
   // Starts the heartbeat and rebalance ticks (idempotent).
   void Start(SimTime now);
-  // Cancels both periodic ticks so the pool clock's RunUntilIdle can drain.
+  // Cancels both periodic ticks so the rack clock's RunUntilIdle can drain.
   // Deliberately does NOT run a final unbudgeted converge: "replication
   // restored by trace end" must be earned by the continuous loop.
   void Quiesce();

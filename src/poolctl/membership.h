@@ -6,7 +6,7 @@
 // Production control planes have neither luxury: they observe heartbeats,
 // accrue suspicion, and sometimes declare a live node dead because the
 // *network* dropped its beats (an RDMA flap), not the node. This module is
-// that detector, collapsed onto the control plane's own EventScheduler:
+// that detector, collapsed onto the rack clock it is handed:
 //
 //   * One periodic tick delivers (or drops) a heartbeat per up node, in node
 //     order, then re-evaluates suspicion — a phi-accrual detector simplified
@@ -50,9 +50,9 @@ class GossipMembership {
   };
   using Listener = std::function<void(const Transition&)>;
 
-  // `clock` is the control plane's scheduler (not owned); `stats` holds the
-  // detector's counters, which the accessors below read. Nothing is
-  // scheduled until Start().
+  // `clock` is the rack clock (not owned); `stats` holds the detector's
+  // counters, which the accessors below read. Nothing is scheduled until
+  // Start().
   GossipMembership(uint32_t fleet, EventScheduler* clock, obs::Registry& stats);
   GossipMembership(const GossipMembership&) = delete;
   GossipMembership& operator=(const GossipMembership&) = delete;

@@ -23,9 +23,11 @@ uint64_t ChunkFingerprint(const PlacedChunk& chunk) {
 }  // namespace
 
 PoolManager::PoolManager(PoolManagerConfig config, uint32_t worker_nodes,
-                         MemoryBackend* fabric, obs::Registry& stats)
+                         MemoryBackend* fabric, EventScheduler* clock,
+                         obs::Registry& stats)
     : config_(config),
       fabric_(fabric),
+      clock_(clock),
       attaches_(stats.GetCounter("poolmgr.attaches")),
       lease_hits_(stats.GetCounter("poolmgr.lease_hits")),
       lease_misses_(stats.GetCounter("poolmgr.lease_misses")),
@@ -224,9 +226,9 @@ void PoolManager::GrantLease(uint32_t worker, FunctionId fid, SimTime now) {
   lease.refs += 1;
   lease.expires = now + config_.lease_ttl;
   // One expiry event per grant window: the lease dies when the last grant's
-  // window lapses — refcounted expiry, driven by the control-plane clock.
-  const SimTime expiry = std::max(now, clock_.now()) + config_.lease_ttl;
-  clock_.ScheduleAt(expiry, [this, worker, fid] {
+  // window lapses — refcounted expiry, driven by the rack clock.
+  const SimTime expiry = std::max(now, clock_->now()) + config_.lease_ttl;
+  clock_->ScheduleAt(expiry, [this, worker, fid] {
     auto it = leases_[worker].find(fid);
     if (it == leases_[worker].end() || it->second.refs == 0) {
       return;  // already revoked or released with the worker
@@ -352,9 +354,9 @@ void PoolManager::ScheduleRebalance(SimTime when) {
     return;  // one sweep covers every membership change before it fires
   }
   rebalance_pending_ = true;
-  clock_.ScheduleAt(std::max(when, clock_.now()), [this] {
+  clock_->ScheduleAt(std::max(when, clock_->now()), [this] {
     rebalance_pending_ = false;
-    RunRebalance(clock_.now());
+    RunRebalance(clock_->now());
   });
 }
 

@@ -11,9 +11,8 @@
 //   * Lease-based remote attach — a worker taking a template pays the
 //     shard transfers once, then holds a refcounted, TTL-expiring lease;
 //     further attaches on that worker are metadata-only until every grant
-//     window lapses. Expiry is driven by the control plane's own
-//     EventScheduler, which the Cluster advances in lock-step with the
-//     worker clocks.
+//     window lapses. Expiry runs on the rack clock: an EventScheduler the
+//     Cluster owns and advances in lock-step with the worker clocks.
 //   * Failure wiring — a pool-node crash (FaultDomain::kPoolNodeCrash)
 //     revokes nothing when replication >= 2: a surviving replica is promoted
 //     to primary and leases stay valid. With replication 1 the lost shards'
@@ -77,17 +76,18 @@ class PoolManager {
  public:
   // Settle time between a legacy membership change and the rebalance sweep.
   static constexpr SimDuration kRebalanceDelay = SimDuration::Seconds(5);
-  // `fabric` models the inter-node transfer path (not owned); `stats` holds
-  // the manager's counters, which the accessors below read. Worker NICs are
-  // indexed [0, worker_nodes).
+  // `fabric` models the inter-node transfer path (not owned); `clock` is the
+  // rack clock that lease expiries and rebalances run on (not owned); `stats`
+  // holds the manager's counters, which the accessors below read. Worker NICs
+  // are indexed [0, worker_nodes).
   PoolManager(PoolManagerConfig config, uint32_t worker_nodes, MemoryBackend* fabric,
-              obs::Registry& stats);
+              EventScheduler* clock, obs::Registry& stats);
   PoolManager(const PoolManager&) = delete;
   PoolManager& operator=(const PoolManager&) = delete;
 
-  // The control plane's clock; the Cluster advances it in lock-step with
-  // the worker-node schedulers and drains it at end of run.
-  EventScheduler& clock() { return clock_; }
+  // The rack clock the manager schedules on; the Cluster advances it in
+  // lock-step with the worker-node schedulers and drains it at end of run.
+  EventScheduler& clock() { return *clock_; }
 
   // Registers a function's consolidated image: every chunk's content
   // fingerprint becomes (or joins) a shard placed on the ring. Idempotent
@@ -150,7 +150,7 @@ class PoolManager {
   // `target_replication`, copying at most `budget_pages` pages. Additions
   // (restore replication first) precede drops; the serving primary is
   // preserved when it remains a desired owner. The continuous rebalancer's
-  // per-tick primitive; also reused by the single-shot sweep.
+  // per-tick primitive; the single-shot RunRebalance has its own loop.
   ReconcileResult ReconcileShard(uint32_t shard_index, uint32_t target_replication,
                                  uint64_t budget_pages);
 
@@ -243,7 +243,7 @@ class PoolManager {
 
   PoolManagerConfig config_;
   MemoryBackend* fabric_;
-  EventScheduler clock_;
+  EventScheduler* clock_;
   HashRing ring_;
   std::vector<bool> alive_;          // pool-node liveness
   std::vector<NicFetchQueue> nics_;  // one per worker node

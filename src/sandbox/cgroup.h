@@ -35,7 +35,6 @@ class Cgroup {
   SimDuration Reconfigure(CgroupLimits limits);
 
   void AddProcess(uint64_t pid) { procs_.insert(pid); }
-  void RemoveProcess(uint64_t pid) { procs_.erase(pid); }
   size_t process_count() const { return procs_.size(); }
   void ClearProcesses() { procs_.clear(); }
 

@@ -29,11 +29,6 @@ Status UnionFs::PopLower() {
   return Status::Ok();
 }
 
-const std::shared_ptr<const FsLayer>& UnionFs::TopLower() const {
-  static const std::shared_ptr<const FsLayer> kNull;
-  return lowers_.empty() ? kNull : lowers_.back();
-}
-
 Result<FileNode> UnionFs::Stat(const std::string& path) const {
   auto upper_it = upper_.find(path);
   if (upper_it != upper_.end()) {

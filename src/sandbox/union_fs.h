@@ -49,7 +49,6 @@ class UnionFs {
   size_t lower_count() const { return lowers_.size(); }
   // Removes the topmost lower layer (TrEnv's function-overlay swap).
   Status PopLower();
-  const std::shared_ptr<const FsLayer>& TopLower() const;
 
   // Lookup resolves upper -> whiteout -> lowers (top-down).
   Result<FileNode> Stat(const std::string& path) const;

@@ -24,9 +24,13 @@ const char* DataPlaneModeName(DataPlaneMode mode) {
 PipelineDriver::PipelineDriver(Cluster* cluster, DataPlaneMode mode)
     : cluster_(cluster), mode_(mode) {}
 
-void PipelineDriver::Push(Action action) {
-  action.seq = next_seq_++;
-  actions_.push(action);
+template <typename Step>
+void PipelineDriver::At(SimTime when, Step step) {
+  steps_.ScheduleAt(when, [this, step = std::move(step)] {
+    if (status_.ok()) {
+      status_ = step();
+    }
+  });
 }
 
 uint32_t PipelineDriver::PickAliveNode(uint32_t preferred) const {
@@ -82,12 +86,8 @@ Status PipelineDriver::OnStageDone(const PipelineSpec& spec, uint32_t job,
   for (uint32_t s : succs_[stage]) {
     js.ready[s] = std::max(js.ready[s], t);
     if (--js.waiting[s] == 0) {
-      Action launch;
-      launch.when = js.ready[s];
-      launch.kind = Action::Kind::kLaunch;
-      launch.job = job;
-      launch.stage = s;
-      Push(launch);
+      const SimTime ready = js.ready[s];
+      At(ready, [this, &spec, job, s, ready] { return OnLaunch(spec, job, s, ready); });
     }
   }
   if (++js.stages_done == spec.stages.size()) {
@@ -178,16 +178,10 @@ Status PipelineDriver::OnLaunch(const PipelineSpec& spec, uint32_t job,
 
   Cluster::SubmitOptions options;
   options.preferred_node = static_cast<int32_t>(target);
-  const uint32_t j = job;
-  const uint32_t s = stage;
-  options.on_complete = [this, j, s](uint32_t node, SimTime done) {
-    Action a;
-    a.when = done;
-    a.kind = Action::Kind::kStageDone;
-    a.job = j;
-    a.stage = s;
-    a.node = node;
-    Push(a);
+  options.on_complete = [this, &spec, job, stage](uint32_t node, SimTime done) {
+    At(done, [this, &spec, job, stage, node, done] {
+      return OnStageDone(spec, job, stage, node, done);
+    });
   };
   return cluster_->Submit(t, stage_functions_[stage], std::move(options));
 }
@@ -215,16 +209,12 @@ Status PipelineDriver::Run(const PipelineSpec& spec,
   jobs_.assign(arrivals.size(), JobState{});
   stats_ = PipelineRunStats{};
   stats_.jobs = arrivals.size();
-  next_seq_ = 0;
-  actions_ = decltype(actions_){};
 
-  fault_plan_ = cluster_->PlanFaultEvents();
-  for (size_t i = 0; i < fault_plan_.size(); ++i) {
-    Action a;
-    a.when = fault_plan_[i].time;
-    a.kind = Action::Kind::kFault;
-    a.fault = i;
-    Push(a);
+  for (const FaultInjector::NodeEvent& event : cluster_->PlanFaultEvents()) {
+    At(event.time, [this, event] {
+      cluster_->ApplyFaultEvent(event);
+      return Status::Ok();
+    });
   }
   for (uint32_t j = 0; j < arrivals.size(); ++j) {
     JobState& js = jobs_[j];
@@ -235,44 +225,26 @@ Status PipelineDriver::Run(const PipelineSpec& spec,
     for (uint32_t i = 0; i < spec.stages.size(); ++i) {
       js.waiting[i] = static_cast<uint32_t>(spec.stages[i].inputs.size());
       if (spec.stages[i].inputs.empty()) {
-        Action a;
-        a.when = arrivals[j];
-        a.kind = Action::Kind::kLaunch;
-        a.job = j;
-        a.stage = i;
-        Push(a);
+        At(js.arrival, [this, &spec, j, i, when = js.arrival] {
+          return OnLaunch(spec, j, i, when);
+        });
       }
     }
   }
 
-  // Interleave the action queue with the cluster's clocks: execute every
-  // action due at `now`, then advance all clocks in lock-step to the next
-  // instant anything (action or scheduled event) happens. Completion
-  // callbacks fire during AdvanceClocksTo and land back in the queue at the
-  // very time the clocks just reached.
+  // Interleave the steps with the cluster's clocks: run every step due at
+  // `now`, then advance all clocks in lock-step to the next instant anything
+  // (step or scheduled event) happens. Completion callbacks fire during
+  // AdvanceClocksTo and schedule their steps at the very time the clocks
+  // just reached.
   SimTime now;
   while (true) {
-    while (!actions_.empty() && actions_.top().when <= now) {
-      const Action a = actions_.top();
-      actions_.pop();
-      switch (a.kind) {
-        case Action::Kind::kFault:
-          cluster_->ApplyFaultEvent(fault_plan_[a.fault]);
-          break;
-        case Action::Kind::kStageDone:
-          TRENV_RETURN_IF_ERROR(OnStageDone(spec, a.job, a.stage, a.node, a.when));
-          break;
-        case Action::Kind::kLaunch:
-          TRENV_RETURN_IF_ERROR(OnLaunch(spec, a.job, a.stage, a.when));
-          break;
-      }
-    }
+    steps_.RunUntil(now);
+    TRENV_RETURN_IF_ERROR(status_);
     std::optional<SimTime> next = cluster_->NextEventTime();
-    if (!actions_.empty()) {
-      const SimTime at = actions_.top().when;
-      if (!next.has_value() || at < *next) {
-        next = at;
-      }
+    const std::optional<SimTime> step = steps_.NextEventTime();
+    if (step.has_value() && (!next.has_value() || *step < *next)) {
+      next = step;
     }
     if (!next.has_value()) {
       break;

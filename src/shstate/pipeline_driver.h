@@ -12,23 +12,23 @@
 //   * kNasRoundtrip — every edge persists to NAS and reads back (two
 //     crossings at NAS bandwidth).
 //
-// The driver interleaves its own (time, seq)-ordered action queue with the
-// cluster's clocks through the pipeline-driver hooks: stage completions are
-// observed via CompletionFn callbacks, data-plane costs are charged between
-// a stage's readiness and its successor's submission, and node fault plans
-// merge into the same loop — so a region-owner crash mid-pipeline exercises
-// lease-based recovery with zero accepted-invocation loss.
+// The driver interleaves its own step scheduler with the cluster's clocks
+// through the pipeline-driver hooks: stage completions are observed via
+// CompletionFn callbacks, data-plane costs are charged between a stage's
+// readiness and its successor's submission, and node fault plans merge into
+// the same loop — so a region-owner crash mid-pipeline exercises lease-based
+// recovery with zero accepted-invocation loss.
 #ifndef TRENV_SHSTATE_PIPELINE_DRIVER_H_
 #define TRENV_SHSTATE_PIPELINE_DRIVER_H_
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "src/common/histogram.h"
 #include "src/common/status.h"
 #include "src/common/time.h"
 #include "src/platform/cluster.h"
+#include "src/sim/event_scheduler.h"
 #include "src/workload/pipeline.h"
 
 namespace trenv {
@@ -74,22 +74,6 @@ class PipelineDriver {
   const PipelineRunStats& stats() const { return stats_; }
 
  private:
-  struct Action {
-    enum class Kind : uint8_t { kFault, kStageDone, kLaunch };
-    SimTime when;
-    uint64_t seq = 0;  // deterministic tiebreak at equal times
-    Kind kind = Kind::kLaunch;
-    uint32_t job = 0;
-    uint32_t stage = 0;
-    uint32_t node = 0;  // completing node (kStageDone only)
-    size_t fault = 0;   // index into fault_plan_ (kFault only)
-    bool operator>(const Action& other) const {
-      if (when != other.when) {
-        return when > other.when;
-      }
-      return seq > other.seq;
-    }
-  };
   struct JobState {
     SimTime arrival;
     RegionId region = kInvalidRegionId;
@@ -99,7 +83,10 @@ class PipelineDriver {
     uint32_t stages_done = 0;
   };
 
-  void Push(Action action);
+  // Schedules `step` on the driver's timeline at `when`. Once a step has
+  // failed, every later step is skipped and Run returns the first failure.
+  template <typename Step>
+  void At(SimTime when, Step step);
   uint32_t PickAliveNode(uint32_t preferred) const;
   SimDuration BaselineEdgeCost(uint64_t payload_bytes) const;
   Status OnStageDone(const PipelineSpec& spec, uint32_t job, uint32_t stage,
@@ -112,9 +99,11 @@ class PipelineDriver {
   std::vector<std::vector<uint32_t>> succs_;
   std::vector<FunctionId> stage_functions_;  // per stage, interned once per Run
   std::vector<JobState> jobs_;
-  std::priority_queue<Action, std::vector<Action>, std::greater<Action>> actions_;
-  std::vector<FaultInjector::NodeEvent> fault_plan_;
-  uint64_t next_seq_ = 0;
+  // Fault events, launches and stage completions, in (time, scheduling
+  // order). Separate from the rack clock: a step submits to the cluster,
+  // which may advance the rack clock itself.
+  EventScheduler steps_;
+  Status status_;  // the first failing step's error; OK until one fails
   PipelineRunStats stats_;
 };
 

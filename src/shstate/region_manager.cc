@@ -18,10 +18,12 @@ constexpr uint64_t kScratchFrameBytes = 64ULL * kMiB;
 }  // namespace
 
 RegionManager::RegionManager(ShStateConfig config, uint32_t workers, TieredPool* pool,
-                             const BackendRegistry* backends, obs::Registry& stats)
+                             const BackendRegistry* backends, EventScheduler* clock,
+                             obs::Registry& stats)
     : config_(config),
       pool_(pool),
       backends_(backends),
+      clock_(clock),
       frames_(kScratchFrameBytes),
       fault_handler_(&frames_, backends, &stats),
       next_window_(AddrToVpn(kWindowVmaStart)),
@@ -136,25 +138,25 @@ SimDuration RegionManager::RevokeReaders(RegionId id, int32_t keep, SimTime now)
     reader.mapped = false;
     invalidations_->Increment();
     latency += cost::kShStateInvalidatePerReader;
-    // The unmap itself lands asynchronously on the data plane's timeline —
-    // modeled after a TLB-shootdown IPI. The reader sees the revocation once
-    // the event runs; its next ReadRegion re-maps and re-fetches.
+    // The unmap itself lands asynchronously on the rack clock — modeled
+    // after a TLB-shootdown IPI. The reader sees the revocation once the
+    // event runs; its next ReadRegion re-maps and re-fetches.
     const uint32_t w = worker;
-    clock_.ScheduleAt(std::max(now, clock_.now()) + cost::kShStateInvalidatePerReader,
-                      [this, id, w] {
-                        Region& r = regions_[id];
-                        // Skip if the worker re-opened (mapped again) or took
-                        // ownership since the shootdown was posted — its
-                        // current mapping is live, not the revoked one.
-                        if (!r.live || r.owner == static_cast<int32_t>(w)) {
-                          return;
-                        }
-                        auto it = r.readers.find(w);
-                        if (it != r.readers.end() && it->second.mapped) {
-                          return;
-                        }
-                        UnmapWindow(r, w);
-                      });
+    clock_->ScheduleAt(std::max(now, clock_->now()) + cost::kShStateInvalidatePerReader,
+                       [this, id, w] {
+                         Region& r = regions_[id];
+                         // Skip if the worker re-opened (mapped again) or took
+                         // ownership since the shootdown was posted — its
+                         // current mapping is live, not the revoked one.
+                         if (!r.live || r.owner == static_cast<int32_t>(w)) {
+                           return;
+                         }
+                         auto it = r.readers.find(w);
+                         if (it != r.readers.end() && it->second.mapped) {
+                           return;
+                         }
+                         UnmapWindow(r, w);
+                       });
   }
   return latency;
 }
@@ -188,14 +190,16 @@ void RegionManager::GrantLease(RegionId id, uint32_t worker, SimTime now) {
   reader.lease_expires = now + config_.lease_ttl;
   lease_grants_->Increment();
   // One expiry event per grant window (poolmgr's scheme): renewals push
-  // lease_expires forward, so earlier events find the lease still live.
-  clock_.ScheduleAt(reader.lease_expires, [this, id, worker] {
+  // lease_expires forward, so earlier events find the lease still live. A
+  // poolmgr attach may already have run the rack clock past `now`, so the
+  // event never lands behind the clock.
+  clock_->ScheduleAt(std::max(reader.lease_expires, clock_->now()), [this, id, worker] {
     Region& r = regions_[id];
     if (!r.live) {
       return;
     }
     auto it = r.readers.find(worker);
-    if (it == r.readers.end() || clock_.now() < it->second.lease_expires) {
+    if (it == r.readers.end() || clock_->now() < it->second.lease_expires) {
       return;  // renewed (or already gone)
     }
     if (it->second.mapped) {

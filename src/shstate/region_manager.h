@@ -12,8 +12,8 @@
 //     (valid + wp + shared; loads are direct remote, stores are refused by
 //     the fault handler until an ownership upgrade).
 //   * Explicit invalidation — an ownership upgrade or an owner write revokes
-//     every reader mapping via invalidation events on the data plane's own
-//     EventScheduler (advanced in lock-step by the Cluster, like poolmgr's).
+//     every reader mapping via invalidation events on the rack clock (the
+//     Cluster-owned EventScheduler that poolmgr's leases also run on).
 //     A revoked reader's next read re-maps the window and re-fetches the
 //     pages, so coherence traffic is modeled and measurable.
 //   * Leases — cross-node readers hold TTL leases mirroring the poolmgr
@@ -71,16 +71,17 @@ struct RegionOp {
 class RegionManager {
  public:
   // `pool` places region pages (not owned); `backends` resolves their tier's
-  // latency model; `stats` holds the plane's counters, which the accessors
-  // below read.
+  // latency model; `clock` is the rack clock that shootdowns and lease
+  // expiries run on (not owned); `stats` holds the plane's counters, which
+  // the accessors below read.
   RegionManager(ShStateConfig config, uint32_t workers, TieredPool* pool,
-                const BackendRegistry* backends, obs::Registry& stats);
+                const BackendRegistry* backends, EventScheduler* clock, obs::Registry& stats);
   RegionManager(const RegionManager&) = delete;
   RegionManager& operator=(const RegionManager&) = delete;
 
-  // The data plane's clock; the Cluster advances it in lock-step with the
-  // worker-node schedulers and drains it at end of run.
-  EventScheduler& clock() { return clock_; }
+  // The rack clock the plane schedules on; the Cluster advances it in
+  // lock-step with the worker-node schedulers and drains it at end of run.
+  EventScheduler& clock() { return *clock_; }
 
   uint32_t HomeOf(uint32_t worker) const { return worker % config_.pool_nodes; }
 
@@ -177,7 +178,7 @@ class RegionManager {
   ShStateConfig config_;
   TieredPool* pool_;
   const BackendRegistry* backends_;
-  EventScheduler clock_;
+  EventScheduler* clock_;
 
   // One address space per worker holding the shared-region windows. Shared
   // mappings never allocate local frames, but the fault handler needs an

@@ -54,7 +54,7 @@ class EventScheduler {
   // Time of the earliest live event, or nullopt when the queue is idle.
   // Non-const: prunes cancelled tombstones off the heap top to find it.
   // Lets external drivers (shstate::PipelineDriver) interleave their own
-  // action queue with the scheduler without running anything early.
+  // scheduler with the cluster's without running anything early.
   std::optional<SimTime> NextEventTime();
 
   // Runs the earliest pending event, advancing the clock. Returns false if

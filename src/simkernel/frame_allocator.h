@@ -27,8 +27,6 @@ class FrameAllocator {
   uint64_t free_bytes() const { return capacity_bytes_ - used_bytes(); }
   uint64_t peak_used_bytes() const { return peak_used_pages_ * kPageSize; }
 
-  void ResetPeak() { peak_used_pages_ = used_pages_; }
-
  private:
   uint64_t capacity_bytes_;
   uint64_t used_pages_ = 0;

@@ -160,7 +160,8 @@ PoolManagerConfig ContinuousPoolConfig(uint32_t replication, uint32_t pool_nodes
 TEST(PoolCtlTest, BackloggedNicShedsColdAttachToNas) {
   RdmaPool fabric(kGiB);
   obs::Registry stats;
-  PoolManager mgr(ContinuousPoolConfig(2), /*worker_nodes=*/2, &fabric, stats);
+  EventScheduler clock;
+  PoolManager mgr(ContinuousPoolConfig(2), /*worker_nodes=*/2, &fabric, &clock, stats);
   ContinuousPoolPolicy policy;
   policy.shed_queue_threshold = SimDuration::FromMicrosF(10.0);
   mgr.EnableContinuousControl(policy);
@@ -190,7 +191,8 @@ TEST(PoolCtlTest, BackloggedNicShedsColdAttachToNas) {
 TEST(PoolCtlTest, DeadReadsSkipToLiveReplica) {
   RdmaPool fabric(kGiB);
   obs::Registry stats;
-  PoolManager mgr(ContinuousPoolConfig(2), /*worker_nodes=*/2, &fabric, stats);
+  EventScheduler clock;
+  PoolManager mgr(ContinuousPoolConfig(2), /*worker_nodes=*/2, &fabric, &clock, stats);
   ContinuousPoolPolicy policy;
   policy.spread_reads = false;  // always start at the primary: the dead hop
                                 // below is then deterministic
@@ -214,7 +216,8 @@ TEST(PoolCtlTest, DeadReadsSkipToLiveReplica) {
 TEST(PoolCtlTest, AllReplicasDownFallsBackToNas) {
   RdmaPool fabric(kGiB);
   obs::Registry stats;
-  PoolManager mgr(ContinuousPoolConfig(2), /*worker_nodes=*/2, &fabric, stats);
+  EventScheduler clock;
+  PoolManager mgr(ContinuousPoolConfig(2), /*worker_nodes=*/2, &fabric, &clock, stats);
   mgr.EnableContinuousControl(ContinuousPoolPolicy{});
   mgr.RegisterTemplate(0, TwoChunkImage(0xAA, 0xBB));
   for (uint32_t n = 0; n < 4; ++n) {
@@ -234,7 +237,8 @@ TEST(PoolCtlTest, AllReplicasDownFallsBackToNas) {
 TEST(PoolCtlTest, ReconcileShardHonorsBudgetAndConverges) {
   RdmaPool fabric(kGiB);
   obs::Registry stats;
-  PoolManager mgr(ContinuousPoolConfig(1), /*worker_nodes=*/2, &fabric, stats);
+  EventScheduler clock;
+  PoolManager mgr(ContinuousPoolConfig(1), /*worker_nodes=*/2, &fabric, &clock, stats);
   mgr.EnableContinuousControl(ContinuousPoolPolicy{});
   mgr.RegisterTemplate(0, TwoChunkImage(0xAA, 0xBB));
   ASSERT_EQ(mgr.ShardReplicas(0).size(), 1u);
@@ -266,7 +270,8 @@ TEST(PoolCtlTest, HotShardGainsExtraReplicasAndDecaysBack) {
   auto pool_config = ContinuousPoolConfig(1, /*pool_nodes=*/8);
   pool_config.lease_ttl = SimDuration::Millis(40);  // every round is a miss
   obs::Registry stats;
-  PoolManager mgr(pool_config, /*worker_nodes=*/4, &fabric, stats);
+  EventScheduler clock;
+  PoolManager mgr(pool_config, /*worker_nodes=*/4, &fabric, &clock, stats);
   PoolCtlConfig ctl;
   ctl.enabled = true;
   ctl.hot_promote_score = 4;

@@ -228,9 +228,10 @@ ConsolidatedImage TwoChunkImage(PageContent content_a, PageContent content_b) {
 
 struct PoolManagerFixture {
   explicit PoolManagerFixture(PoolManagerConfig config, uint32_t workers = 2)
-      : fabric(kGiB), mgr(config, workers, &fabric, stats) {}
+      : fabric(kGiB), mgr(config, workers, &fabric, &clock, stats) {}
   RdmaPool fabric;
   obs::Registry stats;
+  EventScheduler clock;
   PoolManager mgr;
 };
 

@@ -69,7 +69,7 @@ ClusterConfig BaseConfig() {
 }
 
 // The sequential reference, built only from the public timeline steps: every
-// node (and side clock) advances to each fault event or arrival before the
+// node (and the rack clock) advances to each fault event or arrival before the
 // event applies or the arrival is placed, then everything drains. Dispatch
 // therefore sees exactly the load state at each arrival.
 Status RunLegacyLoop(Cluster& cluster, const Schedule& schedule) {
@@ -194,10 +194,13 @@ TEST(ShardedClusterTest, FaultedRunDegradesToOneShardAndMatchesLegacy) {
 }
 
 TEST(ShardedClusterTest, SharedStateClockFollowsRunShardedAsRun) {
-  // The shstate plane's clock is a side clock like poolmgr's: a reader lease
-  // opened at t=0 must lapse mid-trace under RunSharded exactly as under the
-  // sequential loop.
+  // The shstate plane and poolmgr schedule on the one rack clock: a reader
+  // lease opened at t=0 and the template leases must lapse under RunSharded
+  // exactly as under the sequential loop, with both planes' events sharing
+  // that clock.
   ClusterConfig config = BaseConfig();
+  config.poolmgr.enabled = true;
+  config.poolmgr.lease_ttl = SimDuration::Seconds(5);
   config.shstate.enabled = true;
   config.shstate.lease_ttl = SimDuration::Seconds(5);
   const Schedule schedule = TestSchedule(5);
@@ -216,7 +219,9 @@ TEST(ShardedClusterTest, SharedStateClockFollowsRunShardedAsRun) {
     } else {
       EXPECT_TRUE(RunLegacyLoop(cluster, schedule).ok());
     }
-    EXPECT_EQ(plane.leases_expired(), 1u) << (sharded ? "RunSharded" : "RunLegacyLoop");
+    const char* loop = sharded ? "RunSharded" : "RunLegacyLoop";
+    EXPECT_EQ(plane.leases_expired(), 1u) << loop;
+    EXPECT_GT(cluster.pool_manager()->leases_expired(), 0u) << loop;
     return Fingerprint(cluster);
   };
   EXPECT_EQ(run(false), run(true));

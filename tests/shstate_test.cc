@@ -3,6 +3,7 @@
 // ownership transfer, crash recovery, and the stateful pipeline driver.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -38,10 +39,11 @@ class ShStateTest : public ::testing::Test {
   BackendRegistry backends_;
   obs::Registry stats_;
   TieredPool tiered_;
+  EventScheduler clock_;
 };
 
 TEST_F(ShStateTest, CreateMapsOwnerWithSharedOwnerFlags) {
-  RegionManager mgr(Config(), /*workers=*/4, &tiered_, &backends_, stats_);
+  RegionManager mgr(Config(), /*workers=*/4, &tiered_, &backends_, &clock_, stats_);
   auto id_or = mgr.CreateRegion("r", kPages, /*owner=*/1, SimTime::Zero());
   ASSERT_TRUE(id_or.ok());
   const RegionId id = *id_or;
@@ -69,14 +71,14 @@ TEST_F(ShStateTest, LocalDramCannotBackARegion) {
   registry.Register(&dram);
   TieredPool local_only;
   local_only.AddTier(&dram);
-  RegionManager mgr(Config(), 2, &local_only, &registry, stats_);
+  RegionManager mgr(Config(), 2, &local_only, &registry, &clock_, stats_);
   auto id_or = mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   EXPECT_FALSE(id_or.ok());
   EXPECT_EQ(id_or.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST_F(ShStateTest, OwnerWriteSetsDirtyAndBumpsVersion) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   auto op = mgr.WriteRegion(id, 0, SimTime::Zero());
   ASSERT_TRUE(op.ok());
@@ -90,7 +92,7 @@ TEST_F(ShStateTest, OwnerWriteSetsDirtyAndBumpsVersion) {
 }
 
 TEST_F(ShStateTest, NonOwnerWriteIsRefused) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
   auto op = mgr.WriteRegion(id, 1, SimTime::Zero());
@@ -99,7 +101,7 @@ TEST_F(ShStateTest, NonOwnerWriteIsRefused) {
 }
 
 TEST_F(ShStateTest, ReaderMappingIsWriteProtectedShared) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 2, SimTime::Zero()).ok());
   EXPECT_TRUE(mgr.ReaderMapped(id, 2));
@@ -112,7 +114,7 @@ TEST_F(ShStateTest, ReaderMappingIsWriteProtectedShared) {
 }
 
 TEST_F(ShStateTest, OwnerWriteRevokesReadersAndReadRefetches) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
   ASSERT_TRUE(mgr.OpenReader(id, 2, SimTime::Zero()).ok());
@@ -127,7 +129,7 @@ TEST_F(ShStateTest, OwnerWriteRevokesReadersAndReadRefetches) {
   EXPECT_EQ(mgr.invalidations(), 2u);
   EXPECT_FALSE(mgr.ReaderMapped(id, 1));
   EXPECT_FALSE(mgr.ReaderMapped(id, 2));
-  // The shootdown unmap lands on the data plane's clock.
+  // The shootdown unmap lands on the plane's clock.
   mgr.clock().RunUntil(t + SimDuration::Seconds(1));
   EXPECT_FALSE(mgr.worker_mm(1).page_table().IsMapped(mgr.WindowOf(id)));
 
@@ -140,7 +142,7 @@ TEST_F(ShStateTest, OwnerWriteRevokesReadersAndReadRefetches) {
 }
 
 TEST_F(ShStateTest, ReopenBeforeShootdownEventKeepsWindowMapped) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
   ASSERT_TRUE(mgr.WriteRegion(id, 0, SimTime::Zero()).ok());  // revokes reader 1
@@ -155,7 +157,7 @@ TEST_F(ShStateTest, ReopenBeforeShootdownEventKeepsWindowMapped) {
 }
 
 TEST_F(ShStateTest, SameHomeTransferIsMetadataOnly) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   // Workers 0 and 2 share pool home 0 (2 pool nodes).
   auto op = mgr.Transfer(id, 0, 2, SimTime::Zero());
@@ -173,7 +175,7 @@ TEST_F(ShStateTest, SameHomeTransferIsMetadataOnly) {
 }
 
 TEST_F(ShStateTest, CrossHomeTransferMigratesPoolToPool) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   auto meta = mgr.Transfer(id, 0, 2, SimTime::Zero());
   ASSERT_TRUE(meta.ok());
@@ -187,7 +189,7 @@ TEST_F(ShStateTest, CrossHomeTransferMigratesPoolToPool) {
 }
 
 TEST_F(ShStateTest, TransferRequiresOwnership) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   auto op = mgr.Transfer(id, 1, 2, SimTime::Zero());
   EXPECT_FALSE(op.ok());
@@ -195,7 +197,7 @@ TEST_F(ShStateTest, TransferRequiresOwnership) {
 }
 
 TEST_F(ShStateTest, LeaseExpiryUnmapsIdleReader) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 3, SimTime::Zero()).ok());
   EXPECT_EQ(mgr.lease_grants(), 1u);
@@ -206,7 +208,7 @@ TEST_F(ShStateTest, LeaseExpiryUnmapsIdleReader) {
 }
 
 TEST_F(ShStateTest, ReadRenewsLeaseAcrossTheOriginalWindow) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 3, SimTime::Zero()).ok());
   // Renew at t=8s; the original grant's expiry event at t=10s must see the
@@ -224,7 +226,7 @@ TEST_F(ShStateTest, ReadRenewsLeaseAcrossTheOriginalWindow) {
 }
 
 TEST_F(ShStateTest, CrashVacatesOwnershipAndRecoveryReacquires) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.WriteRegion(id, 0, SimTime::Zero()).ok());
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
@@ -244,7 +246,7 @@ TEST_F(ShStateTest, CrashVacatesOwnershipAndRecoveryReacquires) {
 }
 
 TEST_F(ShStateTest, CrashedReaderLosesItsLease) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
   mgr.ReleaseWorker(1);
@@ -256,7 +258,7 @@ TEST_F(ShStateTest, CrashedReaderLosesItsLease) {
 }
 
 TEST_F(ShStateTest, DestroyFreesPoolPagesAndUnmapsEverything) {
-  RegionManager mgr(Config(), 4, &tiered_, &backends_, stats_);
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
   const uint64_t before = cxl_.used_bytes();
   const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
@@ -346,6 +348,40 @@ TEST(PipelineDriverTest, RunsAreDeterministic) {
                            driver.stats().job_latency_ms.P99());
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(PipelineDriverTest, SharedModeWithoutPlaneStopsAtFirstHandoff) {
+  // kTrEnvShared needs the shstate plane. The first stage completion finds it
+  // missing; that step's error ends the run, and no later step runs.
+  ClusterConfig config;
+  config.nodes = 4;
+  Cluster cluster(config);
+  ASSERT_TRUE(cluster.DeployTable4Functions().ok());
+  PipelineDriver driver(&cluster, DataPlaneMode::kTrEnvShared);
+  const Status status = driver.Run(ChainSpec(), Arrivals(8));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("shstate.enabled"), std::string::npos) << status.ToString();
+  EXPECT_EQ(driver.stats().stages_completed, 1u);
+  EXPECT_EQ(driver.stats().jobs_completed, 0u);
+}
+
+TEST(PipelineDriverTest, BothRackPlanesShareOneClock) {
+  // With poolmgr on, each dispatch runs the rack clock to the invocation's
+  // start, which can be past the driver's current step. A reader lease that
+  // step grants must still expire on that clock, never behind it.
+  ClusterConfig config;
+  config.nodes = 4;
+  config.poolmgr.enabled = true;
+  config.shstate.enabled = true;
+  config.shstate.lease_ttl = SimDuration::FromMicrosF(1.0);
+  Cluster cluster(config);
+  ASSERT_TRUE(cluster.DeployTable4Functions().ok());
+  PipelineDriver driver(&cluster, DataPlaneMode::kTrEnvShared);
+  const PipelineSpec spec = MakeFanOutFanInPipeline(3, 64, {"JS", "DH", "IR", "CR"});
+  ASSERT_TRUE(driver.Run(spec, Arrivals(6)).ok());
+  EXPECT_EQ(driver.stats().jobs_completed, 6u);
+  EXPECT_EQ(cluster.accepted_invocations(), driver.stats().stages_completed);
+  EXPECT_GT(cluster.shared_state()->leases_expired(), 0u);
 }
 
 TEST(PipelineDriverTest, OwnerCrashRecoversWithZeroLoss) {
