@@ -73,7 +73,6 @@ void RunWorkload(const std::string& label, const Schedule& schedule, PlatformCon
 
   // CDF series for a short function (DH) — the regime where TrEnv shines.
   std::cout << "\nCDF of DH latency (ms -> fraction):\n";
-  SeriesPrinter cdf("latency_ms", {"cum_fraction"});
   for (const auto& result : results) {
     auto it = result.per_function.find("DH");
     if (it == result.per_function.end() || it->second.e2e_ms.empty()) {

@@ -324,7 +324,6 @@ void BM_DiurnalGenerate(benchmark::State& state) {
 BENCHMARK(BM_DiurnalGenerate)->Arg(8192);
 
 void BM_SnapshotDedupIngest(benchmark::State& state) {
-  Checkpointer checkpointer;
   FunctionProfile profile;
   profile.name = "bench-fn";
   profile.language = "python";
@@ -337,7 +336,7 @@ void BM_SnapshotDedupIngest(benchmark::State& state) {
     tiered.AddTier(&cxl);
     SnapshotDedupStore store(&tiered);
     profile.name = "bench-fn" + std::to_string(i++);
-    FunctionSnapshot snapshot = checkpointer.Checkpoint(profile);
+    FunctionSnapshot snapshot = Checkpoint(profile);
     state.ResumeTiming();
     benchmark::DoNotOptimize(store.Store(snapshot));
   }

@@ -65,29 +65,6 @@ std::string Table::ToString() const {
   return os.str();
 }
 
-SeriesPrinter::SeriesPrinter(std::string x_label, std::vector<std::string> series_labels)
-    : x_label_(std::move(x_label)), series_labels_(std::move(series_labels)) {}
-
-void SeriesPrinter::AddPoint(double x, std::vector<double> ys) {
-  assert(ys.size() == series_labels_.size());
-  points_.emplace_back(x, std::move(ys));
-}
-
-void SeriesPrinter::Print(std::ostream& os) const {
-  os << "# " << x_label_;
-  for (const auto& label : series_labels_) {
-    os << " " << label;
-  }
-  os << "\n";
-  for (const auto& [x, ys] : points_) {
-    os << x;
-    for (double y : ys) {
-      os << " " << y;
-    }
-    os << "\n";
-  }
-}
-
 void PrintBanner(std::ostream& os, const std::string& title) {
   os << "\n=== " << title << " ===\n";
 }

@@ -29,20 +29,6 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-// Prints a figure-style numeric series: one "x y1 y2 ..." row per point,
-// preceded by a "# x series1 series2" header comment.
-class SeriesPrinter {
- public:
-  SeriesPrinter(std::string x_label, std::vector<std::string> series_labels);
-  void AddPoint(double x, std::vector<double> ys);
-  void Print(std::ostream& os) const;
-
- private:
-  std::string x_label_;
-  std::vector<std::string> series_labels_;
-  std::vector<std::pair<double, std::vector<double>>> points_;
-};
-
 // Section banner for bench output, e.g. "=== Figure 17 (W1) ===".
 void PrintBanner(std::ostream& os, const std::string& title);
 

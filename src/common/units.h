@@ -21,8 +21,6 @@ constexpr uint64_t BytesToPages(uint64_t bytes) {
   return (bytes + kPageSize - 1) / kPageSize;
 }
 
-constexpr uint64_t PagesToBytes(uint64_t pages) { return pages * kPageSize; }
-
 constexpr bool IsPageAligned(uint64_t addr) { return (addr & (kPageSize - 1)) == 0; }
 
 constexpr uint64_t PageAlignDown(uint64_t addr) { return addr & ~(kPageSize - 1); }

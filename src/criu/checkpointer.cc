@@ -8,6 +8,14 @@ namespace trenv {
 
 namespace {
 
+// Fractions of a function's image attributed to each sharing class.
+constexpr double kCommonLibs = 0.10;      // glibc & friends: shared by everything
+constexpr double kLanguageRuntime = 0.33; // interpreter + stdlib: shared per language
+constexpr double kFunctionCode = 0.12;    // imports + user code (RO): unique per function
+constexpr double kDataSections = 0.15;    // .data/.bss, writable private file maps
+constexpr double kHeap = 0.25;            // unique per function
+constexpr double kStackMisc = 0.05;       // unique per function
+
 // Stable 64-bit FNV-1a so snapshots are identical across runs and builds.
 uint64_t HashName(const std::string& s) {
   uint64_t h = 0xcbf29ce484222325ULL;
@@ -37,7 +45,7 @@ MemoryRegion MakeRegion(Vaddr start, uint64_t npages, Protection prot, VmaType t
 
 }  // namespace
 
-FunctionSnapshot Checkpointer::Checkpoint(const FunctionProfile& profile) const {
+FunctionSnapshot Checkpoint(const FunctionProfile& profile) {
   FunctionSnapshot snapshot;
   snapshot.function = profile.name;
   // Function-specific regions key their content off the software identity:
@@ -59,33 +67,33 @@ FunctionSnapshot Checkpointer::Checkpoint(const FunctionProfile& profile) const 
   // bases derived from what they contain, so identical software maps to
   // identical logical content across functions and across nodes.
   Vaddr cursor = 0x7f0000000000;
-  const uint64_t libs = share(layout_.common_libs);
+  const uint64_t libs = share(kCommonLibs);
   image.regions.push_back(MakeRegion(cursor, libs, Protection::ReadExec(), VmaType::kFileBacked,
                                      "libc+base-libs", ContentBaseFor("common-libs")));
   cursor += PageAlignUp(libs * kPageSize) + kPageSize;
 
-  const uint64_t runtime = share(layout_.language_runtime);
+  const uint64_t runtime = share(kLanguageRuntime);
   image.regions.push_back(MakeRegion(cursor, runtime, Protection::ReadExec(),
                                      VmaType::kFileBacked, profile.language + "-runtime",
                                      ContentBaseFor("runtime-" + profile.language)));
   cursor += PageAlignUp(runtime * kPageSize) + kPageSize;
 
-  const uint64_t code = share(layout_.function_code);
+  const uint64_t code = share(kFunctionCode);
   image.regions.push_back(MakeRegion(cursor, code, Protection::ReadOnly(), VmaType::kFileBacked,
                                      "imports+user-code", ContentBaseFor("code-" + tag)));
   cursor += PageAlignUp(code * kPageSize) + kPageSize;
 
-  const uint64_t data = share(layout_.data_sections);
+  const uint64_t data = share(kDataSections);
   image.regions.push_back(MakeRegion(cursor, data, Protection::ReadWrite(),
                                      VmaType::kFileBacked, ".data+.bss",
                                      ContentBaseFor("data-" + tag)));
 
-  const uint64_t heap = share(layout_.heap);
+  const uint64_t heap = share(kHeap);
   image.regions.push_back(MakeRegion(0x555500000000, heap, Protection::ReadWrite(),
                                      VmaType::kAnonymous, "[heap]",
                                      ContentBaseFor("heap-" + tag)));
 
-  const uint64_t stack = share(layout_.stack_misc);
+  const uint64_t stack = share(kStackMisc);
   image.regions.push_back(MakeRegion(0x7ffc00000000, stack, Protection::ReadWrite(),
                                      VmaType::kAnonymous, "[stack]",
                                      ContentBaseFor("stack-" + tag)));
@@ -98,11 +106,11 @@ FunctionSnapshot Checkpointer::Checkpoint(const FunctionProfile& profile) const 
     helper.process_name = profile.name + "-helper" + std::to_string(p);
     helper.threads = 2;
     helper.open_fds = 8;
-    helper.regions.push_back(MakeRegion(0x7f0000000000, share(layout_.common_libs),
+    helper.regions.push_back(MakeRegion(0x7f0000000000, share(kCommonLibs),
                                         Protection::ReadExec(), VmaType::kFileBacked,
                                         "libc+base-libs", ContentBaseFor("common-libs")));
     helper.regions.push_back(
-        MakeRegion(0x555500000000, std::max<uint64_t>(1, share(layout_.heap) / 8),
+        MakeRegion(0x555500000000, std::max<uint64_t>(1, share(kHeap) / 8),
                    Protection::ReadWrite(), VmaType::kAnonymous, "[heap]",
                    ContentBaseFor("heap-" + tag + "-p" + std::to_string(p))));
     snapshot.processes.push_back(std::move(helper));
@@ -110,7 +118,7 @@ FunctionSnapshot Checkpointer::Checkpoint(const FunctionProfile& profile) const 
   return snapshot;
 }
 
-ProcessImage Checkpointer::CheckpointProcess(const Process& process) const {
+ProcessImage CheckpointProcess(const Process& process) {
   ProcessImage image;
   image.process_name = process.name();
   image.threads = process.threads();

@@ -113,12 +113,10 @@ Result<ExecutionOverheads> ReapEngine::OnExecute(const FunctionProfile& profile,
   return overheads;
 }
 
-FaasnapEngine::FaasnapEngine(SandboxFactory* factory, SandboxPool* pool, bool pooled_netns,
-                             Checkpointer checkpointer)
+FaasnapEngine::FaasnapEngine(SandboxFactory* factory, SandboxPool* pool, bool pooled_netns)
     : ReapEngine(factory, pool,
                  Options{.pooled_netns = pooled_netns,
                          .eager_fraction = cost::kFaasnapEagerFraction,
-                         .hidden_fault_fraction = cost::kFaasnapHiddenFraction},
-                 checkpointer) {}
+                         .hidden_fault_fraction = cost::kFaasnapHiddenFraction}) {}
 
 }  // namespace trenv

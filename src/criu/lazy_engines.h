@@ -24,9 +24,8 @@ class ReapEngine : public RestoreEngine {
     double hidden_fault_fraction = 0.0;
   };
 
-  ReapEngine(SandboxFactory* factory, SandboxPool* pool, Options options,
-             Checkpointer checkpointer = Checkpointer())
-      : RestoreEngine(checkpointer), factory_(factory), pool_(pool), options_(options) {}
+  ReapEngine(SandboxFactory* factory, SandboxPool* pool, Options options)
+      : factory_(factory), pool_(pool), options_(options) {}
 
   std::string_view name() const override { return options_.pooled_netns ? "reap+" : "reap"; }
 
@@ -45,8 +44,7 @@ class ReapEngine : public RestoreEngine {
 
 class FaasnapEngine : public ReapEngine {
  public:
-  FaasnapEngine(SandboxFactory* factory, SandboxPool* pool, bool pooled_netns,
-                Checkpointer checkpointer = Checkpointer());
+  FaasnapEngine(SandboxFactory* factory, SandboxPool* pool, bool pooled_netns);
 
   std::string_view name() const override {
     return options().pooled_netns ? "faasnap+" : "faasnap";

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/cost_model.h"
+#include "src/criu/checkpointer.h"
 
 namespace trenv {
 
@@ -22,7 +23,7 @@ Status RestoreEngine::Prepare(const FunctionProfile& profile) {
     snapshots_.resize(id + 1);
   }
   if (snapshots_[id] == nullptr) {
-    snapshots_[id] = std::make_unique<FunctionSnapshot>(checkpointer_.Checkpoint(profile));
+    snapshots_[id] = std::make_unique<FunctionSnapshot>(Checkpoint(profile));
   }
   return Status::Ok();
 }

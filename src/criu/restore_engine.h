@@ -20,7 +20,6 @@
 
 #include "src/common/interner.h"
 #include "src/common/status.h"
-#include "src/criu/checkpointer.h"
 #include "src/density/tier.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
@@ -174,8 +173,6 @@ class RestoreEngine {
   virtual void Retire(std::unique_ptr<FunctionInstance> instance, RestoreContext& ctx);
 
  protected:
-  explicit RestoreEngine(Checkpointer checkpointer) : checkpointer_(checkpointer) {}
-
   // Vector index by the profile's interned id.
   const FunctionSnapshot* SnapshotFor(const FunctionProfile& profile) const {
     return SnapshotById(FunctionIdOf(profile));
@@ -198,7 +195,6 @@ class RestoreEngine {
   Result<BulkAccessStats> TouchInvocationPages(const FunctionProfile& profile,
                                                FunctionInstance& instance, RestoreContext& ctx);
 
-  Checkpointer checkpointer_;
   // Indexed by FunctionId (global id space — may be sparse); null = never
   // prepared. unique_ptr keeps snapshot addresses stable across growth.
   std::vector<std::unique_ptr<FunctionSnapshot>> snapshots_;
@@ -214,8 +210,7 @@ class RestoreEngine {
 // faasd-style cold start: full sandbox creation + interpreter bootstrap.
 class ColdStartEngine : public RestoreEngine {
  public:
-  ColdStartEngine(SandboxFactory* factory, SandboxPool* pool, Checkpointer checkpointer = Checkpointer())
-      : RestoreEngine(checkpointer), factory_(factory), pool_(pool) {}
+  ColdStartEngine(SandboxFactory* factory, SandboxPool* pool) : factory_(factory), pool_(pool) {}
 
   std::string_view name() const override { return "faasd"; }
   Result<RestoreOutcome> Restore(const FunctionProfile& profile, RestoreContext& ctx) override;
@@ -229,8 +224,8 @@ class ColdStartEngine : public RestoreEngine {
 // snapshot held in a DRAM/CXL tmpfs.
 class VanillaCriuEngine : public RestoreEngine {
  public:
-  VanillaCriuEngine(SandboxFactory* factory, SandboxPool* pool, Checkpointer checkpointer = Checkpointer())
-      : RestoreEngine(checkpointer), factory_(factory), pool_(pool) {}
+  VanillaCriuEngine(SandboxFactory* factory, SandboxPool* pool)
+      : factory_(factory), pool_(pool) {}
 
   std::string_view name() const override { return "criu"; }
   Result<RestoreOutcome> Restore(const FunctionProfile& profile, RestoreContext& ctx) override;

@@ -8,9 +8,8 @@
 namespace trenv {
 
 TrEnvEngine::TrEnvEngine(SandboxFactory* factory, SandboxPool* pool, MmtApi* mmt,
-                         SnapshotDedupStore* dedup, Options options, Checkpointer checkpointer)
-    : RestoreEngine(checkpointer),
-      factory_(factory),
+                         SnapshotDedupStore* dedup, Options options)
+    : factory_(factory),
       pool_(pool),
       mmt_(mmt),
       dedup_(dedup),

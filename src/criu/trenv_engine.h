@@ -58,8 +58,7 @@ class TrEnvEngine : public RestoreEngine {
   }
 
   TrEnvEngine(SandboxFactory* factory, SandboxPool* pool, MmtApi* mmt,
-              SnapshotDedupStore* dedup, Options options,
-              Checkpointer checkpointer = Checkpointer());
+              SnapshotDedupStore* dedup, Options options);
   // Full TrEnv (all optimizations on).
   TrEnvEngine(SandboxFactory* factory, SandboxPool* pool, MmtApi* mmt,
               SnapshotDedupStore* dedup);

@@ -2,28 +2,6 @@
 
 namespace trenv {
 
-std::string_view FaultDomainName(FaultDomain domain) {
-  switch (domain) {
-    case FaultDomain::kNodeCrash:
-      return "node-crash";
-    case FaultDomain::kRdmaFlap:
-      return "rdma-flap";
-    case FaultDomain::kRdmaDegrade:
-      return "rdma-degrade";
-    case FaultDomain::kCxlPortDegrade:
-      return "cxl-port-degrade";
-    case FaultDomain::kNasStall:
-      return "nas-stall";
-    case FaultDomain::kPageCorruption:
-      return "page-corruption";
-    case FaultDomain::kPoolPressure:
-      return "pool-pressure";
-    case FaultDomain::kPoolNodeCrash:
-      return "pool-node-crash";
-  }
-  return "unknown";
-}
-
 FaultWindow NodeCrashWindow(SimTime start, SimTime end, double probability, uint32_t node,
                             SimDuration restart_after) {
   FaultWindow w;

@@ -12,7 +12,6 @@
 #define TRENV_FAULT_FAULT_SCHEDULE_H_
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "src/common/time.h"
@@ -50,8 +49,6 @@ enum class FaultDomain : uint8_t {
   // shards are reseeded from the dedup store and affected leases revoked.
   kPoolNodeCrash,
 };
-
-std::string_view FaultDomainName(FaultDomain domain);
 
 struct FaultWindow {
   FaultDomain domain = FaultDomain::kRdmaFlap;

@@ -29,12 +29,6 @@ const Counter* Registry::FindCounter(std::string_view name) const {
   return it == counters_.end() ? nullptr : it->second.get();
 }
 
-const Gauge* Registry::FindGauge(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : it->second.get();
-}
-
 void Registry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, counter] : counters_) {

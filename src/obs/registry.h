@@ -108,7 +108,6 @@ class Registry {
 
   // Lookup without creation; nullptr if the instrument does not exist.
   const Counter* FindCounter(std::string_view name) const;
-  const Gauge* FindGauge(std::string_view name) const;
 
   // Zeroes every instrument's value but keeps the instruments themselves, so
   // cached pointers stay valid across experiment windows.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <optional>
 #include <tuple>
 #include <utility>
@@ -101,6 +100,7 @@ Cluster::Cluster(ClusterConfig config)
     node->mmt->BindStats(&node->platform->metrics().registry());
     nodes_.push_back(std::move(node));
   }
+  inboxes_.resize(nodes_.size());
 }
 
 Status Cluster::Deploy(const FunctionProfile& profile) {
@@ -244,8 +244,8 @@ Status Cluster::Dispatch(SimTime arrival, FunctionId function, SubmitOptions opt
   if (!window_dispatches_.empty()) {
     ++window_dispatches_[node_index];
   }
-  if (mailbox_ != nullptr) {
-    (*mailbox_)[node_index].push_back(SubmitCmd{start, function, std::move(options.on_complete)});
+  if (coordinator_ != nullptr) {
+    inboxes_[node_index].push_back(SubmitCmd{start, function, std::move(options.on_complete)});
     return Status::Ok();
   }
   return platform.Submit(start, function, std::move(options.on_complete));
@@ -264,18 +264,46 @@ void Cluster::AdvanceNodes(size_t first, size_t last, std::optional<SimTime> tar
   // a restarted node rejoins at the cluster-wide instant. Without a target
   // each node runs to completion, so node clocks diverge.
   for (size_t i = first; i < last; ++i) {
+    ServerlessPlatform& platform = *nodes_[i]->platform;
+    // The node's queued submits go first, in push order, so its scheduler's
+    // sequence numbers match an immediate submit's. Dispatch rejected
+    // undeployed functions before queueing, so these cannot fail.
+    for (SubmitCmd& cmd : inboxes_[i]) {
+      [[maybe_unused]] const Status status =
+          platform.Submit(cmd.start, cmd.function, std::move(cmd.on_complete));
+      assert(status.ok());
+    }
+    inboxes_[i].clear();
     FocusNode(i);
     if (target.has_value()) {
-      nodes_[i]->platform->scheduler().RunUntil(*target);
+      platform.scheduler().RunUntil(*target);
     } else {
-      nodes_[i]->platform->RunToCompletion();
+      platform.RunToCompletion();
     }
   }
 }
 
+void Cluster::RunEpoch(std::optional<SimTime> target) {
+  if (coordinator_ == nullptr) {
+    AdvanceNodes(0, nodes_.size(), target);
+    return;
+  }
+  // Shard s runs a contiguous node range. FocusNode is a no-op without an
+  // injector, and an injector implies one shard, so it stays single-threaded.
+  coordinator_->RunEpoch([this, &target](size_t s) {
+    const size_t n = nodes_.size();
+    const size_t k = coordinator_->shards();
+    AdvanceNodes(n * s / k, n * (s + 1) / k, target);
+  });
+}
+
 void Cluster::AdvanceClocksTo(SimTime t) {
-  AdvanceNodes(0, nodes_.size(), t);
+  RunEpoch(t);
   clock_.RunUntil(t);
+  // A sync point refreshes the real load state: the window's provisional
+  // placement counts are now visible as concurrent startups. Empty outside a
+  // windowed RunSharded.
+  std::fill(window_dispatches_.begin(), window_dispatches_.end(), 0u);
 }
 
 void Cluster::CrashNode(size_t i, SimTime when) {
@@ -406,9 +434,8 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
   const std::vector<FaultInjector::NodeEvent> plan = PlanFaultEvents();
   // Shard count: clamped to the node count; degraded to one shard when a
   // cross-node-shared component (injector, tracer, prewarm, density,
-  // shstate) is configured. Degradation changes only how much work runs concurrently —
-  // the epoch algorithm below is identical, so output is still independent
-  // of the requested shard count.
+  // shstate) is configured. Degradation changes only how much work runs
+  // concurrently, so output is still independent of the requested count.
   uint32_t shards = std::max<uint32_t>(1, options.shards);
   shards = std::min<uint32_t>(shards, static_cast<uint32_t>(nodes_.size()));
   if (!CanShardAcrossThreads()) {
@@ -416,105 +443,55 @@ Status Cluster::RunSharded(ArrivalStream& arrivals, const ShardedRunOptions& opt
   }
   sharded_effective_shards_ = shards;
 
-  // Contiguous node ranges per shard.
-  std::vector<std::pair<size_t, size_t>> shard_range(shards);
-  for (uint32_t s = 0; s < shards; ++s) {
-    shard_range[s] = {nodes_.size() * s / shards, nodes_.size() * (s + 1) / shards};
-  }
-  std::vector<std::vector<SubmitCmd>> inboxes(nodes_.size());
-  mailbox_ = &inboxes;
-  const bool windowed = options.lookahead > SimDuration::Zero();
-  if (windowed) {
+  // While the coordinator is installed, Dispatch queues into the inboxes and
+  // every AdvanceClocksTo and DrainAll below is one epoch on its shards.
+  ShardCoordinator coordinator(shards);
+  coordinator_ = &coordinator;
+  if (options.lookahead > SimDuration::Zero()) {
     window_dispatches_.assign(nodes_.size(), 0);
   }
-  struct SinkGuard {
+  struct RunGuard {
     Cluster* cluster;
-    ~SinkGuard() {
-      cluster->mailbox_ = nullptr;
+    ~RunGuard() {
+      cluster->coordinator_ = nullptr;
       cluster->window_dispatches_.clear();
     }
   } guard{this};
 
-  ShardCoordinator coordinator(shards);
-
-  // One epoch: each shard first applies its nodes' inboxes (before any drain,
-  // so scheduler sequence numbers match an immediate submit), then advances
-  // its nodes to the target, or in the final epoch (no target) to completion,
-  // exactly as the public steps do. The lambda is built once; `target` is
-  // rebound per epoch. FocusNode is a no-op without an injector, and an
-  // injector implies one shard, so it stays coordinator-serial.
-  std::optional<SimTime> target;
-  const std::function<void(size_t)> run_shard = [&](size_t s) {
-    for (size_t i = shard_range[s].first; i < shard_range[s].second; ++i) {
-      for (SubmitCmd& cmd : inboxes[i]) {
-        // Dispatch rejected undeployed functions before queueing, so this
-        // submit cannot fail.
-        [[maybe_unused]] const Status status =
-            nodes_[i]->platform->Submit(cmd.start, cmd.function, std::move(cmd.on_complete));
-        assert(status.ok());
-      }
-      inboxes[i].clear();
-    }
-    AdvanceNodes(shard_range[s].first, shard_range[s].second, target);
-  };
-  const auto run_epoch = [&](std::optional<SimTime> t) {
-    target = t;
-    coordinator.RunEpoch(run_shard);
-  };
-  const auto epoch_advance = [&](SimTime t) {
-    run_epoch(t);
-    clock_.RunUntil(t);
-    if (windowed) {
-      // A sync point refreshes the real load state; the window's provisional
-      // placement counts are now visible as concurrent startups.
-      std::fill(window_dispatches_.begin(), window_dispatches_.end(), 0u);
-    }
-  };
-
   // Node-level fault events (crashes, restarts, pressure windows) merge into
-  // the arrival timeline at exactly the sequential interleaving: every node
-  // advances to an event or arrival before it applies or places.
+  // the arrival timeline: every node advances to an event or arrival before
+  // it applies or places. An arrival opens a window [arrival, arrival +
+  // lookahead) whose arrivals all place against the load at its start plus
+  // the window's own placements; a due fault event cuts it short. With zero
+  // lookahead each window holds one arrival: the sequential loop.
   size_t next_event = 0;
+  const auto fault_due = [&](SimTime t) {
+    return next_event < plan.size() && plan[next_event].time <= t;
+  };
   std::optional<Invocation> pending = arrivals.Next();
   while (pending.has_value() || next_event < plan.size()) {
-    if (next_event < plan.size() &&
-        (!pending.has_value() || plan[next_event].time <= pending->arrival)) {
-      epoch_advance(plan[next_event].time);
+    if (!pending.has_value() || fault_due(pending->arrival)) {
+      AdvanceClocksTo(plan[next_event].time);
       ApplyFaultEvent(plan[next_event]);
       ++next_event;
       continue;
     }
-    const SimTime window_start = pending->arrival;
-    epoch_advance(window_start);
-    if (!windowed) {
-      // Per-arrival epochs: dispatch sees exactly the sequential load state.
+    const SimTime window_end = pending->arrival + options.lookahead;
+    AdvanceClocksTo(pending->arrival);
+    do {
       TRENV_RETURN_IF_ERROR(Submit(pending->arrival, pending->function));
       pending = arrivals.Next();
-      continue;
-    }
-    // Batched dispatch: every arrival inside [window_start, window_start +
-    // lookahead) places against the snapshot at window_start plus this
-    // window's own placements. Fault events still cut the window short so
-    // their interleaving matches the sequential run.
-    const SimTime window_end = window_start + options.lookahead;
-    while (pending.has_value() && pending->arrival < window_end &&
-           !(next_event < plan.size() && plan[next_event].time <= pending->arrival)) {
-      TRENV_RETURN_IF_ERROR(Submit(pending->arrival, pending->function));
-      pending = arrivals.Next();
-    }
+    } while (pending.has_value() && pending->arrival < window_end &&
+             !fault_due(pending->arrival));
   }
-
-  // Final epoch: flush the last window's inboxes, drain every node to
-  // completion exactly like DrainAll, then the rack clock.
-  run_epoch(std::nullopt);
-  DrainRackClock();
+  DrainAll();
   sharded_epochs_ = coordinator.epochs();
   sharded_barrier_wait_ = coordinator.barrier_wait_seconds();
   return Status::Ok();
 }
 
 void Cluster::DrainAll() {
-  AdvanceNodes(0, nodes_.size(), std::nullopt);
+  RunEpoch(std::nullopt);
   DrainRackClock();
 }
 

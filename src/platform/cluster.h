@@ -117,15 +117,18 @@ class Cluster {
   // RunSharded over a materialized schedule with default options.
   [[nodiscard]] Status Run(const Schedule& schedule);
 
-  // Sharded run: the trace pulls lazily from `arrivals` (a 10M-invocation
-  // trace never materializes) and the per-node EventSchedulers advance in
-  // parallel epochs under conservative-lookahead synchronization. Cross-node
-  // work (dispatch, poolmgr attach, fault events, failover re-dispatch) stays
-  // on the coordinator thread between epochs; platform submits wait in
-  // per-node mailboxes that each shard applies at the start of the next
-  // epoch, before it drains. Output is byte-identical at any `shards`
-  // setting, and with lookahead zero it is byte-identical to the sequential
-  // per-arrival loop.
+  // Sharded run: the sequential loop over the timeline steps below, with the
+  // trace pulled lazily from `arrivals` (a 10M-invocation trace never
+  // materializes). For the run's duration a ShardCoordinator is installed,
+  // so each AdvanceClocksTo and DrainAll is one epoch that advances the
+  // per-node EventSchedulers on parallel shards. Cross-node work (dispatch,
+  // poolmgr attach, fault events, failover re-dispatch) stays on the calling
+  // thread between epochs; platform submits wait in per-node inboxes that
+  // each node's shard applies in the next epoch, before the node runs.
+  // Output is byte-identical at any `shards` setting, and with lookahead
+  // zero it is byte-identical to the loop built from the steps directly.
+  // After an error return, submits it already accepted stay queued; the
+  // next step runs them.
   //
   // Preconditions for cross-thread sharding: no fault injector, no tracer,
   // no prewarm policy, density off, no shstate plane. When any of those is
@@ -135,7 +138,8 @@ class Cluster {
                                   const ShardedRunOptions& options = {});
 
   // Introspection for the last RunSharded (the sharded_scale bench reports
-  // synchronization overhead from these).
+  // synchronization overhead from these). Steps called outside a sharded
+  // run count no epochs.
   uint32_t sharded_effective_shards() const { return sharded_effective_shards_; }
   uint64_t sharded_epochs() const { return sharded_epochs_; }
   double sharded_barrier_wait_seconds() const { return sharded_barrier_wait_; }
@@ -158,20 +162,21 @@ class Cluster {
   const RegionManager* shared_state() const { return shstate_.get(); }
 
   // --- timeline steps ---------------------------------------------------------
-  // shstate::PipelineDriver interleaves its own step scheduler with the
-  // cluster's timeline through these, and the sequential reference loop in
-  // tests/sharded_cluster_test.cc is built from them.
+  // Every loop over the rack is built from these: RunSharded,
+  // shstate::PipelineDriver (which interleaves its own step scheduler with
+  // them) and the sequential reference loop in tests/sharded_cluster_test.cc.
   //
   // Earliest pending event across the node schedulers and the rack clock.
   std::optional<SimTime> NextEventTime();
-  // Runs every node scheduler, then the rack clock, up to t in lock-step, so
-  // cross-node ordering stays deterministic.
+  // One epoch: runs every node scheduler, then the rack clock, up to t in
+  // lock-step, so cross-node ordering stays deterministic.
   void AdvanceClocksTo(SimTime t);
   // Node-level fault plan (empty without an injector) and its application,
   // merged into the arrival timeline by RunSharded() and PipelineDriver.
   std::vector<FaultInjector::NodeEvent> PlanFaultEvents();
   void ApplyFaultEvent(const FaultInjector::NodeEvent& event);
-  // Drains every node scheduler to completion, then the rack clock.
+  // The last epoch: drains every node scheduler to completion, then the
+  // rack clock.
   void DrainAll();
   // Invocations the cluster accepted via Submit — the chaos bench's
   // zero-loss check compares this against completed counts.
@@ -201,9 +206,9 @@ class Cluster {
   };
 
   // A platform Submit that a sharded run defers to the next epoch: the node's
-  // own shard applies its inbox in push order before draining, so the shards
-  // run their nodes' submits in parallel and event sequence numbers match an
-  // immediate submit's.
+  // own shard applies its inbox in push order just before running the node,
+  // so the shards run their nodes' submits in parallel and event sequence
+  // numbers match an immediate submit's.
   struct SubmitCmd {
     SimTime start;
     FunctionId function;
@@ -229,12 +234,15 @@ class Cluster {
   // Points the injector's clock and CXL-port scope at node i before its
   // scheduler is drained (node clocks diverge during DrainAll).
   void FocusNode(size_t i);
-  // Runs nodes [first, last) in index order up to `target`, or to completion
-  // without one: the node half of AdvanceClocksTo, DrainAll and each
-  // RunSharded epoch's shard.
+  // Runs nodes [first, last) in index order, each after applying its
+  // inbox, up to `target`, or to completion without one.
   void AdvanceNodes(size_t first, size_t last, std::optional<SimTime> target);
+  // The node half of AdvanceClocksTo and DrainAll: every node inline, or,
+  // while RunSharded has installed a coordinator, one contiguous node range
+  // per shard.
+  void RunEpoch(std::optional<SimTime> target);
   // Quiesces the pool control plane's periodic ticks, then runs the rack
-  // clock until idle: the end of DrainAll and of RunSharded.
+  // clock until idle: the end of DrainAll.
   void DrainRackClock();
   void CrashNode(size_t i, SimTime when);
   void RestartNode(size_t i, SimTime when);
@@ -264,9 +272,11 @@ class Cluster {
   std::vector<LostInvocation> deferred_;
   size_t next_node_ = 0;
   uint64_t accepted_ = 0;
-  // Non-null only while RunSharded is on the stack: one inbox per node, which
-  // Dispatch fills instead of calling Submit directly.
-  std::vector<std::vector<SubmitCmd>>* mailbox_ = nullptr;
+  // Non-null only while RunSharded is on the stack: epochs run on its shards,
+  // and Dispatch fills the node's inbox instead of calling Submit directly.
+  ShardCoordinator* coordinator_ = nullptr;
+  // One per node, applied by the node's next epoch.
+  std::vector<std::vector<SubmitCmd>> inboxes_;
   // Windowed dispatch only: per-node count of placements already made in the
   // current lookahead window, added to the load key so a burst inside one
   // window spreads instead of dog-piling the snapshot's least-loaded node.

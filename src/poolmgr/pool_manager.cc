@@ -126,7 +126,7 @@ PoolManager::AttachOutcome PoolManager::Attach(uint32_t worker, FunctionId fid, 
   outcome.latency = cost::kPoolAttachMetadataBase +
                     cost::kPoolAttachMetadataPerShard * static_cast<double>(shard_ids->size());
   auto lease_it = leases_[worker].find(fid);
-  if (lease_it != leases_[worker].end() && lease_it->second.refs > 0) {
+  if (lease_it != leases_[worker].end() && lease_it->second > 0) {
     // Lease hit: the shards are already mapped on this worker; renew only.
     outcome.lease_hit = true;
     lease_hits_->Increment();
@@ -222,18 +222,16 @@ bool PoolManager::PickReadReplica(const Shard& shard, uint32_t worker, uint32_t*
 }
 
 void PoolManager::GrantLease(uint32_t worker, FunctionId fid, SimTime now) {
-  Lease& lease = leases_[worker][fid];
-  lease.refs += 1;
-  lease.expires = now + config_.lease_ttl;
+  ++leases_[worker][fid];
   // One expiry event per grant window: the lease dies when the last grant's
   // window lapses — refcounted expiry, driven by the rack clock.
   const SimTime expiry = std::max(now, clock_->now()) + config_.lease_ttl;
   clock_->ScheduleAt(expiry, [this, worker, fid] {
     auto it = leases_[worker].find(fid);
-    if (it == leases_[worker].end() || it->second.refs == 0) {
+    if (it == leases_[worker].end() || it->second == 0) {
       return;  // already revoked or released with the worker
     }
-    if (--it->second.refs == 0) {
+    if (--it->second == 0) {
       leases_[worker].erase(it);
       leases_expired_->Increment();
     }
@@ -245,7 +243,7 @@ uint32_t PoolManager::LeaseRefs(uint32_t worker, FunctionId fid) const {
     return 0;
   }
   const auto it = leases_[worker].find(fid);
-  return it == leases_[worker].end() ? 0 : it->second.refs;
+  return it == leases_[worker].end() ? 0 : it->second;
 }
 
 void PoolManager::ReleaseWorker(uint32_t worker) {
@@ -497,10 +495,6 @@ PoolManager::ReconcileResult PoolManager::ReconcileShard(uint32_t shard_index,
 
 uint64_t PoolManager::ShardFetches(uint32_t shard_index) const {
   return shard_index < shards_.size() ? shards_[shard_index].fetches : 0;
-}
-
-uint64_t PoolManager::ShardPages(uint32_t shard_index) const {
-  return shard_index < shards_.size() ? shards_[shard_index].npages : 0;
 }
 
 std::vector<uint32_t> PoolManager::ShardReplicas(uint32_t shard_index) const {

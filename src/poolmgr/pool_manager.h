@@ -182,7 +182,6 @@ class PoolManager {
   uint32_t base_replication() const { return config_.replication; }
   // Lease-miss fetches this shard has served (the hot-shard signal).
   uint64_t ShardFetches(uint32_t shard_index) const;
-  uint64_t ShardPages(uint32_t shard_index) const;
   // Current replica set, primary first (introspection for poolctl + tests).
   std::vector<uint32_t> ShardReplicas(uint32_t shard_index) const;
   // True when the shard holds fewer *live* copies than
@@ -211,10 +210,6 @@ class PoolManager {
     // Live replica set, primary first. Empty = lost (every holder crashed);
     // reseeded from the dedup store on next use or rebalance.
     std::vector<uint32_t> replicas;
-  };
-  struct Lease {
-    uint32_t refs = 0;
-    SimTime expires;
   };
 
   void GrantLease(uint32_t worker, FunctionId fid, SimTime now);
@@ -254,8 +249,9 @@ class PoolManager {
   std::map<std::tuple<PageContent, uint64_t, bool>, uint32_t> shard_by_content_;
   // fid -> shard indices (sparse, indexed by interned FunctionId).
   std::vector<std::vector<uint32_t>> templates_;
-  // Per worker: fid -> lease. std::map so revocation scans are in id order.
-  std::vector<std::map<FunctionId, Lease>> leases_;
+  // Per worker: fid -> lease refcount, one per grant window still open.
+  // std::map so revocation scans are in id order.
+  std::vector<std::map<FunctionId, uint32_t>> leases_;
   bool rebalance_pending_ = false;
   bool continuous_ = false;
   ContinuousPoolPolicy policy_;

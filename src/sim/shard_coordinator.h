@@ -4,7 +4,7 @@
 // nodes' per-platform EventSchedulers. The run proceeds in epochs: the
 // coordinator picks a global target time, RunEpoch() drains every shard up to
 // it concurrently, and control returns to the coordinator for the serial
-// work between epochs (dispatch, mailbox routing, fault events). Shard 0
+// work between epochs (dispatch, inbox routing, fault events). Shard 0
 // always executes on the calling thread, so a 1-shard coordinator spawns no
 // threads and is exactly the inline sequential loop — the bitwise reference
 // the parallel runs are diffed against.

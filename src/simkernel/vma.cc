@@ -17,19 +17,4 @@ Vma MakeAnonVma(Vaddr start, uint64_t length, Protection prot, std::string name)
   return vma;
 }
 
-Vma MakeFileVma(Vaddr start, uint64_t length, Protection prot, int64_t file_id,
-                uint64_t file_offset, std::string name) {
-  assert(IsPageAligned(start) && IsPageAligned(length));
-  Vma vma;
-  vma.start = start;
-  vma.length = length;
-  vma.prot = prot;
-  vma.is_private = true;
-  vma.type = VmaType::kFileBacked;
-  vma.file_id = file_id;
-  vma.file_offset = file_offset;
-  vma.name = std::move(name);
-  return vma;
-}
-
 }  // namespace trenv

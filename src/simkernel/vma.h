@@ -32,10 +32,8 @@ struct Vma {
   }
 };
 
-// Convenience constructors for the common shapes.
+// Convenience constructor for a private anonymous mapping.
 Vma MakeAnonVma(Vaddr start, uint64_t length, Protection prot, std::string name);
-Vma MakeFileVma(Vaddr start, uint64_t length, Protection prot, int64_t file_id,
-                uint64_t file_offset, std::string name);
 
 }  // namespace trenv
 

@@ -77,10 +77,12 @@ TEST(ClusterTest, InvalidFunctionIdRejected) {
 TEST(ClusterTest, RejectionNamesNodeAndFunctionOnBothDispatchPaths) {
   // A rack with only JS deployed gets an arrival for a name that is interned
   // but deployed nowhere. Cluster::Submit and RunSharded both reject it at
-  // dispatch, before a sharded run would queue it in the node's mailbox. Both
+  // dispatch, before a sharded run would queue it in the node's inbox. Both
   // errors name the node (round robin sends the second arrival to node 1) and
   // the function, in the same words, at any shard count, and neither path
-  // counts the rejected arrival as accepted.
+  // counts the rejected arrival as accepted. The accepted JS arrival is not
+  // lost: inside a lookahead window it is still queued when the rejection
+  // returns, and the next step runs it.
   const FunctionId undeployed = InternFunction("cluster-test-undeployed");
   ClusterConfig config;
   config.nodes = 2;
@@ -104,20 +106,28 @@ TEST(ClusterTest, RejectionNamesNodeAndFunctionOnBothDispatchPaths) {
   EXPECT_NE(rejected.message().find("'cluster-test-undeployed'"), std::string::npos)
       << rejected.message();
   EXPECT_EQ(direct.accepted_invocations(), 1u);
+  direct.DrainAll();
+  EXPECT_EQ(direct.TotalInvocations(), 1u);
 
   const Schedule schedule = {{first, "JS"}, {second, undeployed}};
-  for (const uint32_t shards : {1u, 2u}) {
-    Cluster cluster(config);
-    deploy_js(cluster);
-    ScheduleStream stream(schedule);
-    ShardedRunOptions options;
-    options.shards = shards;
-    const Status status = cluster.RunSharded(stream, options);
-    EXPECT_EQ(status.code(), StatusCode::kNotFound) << "shards " << shards;
-    EXPECT_EQ(status.message(), rejected.message()) << "shards " << shards;
-    EXPECT_EQ(cluster.sharded_effective_shards(), shards);
-    EXPECT_EQ(cluster.accepted_invocations(), direct.accepted_invocations())
-        << "shards " << shards;
+  for (const SimDuration lookahead : {SimDuration::Zero(), SimDuration::Millis(10)}) {
+    for (const uint32_t shards : {1u, 2u}) {
+      Cluster cluster(config);
+      deploy_js(cluster);
+      ScheduleStream stream(schedule);
+      ShardedRunOptions options;
+      options.shards = shards;
+      options.lookahead = lookahead;
+      const Status status = cluster.RunSharded(stream, options);
+      EXPECT_EQ(status.code(), StatusCode::kNotFound) << "shards " << shards;
+      EXPECT_EQ(status.message(), rejected.message()) << "shards " << shards;
+      EXPECT_EQ(cluster.sharded_effective_shards(), shards);
+      EXPECT_EQ(cluster.accepted_invocations(), direct.accepted_invocations())
+          << "shards " << shards;
+      cluster.DrainAll();
+      EXPECT_EQ(cluster.TotalInvocations(), 1u)
+          << "shards " << shards << " lookahead " << lookahead.nanos();
+    }
   }
 }
 

@@ -28,8 +28,7 @@ FunctionProfile SmallFn(const std::string& name, const std::string& lang, double
 }
 
 TEST(CheckpointerTest, SnapshotCoversImageSize) {
-  Checkpointer cp;
-  FunctionSnapshot snap = cp.Checkpoint(SmallFn("f1", "python", 100));
+  FunctionSnapshot snap = Checkpoint(SmallFn("f1", "python", 100));
   EXPECT_EQ(snap.function, "f1");
   ASSERT_EQ(snap.processes.size(), 1u);
   // Region pages sum to roughly the image size (rounding slack allowed).
@@ -40,10 +39,9 @@ TEST(CheckpointerTest, SnapshotCoversImageSize) {
 }
 
 TEST(CheckpointerTest, SameLanguageSharesRuntimeContent) {
-  Checkpointer cp;
-  FunctionSnapshot a = cp.Checkpoint(SmallFn("fa", "python", 100));
-  FunctionSnapshot b = cp.Checkpoint(SmallFn("fb", "python", 100));
-  FunctionSnapshot c = cp.Checkpoint(SmallFn("fc", "nodejs", 100));
+  FunctionSnapshot a = Checkpoint(SmallFn("fa", "python", 100));
+  FunctionSnapshot b = Checkpoint(SmallFn("fb", "python", 100));
+  FunctionSnapshot c = Checkpoint(SmallFn("fc", "nodejs", 100));
   auto find = [](const FunctionSnapshot& s, const std::string& substr) -> const MemoryRegion* {
     for (const auto& r : s.processes[0].regions) {
       if (r.name.find(substr) != std::string::npos) {
@@ -67,8 +65,7 @@ TEST(CheckpointerTest, SameLanguageSharesRuntimeContent) {
 TEST(CheckpointerTest, MultiProcessFunctionsGetHelperImages) {
   FunctionProfile p = SmallFn("multi", "python", 100);
   p.processes = 3;
-  Checkpointer cp;
-  FunctionSnapshot snap = cp.Checkpoint(p);
+  FunctionSnapshot snap = Checkpoint(p);
   EXPECT_EQ(snap.processes.size(), 3u);
 }
 
@@ -83,26 +80,24 @@ class DedupTest : public ::testing::Test {
 
 TEST_F(DedupTest, IdenticalRegionsStoredOnce) {
   SnapshotDedupStore store(&tiered_);
-  Checkpointer cp;
-  auto img_a = store.Store(cp.Checkpoint(SmallFn("fa", "python", 100)));
+  auto img_a = store.Store(Checkpoint(SmallFn("fa", "python", 100)));
   ASSERT_TRUE(img_a.ok());
   const uint64_t after_a = store.stored_unique_pages();
-  auto img_b = store.Store(cp.Checkpoint(SmallFn("fb", "python", 100)));
+  auto img_b = store.Store(Checkpoint(SmallFn("fb", "python", 100)));
   ASSERT_TRUE(img_b.ok());
   const uint64_t added_by_b = store.stored_unique_pages() - after_a;
   // fb shares libc + python runtime with fa: ~43% of its image dedups away.
   EXPECT_LT(static_cast<double>(added_by_b), 0.65 * static_cast<double>(img_b->total_pages));
   EXPECT_LT(store.DedupRatio(), 0.8);
   // Storing fa again is a pure dedup hit.
-  auto img_a2 = store.Store(cp.Checkpoint(SmallFn("fa", "python", 100)));
+  auto img_a2 = store.Store(Checkpoint(SmallFn("fa", "python", 100)));
   ASSERT_TRUE(img_a2.ok());
   EXPECT_EQ(img_a2->unique_pages, 0u);
 }
 
 TEST_F(DedupTest, PlacementsCoverRegionsInOrder) {
   SnapshotDedupStore store(&tiered_, /*chunk_pages=*/64);
-  Checkpointer cp;
-  auto image = store.Store(cp.Checkpoint(SmallFn("f", "python", 10)));
+  auto image = store.Store(Checkpoint(SmallFn("f", "python", 10)));
   ASSERT_TRUE(image.ok());
   for (const auto& process : image->processes) {
     for (const auto& placed : process) {
@@ -117,8 +112,7 @@ TEST_F(DedupTest, PlacementsCoverRegionsInOrder) {
 
 TEST_F(DedupTest, ContentActuallyInPool) {
   SnapshotDedupStore store(&tiered_);
-  Checkpointer cp;
-  auto image = store.Store(cp.Checkpoint(SmallFn("f", "python", 10)));
+  auto image = store.Store(Checkpoint(SmallFn("f", "python", 10)));
   ASSERT_TRUE(image.ok());
   const auto& placed = image->processes[0][0];
   const auto& chunk = placed.chunks[0];

@@ -22,7 +22,6 @@ TEST(RoundTripTest, CheckpointOfRestoredProcessCapturesCowState) {
   TieredPool tiered;
   tiered.AddTier(&cxl);
   SnapshotDedupStore dedup(&tiered);
-  Checkpointer checkpointer;
   MmtApi api(&backends);
   FrameAllocator frames(8 * kGiB);
   FaultHandler kernel(&frames, &backends);
@@ -33,7 +32,7 @@ TEST(RoundTripTest, CheckpointOfRestoredProcessCapturesCowState) {
   profile.language = "python";
   profile.image_bytes = 32 * kMiB;
   profile.threads = 4;
-  FunctionSnapshot snapshot = checkpointer.Checkpoint(profile);
+  FunctionSnapshot snapshot = Checkpoint(profile);
   auto image = dedup.Store(snapshot);
   ASSERT_TRUE(image.ok());
 
@@ -69,7 +68,7 @@ TEST(RoundTripTest, CheckpointOfRestoredProcessCapturesCowState) {
 
   // Dump the live process. The dump must reproduce current contents:
   // written pages with new values, untouched pages with image values.
-  ProcessImage dump = checkpointer.CheckpointProcess(process);
+  ProcessImage dump = CheckpointProcess(process);
   EXPECT_EQ(dump.threads, 4u);
   auto content_at = [&](Vaddr addr) -> PageContent {
     for (const auto& region : dump.regions) {

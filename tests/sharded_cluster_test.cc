@@ -1,6 +1,9 @@
 // Cluster::RunSharded determinism contract: output is byte-identical at any
 // --shards setting, and with zero lookahead byte-identical to the sequential
-// per-arrival loop (RunLegacyLoop below). "Byte-identical" is checked through
+// per-arrival loop (RunLegacyLoop below). RunSharded is that loop over the
+// same public steps, with its shard coordinator and per-node inboxes
+// installed; RunLegacyLoop calls the steps with neither, so it checks that
+// the shards and inboxes change nothing. "Byte-identical" is checked through
 // a fingerprint that serializes every externally observable quantity
 // (per-function histograms at full precision, per-node memory, every registry
 // counter), so any divergence in event ordering, RNG draws, or placement
@@ -68,10 +71,11 @@ ClusterConfig BaseConfig() {
   return config;
 }
 
-// The sequential reference, built only from the public timeline steps: every
-// node (and the rack clock) advances to each fault event or arrival before the
-// event applies or the arrival is placed, then everything drains. Dispatch
-// therefore sees exactly the load state at each arrival.
+// The sequential reference, built only from the public timeline steps and
+// run without a coordinator, so every step runs inline and every submit is
+// immediate: every node (and the rack clock) advances to each fault event or
+// arrival before the event applies or the arrival is placed, then everything
+// drains. Dispatch therefore sees exactly the load state at each arrival.
 Status RunLegacyLoop(Cluster& cluster, const Schedule& schedule) {
   const std::vector<FaultInjector::NodeEvent> plan = cluster.PlanFaultEvents();
   size_t next_event = 0;
@@ -101,7 +105,7 @@ std::string RunLegacy(const ClusterConfig& config, const Schedule& schedule) {
 
 std::string RunShardedOn(const ClusterConfig& config, const Schedule& schedule,
                          uint32_t shards, SimDuration lookahead,
-                         uint32_t* effective = nullptr) {
+                         uint32_t* effective = nullptr, uint64_t* epochs = nullptr) {
   Cluster cluster(config);
   EXPECT_TRUE(cluster.DeployTable4Functions().ok());
   ScheduleStream stream(schedule);
@@ -111,6 +115,9 @@ std::string RunShardedOn(const ClusterConfig& config, const Schedule& schedule,
   EXPECT_TRUE(cluster.RunSharded(stream, options).ok());
   if (effective != nullptr) {
     *effective = cluster.sharded_effective_shards();
+  }
+  if (epochs != nullptr) {
+    *epochs = cluster.sharded_epochs();
   }
   return Fingerprint(cluster);
 }
@@ -136,6 +143,44 @@ TEST(ShardedClusterTest, WindowedModeIsShardCountInvariant) {
   }
   // The windowed run still completes the whole trace.
   EXPECT_NE(one.find("accepted=" + std::to_string(schedule.size())), std::string::npos);
+}
+
+TEST(ShardedClusterTest, EpochsCountTheTimelineSteps) {
+  // A sharded run's epochs are its AdvanceClocksTo steps plus the final
+  // DrainAll. With zero lookahead that is one per arrival, one per fault
+  // event and one for the drain; a lookahead window batches arrivals into
+  // one epoch, on a grid that does not depend on the shard count.
+  const Schedule schedule = TestSchedule(17);
+  const auto epochs = [&](const ClusterConfig& config, uint32_t shards, SimDuration lookahead) {
+    uint64_t count = 0;
+    RunShardedOn(config, schedule, shards, lookahead, nullptr, &count);
+    return count;
+  };
+
+  ClusterConfig faulted = BaseConfig();
+  faulted.faults.Add(NodeCrashWindow(SimTime::Zero() + SimDuration::Seconds(4),
+                                     SimTime::Zero() + SimDuration::Seconds(6), 1.0, 1,
+                                     SimDuration::Seconds(3)));
+  const size_t plan_size = Cluster(faulted).PlanFaultEvents().size();
+  ASSERT_EQ(plan_size, 2u);  // the crash and its restart
+  for (const uint32_t shards : {1u, 4u}) {
+    EXPECT_EQ(epochs(faulted, shards, SimDuration::Zero()), schedule.size() + plan_size + 1)
+        << "shards=" << shards;
+  }
+
+  const uint64_t windowed = epochs(BaseConfig(), 1, SimDuration::Millis(20));
+  EXPECT_GT(windowed, 1u);
+  EXPECT_LT(windowed, schedule.size() + 1);
+  for (const uint32_t shards : {2u, 4u}) {
+    EXPECT_EQ(epochs(BaseConfig(), shards, SimDuration::Millis(20)), windowed)
+        << "shards=" << shards;
+  }
+
+  // The same steps called outside a sharded run count no epochs.
+  Cluster stepped(BaseConfig());
+  ASSERT_TRUE(stepped.DeployTable4Functions().ok());
+  ASSERT_TRUE(RunLegacyLoop(stepped, schedule).ok());
+  EXPECT_EQ(stepped.sharded_epochs(), 0u);
 }
 
 TEST(ShardedClusterTest, ShardCountClampsToNodeCount) {
@@ -184,7 +229,7 @@ TEST(ShardedClusterTest, FaultedRunDegradesToOneShardAndMatchesLegacy) {
   // The injector binds per-node state, so cross-thread sharding is off: any
   // requested shard count degrades to 1 and the output must still match the
   // sequential run exactly (crash, failover re-dispatch, and pressure events
-  // flow through the same mailbox epochs).
+  // flow through the same inbox epochs).
   for (const uint32_t shards : {1u, 4u}) {
     uint32_t effective = 0;
     EXPECT_EQ(legacy, RunShardedOn(config, schedule, shards, SimDuration::Zero(), &effective))
