@@ -22,7 +22,7 @@ int main() {
   }
   std::cout << "Deployed 10 functions on " << rack.node_count()
             << " nodes attached to one CXL MHD (" << rack.cxl().attached_nodes() << "/"
-            << rack.cxl().port_count() << " ports).\n"
+            << CxlPool::kPortCount << " ports).\n"
             << "Consolidated images in the pool: " << FormatBytes(rack.PoolBytes())
             << " (stored once for the whole rack; rack-level dedup ratio "
             << Table::Num(rack.dedup().DedupRatio(), 3) << ")\n\n";

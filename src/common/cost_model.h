@@ -128,6 +128,19 @@ inline constexpr SimDuration kBulkFetchPerRun = SimDuration::FromMicrosF(0.5);
 // NAS / network-attached storage tier: block I/O, ~60 us per 4 KiB.
 inline constexpr SimDuration kNasPageFetchBase = SimDuration::Micros(60);
 
+// Fetch-path retry under injected faults (src/fault/retry_policy.h,
+// docs/fault_injection.md). Attempts per fetch include the first; after the
+// last one the fetch is served fail-open. A failed attempt is declared dead
+// after the timeout, and retry k sleeps the initial backoff times the
+// multiplier^(k-1), capped. Retrying stops once timeouts and backoffs reach
+// the deadline.
+inline constexpr uint32_t kRetryMaxAttempts = 4;
+inline constexpr SimDuration kRetryAttemptTimeout = SimDuration::Micros(500);
+inline constexpr SimDuration kRetryInitialBackoff = SimDuration::Micros(200);
+inline constexpr int64_t kRetryBackoffMultiplier = 2;
+inline constexpr SimDuration kRetryMaxBackoff = SimDuration::Millis(10);
+inline constexpr SimDuration kRetryDeadline = SimDuration::Millis(50);
+
 // Capacity of a rack's shared CXL device and of its pool-side RDMA fabric.
 inline constexpr uint64_t kRackCxlPoolBytes = 512 * kGiB;  // the 7.5 TB-class MHD, scaled down
 

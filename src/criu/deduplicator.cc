@@ -50,7 +50,7 @@ Result<ConsolidatedImage> SnapshotDedupStore::Store(const FunctionSnapshot& snap
       const double hotness = hotness_override_ >= 0.0 ? hotness_override_ : HotnessFor(region);
       uint64_t done = 0;
       while (done < region.npages) {
-        const uint64_t n = std::min(chunk_pages_, region.npages - done);
+        const uint64_t n = std::min(kChunkPages, region.npages - done);
         ChunkKey key;
         key.npages = n;
         key.constant = region.constant_content;

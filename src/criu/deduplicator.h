@@ -50,10 +50,12 @@ struct ConsolidatedImage {
 
 class SnapshotDedupStore {
  public:
+  // Regions are split into chunks of at most this many pages (2 MiB).
+  static constexpr uint64_t kChunkPages = 512;
+
   // Stores chunks in `pool`. Hotness for tiered placement is derived from
   // the region class (runtime/code hot, heap colder).
-  explicit SnapshotDedupStore(TieredPool* pool, uint64_t chunk_pages = 512)
-      : pool_(pool), chunk_pages_(chunk_pages) {}
+  explicit SnapshotDedupStore(TieredPool* pool) : pool_(pool) {}
 
   Result<ConsolidatedImage> Store(const FunctionSnapshot& snapshot);
 
@@ -85,7 +87,6 @@ class SnapshotDedupStore {
   Result<PlacedChunk> StoreChunk(const ChunkKey& key, double hotness);
 
   TieredPool* pool_;
-  uint64_t chunk_pages_;
   double hotness_override_ = -1.0;
   std::map<ChunkKey, PlacedChunk> chunk_index_;
   uint64_t total_ingested_pages_ = 0;

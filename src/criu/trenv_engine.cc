@@ -277,7 +277,7 @@ void TrEnvEngine::PrefetchWorkingSet(const FunctionProfile& profile, RestoreOutc
 
   // One coalesced scatter-gather batch per message pool, issued through the
   // engine's NIC queue at restore start so concurrent attaches on this node
-  // serialize (work-conserving busy window) and RetryPolicy/chaos apply.
+  // serialize (work-conserving busy window) and fetch retry/chaos apply.
   uint64_t ops = 0;
   for (size_t pool = 0; pool < kPoolKindCount; ++pool) {
     if (pool_pages[pool] == 0) {
@@ -385,7 +385,7 @@ Result<ExecutionOverheads> TrEnvEngine::OnExecute(const FunctionProfile& profile
     if (prepared != nullptr) {
       HeatChunks(*prepared);
     }
-    if (++executions_since_sweep_ >= promotion_interval_) {
+    if (++executions_since_sweep_ >= kPromotionSweepInterval) {
       executions_since_sweep_ = 0;
       for (const PromotionManager::Move& move : promotion_->Sweep()) {
         // Future templates see the new placement; update the recorded image

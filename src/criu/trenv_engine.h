@@ -50,12 +50,10 @@ class TrEnvEngine : public RestoreEngine {
   // Optional hot-chunk promotion across tiers (not owned). Executions heat
   // the function's chunks — by recorded working-set hit counts once a first
   // invocation has been recorded, uniformly before that — and a sweep runs
-  // every `promotion_interval` executions, migrating hot chunks toward the
-  // byte-addressable tier.
-  void EnablePromotion(PromotionManager* promotion, uint64_t interval = 32) {
-    promotion_ = promotion;
-    promotion_interval_ = interval;
-  }
+  // every kPromotionSweepInterval executions, migrating hot chunks toward
+  // the byte-addressable tier.
+  static constexpr uint64_t kPromotionSweepInterval = 32;
+  void EnablePromotion(PromotionManager* promotion) { promotion_ = promotion; }
 
   TrEnvEngine(SandboxFactory* factory, SandboxPool* pool, MmtApi* mmt,
               SnapshotDedupStore* dedup, Options options);
@@ -144,7 +142,6 @@ class TrEnvEngine : public RestoreEngine {
   // Streams opened against non-byte-addressable pools during execution.
   std::map<FunctionInstance*, std::vector<MemoryBackend*>> open_streams_;
   PromotionManager* promotion_ = nullptr;
-  uint64_t promotion_interval_ = 32;
   uint64_t executions_since_sweep_ = 0;
   WorkingSetRecorder recorder_;
   // Work-conserving NIC window for prefetch batches: concurrent attaches on

@@ -23,7 +23,6 @@
 #include "src/common/rng.h"
 #include "src/common/time.h"
 #include "src/fault/fault_schedule.h"
-#include "src/fault/retry_policy.h"
 #include "src/obs/registry.h"
 #include "src/simkernel/types.h"
 
@@ -46,8 +45,6 @@ class FaultInjector {
   // Node whose backends are currently fetching; scopes kCxlPortDegrade
   // windows that target a single MHD port.
   void SetActiveNode(uint32_t node) { active_node_ = node; }
-
-  const RetryPolicy& retry_policy() const { return retry_; }
 
   // --- Fetch-path injection (called by MemoryBackend) -----------------------
 
@@ -124,7 +121,6 @@ class FaultInjector {
   friend class MemoryBackend;  // uses CountExhausted/CountCorrupt in FetchLatency
 
   FaultSchedule schedule_;
-  RetryPolicy retry_;
   Rng rng_;
   const EventScheduler* clock_ = nullptr;
   uint32_t active_node_ = kAnyTarget;

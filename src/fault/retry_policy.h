@@ -1,38 +1,45 @@
-// RetryPolicy: capped exponential backoff with a total deadline, all in
+// Fetch-path retry: capped exponential backoff with a total deadline, all in
 // virtual time. Wrapped around remote fetches so an RDMA flap or NAS stall
 // costs a bounded, deterministic amount of latency instead of either failing
-// the invocation or hanging it forever.
+// the invocation or hanging it forever. The constants live in
+// src/common/cost_model.h.
 #ifndef TRENV_FAULT_RETRY_POLICY_H_
 #define TRENV_FAULT_RETRY_POLICY_H_
 
+#include <algorithm>
 #include <cstdint>
 
+#include "src/common/cost_model.h"
 #include "src/common/time.h"
 
 namespace trenv {
 
-struct RetryPolicy {
-  // Attempts per fetch including the first; after the last the fetch is
-  // served fail-open (the fabric eventually delivers, we just stop modelling
-  // further flaps for it).
-  uint32_t max_attempts = 4;
-  // A failed/stalled attempt is declared dead after this long.
-  SimDuration attempt_timeout = SimDuration::Micros(500);
-  // Backoff before retry k is initial_backoff * backoff_multiplier^(k-1),
-  // capped at max_backoff.
-  SimDuration initial_backoff = SimDuration::Micros(200);
-  double backoff_multiplier = 2.0;
-  SimDuration max_backoff = SimDuration::Millis(10);
-  // Total overhead budget: once timeouts + backoffs reach the deadline, stop
-  // retrying and serve fail-open.
-  SimDuration deadline = SimDuration::Millis(50);
+// Backoff slept before retry `attempt` (1-based count of retries).
+constexpr SimDuration BackoffFor(uint32_t attempt) {
+  if (attempt == 0) {
+    return SimDuration::Zero();
+  }
+  SimDuration backoff = cost::kRetryInitialBackoff;
+  for (uint32_t i = 1; i < attempt && backoff < cost::kRetryMaxBackoff; ++i) {
+    backoff = SimDuration(backoff.nanos() * cost::kRetryBackoffMultiplier);
+  }
+  return std::min(backoff, cost::kRetryMaxBackoff);
+}
 
-  // Backoff slept before attempt `attempt` (1-based count of retries).
-  SimDuration BackoffFor(uint32_t attempt) const;
-  // Worst-case retry overhead a single fetch can accumulate on top of its
-  // successful transfer: the tests use this to bound chaos-run latency.
-  SimDuration OverheadBound() const;
-};
+// Worst-case retry overhead a single fetch can accumulate on top of its
+// successful transfer when its attempts time out: the tests use this to bound
+// chaos-run latency.
+constexpr SimDuration OverheadBound() {
+  SimDuration total;
+  for (uint32_t attempt = 1; attempt < cost::kRetryMaxAttempts; ++attempt) {
+    total = total + cost::kRetryAttemptTimeout + BackoffFor(attempt);
+  }
+  return total;
+}
+
+// Timeouts alone never reach the deadline, so it cannot cut the bound above
+// short. Only corrupted transfers, which waste a whole transfer each, can.
+static_assert(OverheadBound() < cost::kRetryDeadline);
 
 }  // namespace trenv
 

@@ -5,6 +5,7 @@
 
 #include "src/common/cost_model.h"
 #include "src/fault/fault_injector.h"
+#include "src/fault/retry_policy.h"
 
 namespace trenv {
 
@@ -120,7 +121,6 @@ SimDuration MemoryBackend::FetchThroughFaults(uint64_t npages, ComputeFn&& compu
   // receiver's checksum rejects it — then refetch). The loop is fail-open:
   // once attempts or the deadline are exhausted the fabric is assumed to
   // deliver, so injected faults degrade latency but never lose pages.
-  const RetryPolicy& policy = injector_->retry_policy();
   SimDuration overhead;
   for (uint32_t attempt = 0;; ++attempt) {
     const FaultInjector::FetchFault fault =
@@ -133,13 +133,13 @@ SimDuration MemoryBackend::FetchThroughFaults(uint64_t npages, ComputeFn&& compu
       injector_->CountCorrupt();
       overhead += transfer;  // the bad payload crossed the wire before the check caught it
     } else {
-      overhead += policy.attempt_timeout;
+      overhead += cost::kRetryAttemptTimeout;
     }
-    if (attempt + 1 >= policy.max_attempts || overhead >= policy.deadline) {
+    if (attempt + 1 >= cost::kRetryMaxAttempts || overhead >= cost::kRetryDeadline) {
       injector_->CountExhausted();
       return overhead + compute() * fault.latency_multiplier;
     }
-    overhead += policy.BackoffFor(attempt + 1);
+    overhead += BackoffFor(attempt + 1);
     injector_->CountRetry();
   }
 }

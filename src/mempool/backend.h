@@ -101,7 +101,7 @@ class MemoryBackend {
   // one scatter-gather operation (working-set prefetch). The base round trip
   // is paid once and amortized across the whole batch — far cheaper than
   // `nruns` separate FetchLatency calls — with a per-run descriptor cost for
-  // fragmentation. Runs through the same FaultInjector/RetryPolicy chaos
+  // fragmentation. Runs through the same FaultInjector/fetch-retry chaos
   // loop as FetchLatency and counts into the bound stats.
   SimDuration BulkFetchLatency(uint64_t nruns, uint64_t npages);
   // Binds "pool.<name>.fetch_ops" / "pool.<name>.fetch_pages" counters so

@@ -6,7 +6,7 @@ Status CxlPool::AttachNode(uint32_t node_id) {
   if (attached_.contains(node_id)) {
     return Status::AlreadyExists("node already attached to CXL pool");
   }
-  if (attached_.size() >= port_count_) {
+  if (attached_.size() >= kPortCount) {
     return Status::ResourceExhausted("all CXL device ports in use");
   }
   attached_.insert(node_id);

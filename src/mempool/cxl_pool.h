@@ -17,10 +17,11 @@ namespace trenv {
 
 class CxlPool : public MemoryBackend {
  public:
-  // port_count: CXL 2.0 multi-headed devices expose a fixed number of host
-  // ports (the commercial solution cited in the paper supports 12).
-  explicit CxlPool(uint64_t capacity_bytes, uint32_t port_count = 12)
-      : MemoryBackend(capacity_bytes), port_count_(port_count) {}
+  // CXL 2.0 multi-headed devices expose a fixed number of host ports (the
+  // commercial solution cited in the paper supports 12).
+  static constexpr uint32_t kPortCount = 12;
+
+  explicit CxlPool(uint64_t capacity_bytes) : MemoryBackend(capacity_bytes) {}
 
   PoolKind kind() const override { return PoolKind::kCxl; }
   std::string_view name() const override { return "cxl-mhd"; }
@@ -30,7 +31,6 @@ class CxlPool : public MemoryBackend {
   Status AttachNode(uint32_t node_id);
   Status DetachNode(uint32_t node_id);
   uint32_t attached_nodes() const { return static_cast<uint32_t>(attached_.size()); }
-  uint32_t port_count() const { return port_count_; }
 
   SimDuration DirectLoadLatency() const override { return cost::kCxlLoadLatency; }
 
@@ -43,7 +43,6 @@ class CxlPool : public MemoryBackend {
   }
 
  private:
-  uint32_t port_count_;
   std::set<uint32_t> attached_;
 };
 

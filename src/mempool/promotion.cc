@@ -4,20 +4,13 @@
 
 namespace trenv {
 
-PromotionManager::PromotionManager(TieredPool* pool, MmTemplateRegistry* templates,
-                                   Options options)
-    : pool_(pool), templates_(templates), options_(options) {}
-
 void PromotionManager::RecordAccess(const PoolPlacement& placement, uint64_t touches) {
   if (touches == 0 || placement.npages == 0 || pool_->tier_count() == 0) {
     return;
   }
-  // Chunks below the hottest tier are promotion candidates. Hot-tier chunks
-  // are tracked only when a demotion budget is live — their (decayed) heat
-  // decides which ones get churned out when the tier is over budget.
-  if (placement.kind == pool_->tier(0)->kind() && options_.hot_tier_budget_pages == 0) {
-    return;
-  }
+  // Chunks below the hottest tier are promotion candidates; the halved heat
+  // of hot-tier chunks decides which ones get churned out when the tier is
+  // over budget.
   heat_[ChunkKey{placement.kind, placement.base, placement.npages}] += touches;
 }
 
@@ -86,15 +79,13 @@ bool PromotionManager::ApplyMove(const ChunkKey& key, uint64_t heat, bool up,
   const bool byte_addressable = pool_->TierFor(move.to.kind) != nullptr &&
                                 pool_->TierFor(move.to.kind)->byte_addressable();
   templates_->ForEach([&](MmTemplate& tmpl) {
-    if (RemapBacking(tmpl.page_table(), move.from, move.to, byte_addressable) > 0) {
+    if (RemapBacking(tmpl.mm().page_table(), move.from, move.to, byte_addressable) > 0) {
       ++move.templates_rewritten;
     }
   });
-  if (options_.hot_tier_budget_pages > 0) {
-    // Demotion live: keep tracking the chunk under its new placement so it
-    // stays eligible for future moves in either direction.
-    heat_[ChunkKey{move.to.kind, move.to.base, move.to.npages}] = heat;
-  }
+  // Keep tracking the chunk under its new placement so it stays eligible for
+  // future moves in either direction.
+  heat_[ChunkKey{move.to.kind, move.to.base, move.to.npages}] = heat;
   heat_.erase(key);
   if (up) {
     ++promoted_chunks_;
@@ -110,19 +101,17 @@ std::vector<PromotionManager::Move> PromotionManager::Sweep() {
   if (pool_->tier_count() == 0) {
     return moves;
   }
-  if (options_.heat_decay < 1.0) {
-    for (auto& [key, heat] : heat_) {
-      heat = static_cast<uint64_t>(static_cast<double>(heat) * options_.heat_decay);
-    }
-    // Zero-heat entries stay tracked: for hot-tier chunks they are exactly
-    // the coldest demotion candidates.
+  // Halve every chunk's heat. Zero-heat entries stay tracked: for hot-tier
+  // chunks they are exactly the coldest demotion candidates.
+  for (auto& [key, heat] : heat_) {
+    heat /= 2;
   }
   const PoolKind hot_kind = pool_->tier(0)->kind();
 
   // Hottest-first candidates over the threshold.
   std::vector<std::pair<uint64_t, ChunkKey>> candidates;
   for (const auto& [key, heat] : heat_) {
-    if (key.kind != hot_kind && heat >= options_.promote_threshold) {
+    if (key.kind != hot_kind && heat >= kPromoteThreshold) {
       candidates.emplace_back(heat, key);
     }
   }
@@ -131,7 +120,7 @@ std::vector<PromotionManager::Move> PromotionManager::Sweep() {
 
   size_t promoted = 0;
   for (const auto& [heat, key] : candidates) {
-    if (promoted >= options_.max_promotions_per_sweep) {
+    if (promoted >= kMaxPromotionsPerSweep) {
       break;
     }
     if (ApplyMove(key, heat, /*up=*/true, &moves)) {
@@ -141,7 +130,7 @@ std::vector<PromotionManager::Move> PromotionManager::Sweep() {
 
   // Budget-driven demotion: churn the coldest hot-tier chunks out until the
   // tier fits (coldest-first; key order breaks heat ties deterministically).
-  if (options_.hot_tier_budget_pages > 0 && pool_->tier_count() > 1) {
+  if (pool_->tier_count() > 1) {
     uint64_t hot_pages = 0;
     std::vector<std::pair<uint64_t, ChunkKey>> coldest;
     for (const auto& [key, heat] : heat_) {
@@ -149,7 +138,7 @@ std::vector<PromotionManager::Move> PromotionManager::Sweep() {
         continue;
       }
       hot_pages += key.npages;
-      if (heat < options_.demote_threshold) {
+      if (heat < kDemoteThreshold) {
         coldest.emplace_back(heat, key);
       }
     }
@@ -158,8 +147,7 @@ std::vector<PromotionManager::Move> PromotionManager::Sweep() {
     });
     size_t demoted = 0;
     for (const auto& [heat, key] : coldest) {
-      if (hot_pages <= options_.hot_tier_budget_pages ||
-          demoted >= options_.max_demotions_per_sweep) {
+      if (hot_pages <= kHotTierBudgetPages || demoted >= kMaxDemotionsPerSweep) {
         break;
       }
       if (ApplyMove(key, heat, /*up=*/false, &moves)) {

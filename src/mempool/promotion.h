@@ -2,10 +2,11 @@
 // paper Fig 1 and section 9.5 — "a multi-layered architecture that
 // strategically places hot pages in CXL and cold pages in RDMA integrates
 // seamlessly with our approach". Tracks per-chunk access counts reported by
-// the engines and migrates the hottest cold-tier chunks upward; templates
-// referencing moved chunks are rewritten in place (all pool state is
-// read-only, so migration is a copy + PTE rewrite, never a coherence
-// problem).
+// the engines, halves them every sweep, migrates the hottest cold-tier chunks
+// upward and, once the hot tier is over its budget, the coldest hot-tier
+// chunks back down. Templates referencing moved chunks are rewritten in place
+// (all pool state is read-only, so migration is a copy + PTE rewrite, never a
+// coherence problem). The constants are T-DRAM-live's (src/platform/testbed).
 #ifndef TRENV_MEMPOOL_PROMOTION_H_
 #define TRENV_MEMPOOL_PROMOTION_H_
 
@@ -21,29 +22,22 @@ namespace trenv {
 
 class PromotionManager {
  public:
-  struct Options {
-    // Accesses a chunk must accumulate before it is promotion-eligible.
-    uint64_t promote_threshold = 4;
-    // Chunks moved per sweep (bounds the migration burst).
-    size_t max_promotions_per_sweep = 16;
-    // Multiplicative per-sweep heat decay in (0, 1]. 1.0 (default) keeps the
-    // historical accumulate-forever counters; below 1.0 heat ages out, so a
-    // chunk must keep earning its tier.
-    double heat_decay = 1.0;
-    // Live demotion: when the hottest tier holds more than this many tracked
-    // pages, the coldest hot-tier chunks move back down at sweep time.
-    // 0 (default) disables demotion entirely (historical behaviour).
-    uint64_t hot_tier_budget_pages = 0;
-    // A hot-tier chunk is demotion-eligible only while its decayed heat sits
-    // below this (recently-hot chunks are never churned out).
-    uint64_t demote_threshold = 2;
-    // Chunks moved down per sweep (bounds the migration burst).
-    size_t max_demotions_per_sweep = 16;
-  };
+  // A non-hot-tier chunk is promoted once its heat, halved by the sweep,
+  // is at least this.
+  static constexpr uint64_t kPromoteThreshold = 4;
+  // Chunks moved up, and chunks moved down, per sweep (bounds the migration
+  // burst).
+  static constexpr size_t kMaxPromotionsPerSweep = 16;
+  static constexpr size_t kMaxDemotionsPerSweep = 16;
+  // When the hottest tier holds more than this many tracked pages (128 MiB),
+  // the coldest hot-tier chunks move back down at sweep time.
+  static constexpr uint64_t kHotTierBudgetPages = 32 * 1024;
+  // A hot-tier chunk is demotion-eligible only while its halved heat sits
+  // below this (recently-hot chunks are never churned out).
+  static constexpr uint64_t kDemoteThreshold = 2;
 
-  PromotionManager(TieredPool* pool, MmTemplateRegistry* templates, Options options);
   PromotionManager(TieredPool* pool, MmTemplateRegistry* templates)
-      : PromotionManager(pool, templates, Options{}) {}
+      : pool_(pool), templates_(templates) {}
 
   // Records that `touches` accesses hit the chunk at `placement`.
   void RecordAccess(const PoolPlacement& placement, uint64_t touches);
@@ -55,11 +49,11 @@ class PromotionManager {
     uint64_t templates_rewritten = 0;
   };
 
-  // Decays heat, promotes up to max_promotions_per_sweep of the hottest
-  // eligible chunks, then (with a hot-tier budget configured) demotes the
-  // coldest hot-tier chunks until the tier fits its budget. Every registered
-  // template that mapped a moved chunk is rewritten. Returns all moves
-  // performed, promotions first (empty when nothing is eligible).
+  // Halves every chunk's heat, promotes up to kMaxPromotionsPerSweep of the
+  // hottest eligible chunks, then demotes the coldest hot-tier chunks until
+  // the tier fits its budget. Every registered template that mapped a moved
+  // chunk is rewritten. Returns all moves performed, promotions first (empty
+  // when nothing is eligible).
   std::vector<Move> Sweep();
 
   uint64_t promoted_chunks() const { return promoted_chunks_; }
@@ -79,7 +73,6 @@ class PromotionManager {
 
   TieredPool* pool_;
   MmTemplateRegistry* templates_;
-  Options options_;
   std::map<ChunkKey, uint64_t> heat_;
   uint64_t promoted_chunks_ = 0;
   uint64_t demoted_chunks_ = 0;

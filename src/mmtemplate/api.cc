@@ -55,7 +55,7 @@ Status MmtApi::MmtAddMap(MmtId id, Vaddr addr, uint64_t length, Protection prot,
   vma.file_id = file_id;
   vma.file_offset = file_offset;
   vma.name = name.empty() ? (file_id >= 0 ? "file-map" : "anon-map") : std::move(name);
-  return tmpl->AddVma(std::move(vma));
+  return tmpl->mm().AddVma(std::move(vma));
 }
 
 Result<MmtSetupResult> MmtApi::MmtSetupPt(MmtId id, Vaddr addr, uint64_t length,
@@ -68,8 +68,8 @@ Result<MmtSetupResult> MmtApi::MmtSetupPt(MmtId id, Vaddr addr, uint64_t length,
     return Status::InvalidArgument("setup_pt range must be non-empty and page aligned");
   }
   // The whole range must lie within one recorded VMA, as CRIU drives it.
-  const Vma* vma = tmpl->FindVma(addr);
-  const Vma* vma_end = tmpl->FindVma(addr + length - 1);
+  const Vma* vma = tmpl->mm().FindVma(addr);
+  const Vma* vma_end = tmpl->mm().FindVma(addr + length - 1);
   if (vma == nullptr || vma != vma_end) {
     return Status::FailedPrecondition("setup_pt range not covered by a single mmt_add_map");
   }
@@ -88,7 +88,7 @@ Result<MmtSetupResult> MmtApi::MmtSetupPt(MmtId id, Vaddr addr, uint64_t length,
   // are plain loads; message pools (RDMA/NAS) get invalid lazy PTEs.
   flags.valid = backend->byte_addressable();
   flags.write_protected = true;
-  tmpl->page_table().MapRange(AddrToVpn(addr), npages, flags, pool_offset, content_base);
+  tmpl->mm().page_table().MapRange(AddrToVpn(addr), npages, flags, pool_offset, content_base);
   if (!flags.valid) {
     tmpl->AddLazyPages(npages);
   }
@@ -114,29 +114,29 @@ Result<MmtAttachResult> MmtApi::MmtAttach(MmtId id, MmStruct* target) {
   // metadata, and cloning an owner/dirty bit would fork the single-writer
   // protocol into every attached sandbox.
   bool clean = true;
-  tmpl->page_table().ForEachRun([&clean](Vpn, const PteRun& run) {
+  tmpl->mm().page_table().ForEachRun([&clean](Vpn, const PteRun& run) {
     clean = clean && !run.flags.shared && !run.flags.owner && !run.flags.dirty;
   });
   if (!clean) {
     return Status::Internal("template page table carries shared-region PTE bits");
   }
   // Validate first so a failed attach leaves the target untouched.
-  for (const auto& [start, vma] : tmpl->vmas()) {
+  for (const auto& [start, vma] : tmpl->mm().vmas()) {
     const Vma* existing = target->FindVma(vma.start);
     const Vma* existing_end = target->FindVma(vma.end() - 1);
     if (existing != nullptr || existing_end != nullptr) {
       return Status::AlreadyExists("target already maps a template range: " + vma.name);
     }
   }
-  for (const auto& [start, vma] : tmpl->vmas()) {
+  for (const auto& [start, vma] : tmpl->mm().vmas()) {
     TRENV_RETURN_IF_ERROR(target->AddVma(vma));
   }
-  target->page_table().CloneFrom(tmpl->page_table());
+  target->page_table().CloneFrom(tmpl->mm().page_table());
   tmpl->RecordAttach();
 
   MmtAttachResult result;
   result.metadata_bytes = tmpl->MetadataBytes();
-  result.mapped_pages = tmpl->MappedPages();
+  result.mapped_pages = tmpl->mm().page_table().mapped_pages();
   result.lazy_pages = tmpl->lazy_pages();
   result.latency =
       cost::kMmtIoctl + SimDuration::FromSecondsF(static_cast<double>(result.metadata_bytes) /

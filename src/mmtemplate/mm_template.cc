@@ -2,36 +2,9 @@
 
 namespace trenv {
 
-Status MmTemplate::AddVma(Vma vma) {
-  if (!IsPageAligned(vma.start) || !IsPageAligned(vma.length) || vma.length == 0) {
-    return Status::InvalidArgument("template VMA must be non-empty and page aligned");
-  }
-  auto next = vmas_.lower_bound(vma.start);
-  if (next != vmas_.end() && vma.Overlaps(next->second.start, next->second.length)) {
-    return Status::AlreadyExists("template VMA overlaps " + next->second.name);
-  }
-  if (next != vmas_.begin()) {
-    auto prev = std::prev(next);
-    if (vma.Overlaps(prev->second.start, prev->second.length)) {
-      return Status::AlreadyExists("template VMA overlaps " + prev->second.name);
-    }
-  }
-  vmas_.emplace(vma.start, std::move(vma));
-  return Status::Ok();
-}
-
-const Vma* MmTemplate::FindVma(Vaddr addr) const {
-  auto it = vmas_.upper_bound(addr);
-  if (it == vmas_.begin()) {
-    return nullptr;
-  }
-  --it;
-  return it->second.Contains(addr) ? &it->second : nullptr;
-}
-
 uint64_t MmTemplate::MetadataBytes() const {
   constexpr uint64_t kPerVmaBytes = 184;  // sizeof(vm_area_struct) on x86-64
-  return kPerVmaBytes * vmas_.size() + table_.MetadataBytes();
+  return kPerVmaBytes * mm_.vma_count() + mm_.page_table().MetadataBytes();
 }
 
 }  // namespace trenv

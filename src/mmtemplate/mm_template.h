@@ -8,13 +8,9 @@
 #define TRENV_MMTEMPLATE_MM_TEMPLATE_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
 
-#include "src/common/status.h"
-#include "src/simkernel/page_table.h"
-#include "src/simkernel/vma.h"
+#include "src/simkernel/mm_struct.h"
 
 namespace trenv {
 
@@ -30,21 +26,16 @@ class MmTemplate {
   MmtId id() const { return id_; }
   const std::string& name() const { return name_; }
 
-  Status AddVma(Vma vma);
-  const std::map<Vaddr, Vma>& vmas() const { return vmas_; }
-  const Vma* FindVma(Vaddr addr) const;
-
-  PageTable& page_table() { return table_; }
-  const PageTable& page_table() const { return table_; }
+  // The template's VMAs and page table: an address space bound to no
+  // process, whose every mapping is remote and write-protected.
+  MmStruct& mm() { return mm_; }
+  const MmStruct& mm() const { return mm_; }
 
   // Size of the metadata copied by an attach: VMA records + PTE runs.
   uint64_t MetadataBytes() const;
 
   uint64_t attach_count() const { return attach_count_; }
   void RecordAttach() { ++attach_count_; }
-
-  // Total pages the template maps (all remote, by construction).
-  uint64_t MappedPages() const { return table_.mapped_pages(); }
 
   // Pages mapped with invalid lazy PTEs (message-model pools), maintained by
   // MmtSetupPt so attach needn't rescan the page table.
@@ -54,8 +45,7 @@ class MmTemplate {
  private:
   MmtId id_;
   std::string name_;
-  std::map<Vaddr, Vma> vmas_;
-  PageTable table_;
+  MmStruct mm_;
   uint64_t attach_count_ = 0;
   uint64_t lazy_pages_ = 0;
 };

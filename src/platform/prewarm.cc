@@ -25,7 +25,7 @@ void PrewarmPolicy::RecordArrival(FunctionId function, SimTime now) {
     const double it_s = (now - state.last_arrival).seconds();
     if (it_s >= 0) {
       state.inter_arrival_s.push_back(it_s);
-      while (state.inter_arrival_s.size() > options_.window) {
+      while (state.inter_arrival_s.size() > kWindow) {
         state.inter_arrival_s.pop_front();
       }
     }

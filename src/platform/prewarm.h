@@ -24,13 +24,8 @@ namespace trenv {
 
 class PrewarmPolicy {
  public:
-  struct Options {
-    // Observations kept per function (sliding window).
-    size_t window = 64;
-  };
-
-  PrewarmPolicy() : PrewarmPolicy(Options{}) {}
-  explicit PrewarmPolicy(Options options) : options_(options) {}
+  // Observations kept per function (sliding window).
+  static constexpr size_t kWindow = 64;
 
   // Records an invocation arrival for `function`.
   void RecordArrival(FunctionId function, SimTime now);
@@ -54,7 +49,6 @@ class PrewarmPolicy {
   // Percentile over the sliding window (returns 0 when empty).
   static double PercentileOf(const std::deque<double>& samples, double p);
 
-  Options options_;
   // Never iterated, so hash order cannot reach any output.
   std::unordered_map<FunctionId, FunctionState> functions_;
 };

@@ -147,14 +147,10 @@ Testbed::Testbed(SystemKind system, PlatformConfig config)
       break;
   }
   if (system_ == SystemKind::kTrEnvDramLive) {
-    PromotionManager::Options live;
-    live.promote_threshold = 4;
-    live.heat_decay = 0.5;
-    // DRAM budget well under the pinned-split's tmpfs usage: the policy must
-    // choose which chunks deserve node DRAM rather than pinning them all.
-    live.hot_tier_budget_pages = 32 * 1024;  // 128 MiB
-    live.demote_threshold = 2;
-    promotion_ = std::make_unique<PromotionManager>(&tiered_, &mmt_->registry(), live);
+    // The hot-tier budget sits well under the pinned split's tmpfs usage: the
+    // policy must choose which chunks deserve node DRAM rather than pinning
+    // them all.
+    promotion_ = std::make_unique<PromotionManager>(&tiered_, &mmt_->registry());
     static_cast<TrEnvEngine*>(engine_.get())->EnablePromotion(promotion_.get());
   }
   // The trace process defaults to the evaluated system's name, so multi-

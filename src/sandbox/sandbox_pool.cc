@@ -3,7 +3,7 @@
 namespace trenv {
 
 bool SandboxPool::Put(std::unique_ptr<Sandbox> sandbox) {
-  if (idle_.size() >= max_idle_) {
+  if (idle_.size() >= kMaxIdle) {
     return false;
   }
   idle_.push_back(std::move(sandbox));

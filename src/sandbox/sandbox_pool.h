@@ -20,7 +20,8 @@ namespace trenv {
 
 class SandboxPool {
  public:
-  explicit SandboxPool(size_t max_idle = 256) : max_idle_(max_idle) {}
+  // Idle sandboxes the pool parks at most.
+  static constexpr size_t kMaxIdle = 256;
 
   // Parks a cleansed sandbox. Returns false (and drops it) if the pool is at
   // capacity.
@@ -54,7 +55,6 @@ class SandboxPool {
   }
 
  private:
-  size_t max_idle_;
   std::deque<std::unique_ptr<Sandbox>> idle_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

@@ -96,18 +96,23 @@ TEST_F(DedupTest, IdenticalRegionsStoredOnce) {
 }
 
 TEST_F(DedupTest, PlacementsCoverRegionsInOrder) {
-  SnapshotDedupStore store(&tiered_, /*chunk_pages=*/64);
-  auto image = store.Store(Checkpoint(SmallFn("f", "python", 10)));
+  SnapshotDedupStore store(&tiered_);
+  auto image = store.Store(Checkpoint(SmallFn("f", "python", 100)));
   ASSERT_TRUE(image.ok());
+  bool split = false;
   for (const auto& process : image->processes) {
     for (const auto& placed : process) {
       uint64_t chunk_pages = 0;
       for (const auto& chunk : placed.chunks) {
+        EXPECT_LE(chunk.npages, SnapshotDedupStore::kChunkPages);
         chunk_pages += chunk.npages;
       }
       EXPECT_EQ(chunk_pages, placed.region.npages);
+      split = split || placed.chunks.size() > 1;
     }
   }
+  // Some region is larger than one chunk, so splitting was exercised.
+  EXPECT_TRUE(split);
 }
 
 TEST_F(DedupTest, ContentActuallyInPool) {
@@ -646,14 +651,13 @@ TEST_F(EngineTest, TrEnvPromotionHeatsByRecordedWorkingSet) {
   tiered.AddTier(&cxl_);
   tiered.AddTier(&rdma_);
   SnapshotDedupStore dedup(&tiered);
-  PromotionManager promotion(&tiered, &mmt_.registry(),
-                             PromotionManager::Options{.promote_threshold = 3,
-                                                       .max_promotions_per_sweep = 64});
+  PromotionManager promotion(&tiered, &mmt_.registry());
   TrEnvEngine engine(&factory_, &pool_, &mmt_, &dedup);
-  engine.EnablePromotion(&promotion, /*interval=*/4);
+  engine.EnablePromotion(&promotion);
   ASSERT_TRUE(engine.Prepare(profile_).ok());
   RestoreContext ctx = Ctx();
-  for (int i = 0; i < 8; ++i) {
+  // Two sweeps.
+  for (uint64_t i = 0; i < 2 * TrEnvEngine::kPromotionSweepInterval; ++i) {
     auto outcome = engine.Restore(profile_, ctx);
     ASSERT_TRUE(outcome.ok());
     ASSERT_TRUE(engine.OnExecute(profile_, *outcome->instance, ctx).ok());
@@ -671,9 +675,9 @@ TEST_F(EngineTest, TrEnvPromotionHeatsByRecordedWorkingSet) {
   uint64_t cxl_pages = 0;
   uint64_t rdma_pages = 0;
   mmt_.registry().ForEach([&](MmTemplate& tmpl) {
-    cxl_pages += tmpl.page_table().CountPagesIf(
+    cxl_pages += tmpl.mm().page_table().CountPagesIf(
         [](const PteFlags& f) { return f.pool == PoolKind::kCxl; });
-    rdma_pages += tmpl.page_table().CountPagesIf(
+    rdma_pages += tmpl.mm().page_table().CountPagesIf(
         [](const PteFlags& f) { return f.pool == PoolKind::kRdma; });
   });
   EXPECT_GT(cxl_pages, 0u);

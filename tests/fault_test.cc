@@ -7,6 +7,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/common/cost_model.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_schedule.h"
 #include "src/fault/retry_policy.h"
@@ -18,29 +19,23 @@ namespace trenv {
 namespace {
 
 // ---------------------------------------------------------------------------
-// RetryPolicy unit behaviour.
+// Fetch-retry backoff and overhead bound.
 
 TEST(RetryPolicyTest, BackoffGrowsExponentiallyAndCaps) {
-  RetryPolicy policy;
-  policy.initial_backoff = SimDuration::Micros(100);
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff = SimDuration::Micros(350);
-  EXPECT_EQ(policy.BackoffFor(0), SimDuration::Zero());
-  EXPECT_EQ(policy.BackoffFor(1), SimDuration::Micros(100));
-  EXPECT_EQ(policy.BackoffFor(2), SimDuration::Micros(200));
-  EXPECT_EQ(policy.BackoffFor(3), SimDuration::Micros(350));  // capped, not 400
-  EXPECT_EQ(policy.BackoffFor(9), SimDuration::Micros(350));
+  EXPECT_EQ(BackoffFor(0), SimDuration::Zero());
+  EXPECT_EQ(BackoffFor(1), cost::kRetryInitialBackoff);  // 200 us
+  EXPECT_EQ(BackoffFor(2), SimDuration::Micros(400));
+  EXPECT_EQ(BackoffFor(3), SimDuration::Micros(800));
+  EXPECT_EQ(BackoffFor(6), SimDuration::Micros(6400));
+  EXPECT_EQ(BackoffFor(7), cost::kRetryMaxBackoff);  // 12.8 ms, capped at 10 ms
+  EXPECT_EQ(BackoffFor(40), cost::kRetryMaxBackoff);
 }
 
 TEST(RetryPolicyTest, OverheadBoundCoversWorstCaseRetrySequence) {
-  RetryPolicy policy;  // defaults: 4 attempts, 500us timeout, 200us backoff x2
-  const SimDuration bound = policy.OverheadBound();
-  // Three retries: 3 timeouts + backoffs of 200/400/800 us = 2.9 ms.
-  EXPECT_EQ(bound, SimDuration::Micros(3 * 500 + 200 + 400 + 800));
-  // A tight deadline dominates instead.
-  policy.deadline = SimDuration::Micros(600);
-  EXPECT_EQ(policy.OverheadBound(),
-            policy.deadline + policy.attempt_timeout + policy.max_backoff);
+  // Three retries: 3 timeouts + backoffs of 200/400/800 us = 2.9 ms, well
+  // inside the deadline.
+  EXPECT_EQ(OverheadBound(), SimDuration::Micros(3 * 500 + 200 + 400 + 800));
+  EXPECT_LT(OverheadBound(), cost::kRetryDeadline);
 }
 
 // ---------------------------------------------------------------------------
@@ -155,8 +150,7 @@ TEST(FaultBackendTest, RetryBoundsFetchLatencyUnderRdmaFlaps) {
   injector.BindClock(&clock);
   RdmaPool rdma(kGiB);
   rdma.BindFaultInjector(&injector);
-  const SimDuration bound =
-      injector.retry_policy().OverheadBound() + SimDuration::Millis(1);
+  const SimDuration bound = OverheadBound() + SimDuration::Millis(1);
   for (int i = 0; i < 2000; ++i) {
     const SimDuration latency = rdma.FetchLatency(1);
     EXPECT_GT(latency, SimDuration::Zero());
@@ -181,8 +175,8 @@ TEST(FaultBackendTest, CorruptionWastesTransfersThenFailsOpen) {
   // fail-open transfer delivers — at least (attempts+1)x the clean latency.
   NasPool clean(kGiB);
   const SimDuration base = clean.FetchLatency(4);
-  EXPECT_GE(faulty, base * static_cast<double>(injector.retry_policy().max_attempts));
-  EXPECT_EQ(injector.corrupt_fetches(), injector.retry_policy().max_attempts);
+  EXPECT_GE(faulty, base * static_cast<double>(cost::kRetryMaxAttempts));
+  EXPECT_EQ(injector.corrupt_fetches(), cost::kRetryMaxAttempts);
   EXPECT_EQ(injector.exhausted_fetches(), 1u);
 }
 

@@ -179,13 +179,15 @@ TEST(BlockAllocatorTest, FreeListCoalescingUnderChurn) {
 }
 
 TEST(CxlPoolTest, PortLimitEnforced) {
-  CxlPool pool(kGiB, /*port_count=*/2);
-  EXPECT_TRUE(pool.AttachNode(1).ok());
-  EXPECT_TRUE(pool.AttachNode(2).ok());
-  EXPECT_EQ(pool.AttachNode(3).code(), StatusCode::kResourceExhausted);
+  CxlPool pool(kGiB);
+  for (uint32_t node = 1; node <= CxlPool::kPortCount; ++node) {
+    EXPECT_TRUE(pool.AttachNode(node).ok());
+  }
+  const uint32_t extra = CxlPool::kPortCount + 1;
+  EXPECT_EQ(pool.AttachNode(extra).code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(pool.AttachNode(1).code(), StatusCode::kAlreadyExists);
   EXPECT_TRUE(pool.DetachNode(1).ok());
-  EXPECT_TRUE(pool.AttachNode(3).ok());
+  EXPECT_TRUE(pool.AttachNode(extra).ok());
 }
 
 TEST(CxlPoolTest, ByteAddressableWithSubMicrosecondLoads) {

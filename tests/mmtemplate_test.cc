@@ -75,7 +75,7 @@ TEST_F(MmtApiTest, CxlTemplateInstallsValidWriteProtectedPtes) {
   MmtId id = BuildSimpleTemplate(16, 100, nullptr);
   auto tmpl = api_.registry().Lookup(id);
   ASSERT_TRUE(tmpl.ok());
-  auto pte = (*tmpl)->page_table().Lookup(AddrToVpn(kHeap));
+  auto pte = (*tmpl)->mm().page_table().Lookup(AddrToVpn(kHeap));
   ASSERT_TRUE(pte.has_value());
   EXPECT_TRUE(pte->flags.valid);
   EXPECT_TRUE(pte->flags.write_protected);
@@ -91,7 +91,7 @@ TEST_F(MmtApiTest, RdmaTemplateInstallsInvalidLazyPtes) {
   ASSERT_TRUE(rdma_.WriteContent(*base, 8, 700).ok());
   ASSERT_TRUE(api_.MmtSetupPt(id, kHeap, 8 * kPageSize, *base, PoolKind::kRdma).ok());
   auto tmpl = api_.registry().Lookup(id);
-  auto pte = (*tmpl)->page_table().Lookup(AddrToVpn(kHeap));
+  auto pte = (*tmpl)->mm().page_table().Lookup(AddrToVpn(kHeap));
   ASSERT_TRUE(pte.has_value());
   EXPECT_FALSE(pte->flags.valid);
   EXPECT_EQ(pte->flags.pool, PoolKind::kRdma);

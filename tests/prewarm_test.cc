@@ -55,21 +55,20 @@ TEST(PrewarmPolicyTest, RefusesToPredictDispersedArrivals) {
 }
 
 TEST(PrewarmPolicyTest, SlidingWindowForgetsOldBehaviour) {
-  PrewarmPolicy::Options options;
-  options.window = 16;
-  PrewarmPolicy policy(options);
+  PrewarmPolicy policy;
+  const size_t phase = PrewarmPolicy::kWindow + 16;
   SimTime t;
-  // Old phase: 20-minute gaps.
-  for (int i = 0; i < 20; ++i) {
+  // Old phase: 20-minute gaps, more than the window holds.
+  for (size_t i = 0; i < phase; ++i) {
     policy.RecordArrival(InternFunction("fn"), t);
     t += SimDuration::Minutes(20);
   }
   // New phase: 5-second gaps, enough to flush the window.
-  for (int i = 0; i < 20; ++i) {
+  for (size_t i = 0; i < phase; ++i) {
     policy.RecordArrival(InternFunction("fn"), t);
     t += SimDuration::Seconds(5);
   }
-  EXPECT_EQ(policy.ObservationCount(InternFunction("fn")), 16u);
+  EXPECT_EQ(policy.ObservationCount(InternFunction("fn")), PrewarmPolicy::kWindow);
   EXPECT_LT(policy.KeepAliveFor(InternFunction("fn")), SimDuration::Minutes(1));
 }
 

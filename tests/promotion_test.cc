@@ -6,7 +6,9 @@
 #include "src/mempool/promotion.h"
 #include "src/mempool/rdma_pool.h"
 #include "src/mmtemplate/api.h"
+#include "src/platform/testbed.h"
 #include "src/simkernel/fault_handler.h"
+#include "src/workload/arrival.h"
 
 namespace trenv {
 namespace {
@@ -41,16 +43,19 @@ class PromotionTest : public ::testing::Test {
 };
 
 constexpr Vaddr kAddr = 0x40000000;
+// Every sweep halves heat before it checks the threshold, so this many
+// touches just reach it.
+constexpr uint64_t kHot = 2 * PromotionManager::kPromoteThreshold;
 
 TEST_F(PromotionTest, ColdChunkPromotesAfterThreshold) {
-  PromotionManager manager(&tiered_, &api_.registry(),
-                           PromotionManager::Options{.promote_threshold = 3});
+  PromotionManager manager(&tiered_, &api_.registry());
   MmtId id = api_.MmtCreate("fn");
   PoolPlacement cold = MakeColdChunk(id, kAddr, 32, 0x7007);
 
-  manager.RecordAccess(cold, 1);
-  EXPECT_TRUE(manager.Sweep().empty());  // below threshold
-  manager.RecordAccess(cold, 2);
+  manager.RecordAccess(cold, kHot - 1);
+  EXPECT_TRUE(manager.Sweep().empty());  // halved below the threshold
+  // The halved heat carries over: (kHot / 2 - 1 + kHot / 2 + 1) / 2 reaches it.
+  manager.RecordAccess(cold, kHot / 2 + 1);
   auto moves = manager.Sweep();
   ASSERT_EQ(moves.size(), 1u);
   EXPECT_EQ(moves[0].from.kind, PoolKind::kRdma);
@@ -65,11 +70,10 @@ TEST_F(PromotionTest, ColdChunkPromotesAfterThreshold) {
 }
 
 TEST_F(PromotionTest, PromotedTemplateServesDirectReads) {
-  PromotionManager manager(&tiered_, &api_.registry(),
-                           PromotionManager::Options{.promote_threshold = 1});
+  PromotionManager manager(&tiered_, &api_.registry());
   MmtId id = api_.MmtCreate("fn");
   PoolPlacement cold = MakeColdChunk(id, kAddr, 16, 0xCAFE);
-  manager.RecordAccess(cold, 5);
+  manager.RecordAccess(cold, kHot);
   ASSERT_EQ(manager.Sweep().size(), 1u);
 
   // Fresh attach after the sweep: reads are now zero-fault CXL loads.
@@ -85,57 +89,59 @@ TEST_F(PromotionTest, PromotedTemplateServesDirectReads) {
 }
 
 TEST_F(PromotionTest, AlreadyAttachedTemplatesAreRewrittenToo) {
-  PromotionManager manager(&tiered_, &api_.registry(),
-                           PromotionManager::Options{.promote_threshold = 1});
+  PromotionManager manager(&tiered_, &api_.registry());
   MmtId id = api_.MmtCreate("fn");
   PoolPlacement cold = MakeColdChunk(id, kAddr, 8, 0xBEAD);
-  manager.RecordAccess(cold, 9);
+  manager.RecordAccess(cold, kHot);
   ASSERT_EQ(manager.Sweep().size(), 1u);
   // The TEMPLATE is rewritten; an mm attached before the sweep keeps its
   // lazy RDMA view until re-attached (templates are the unit of sharing).
   auto tmpl = api_.registry().Lookup(id);
   ASSERT_TRUE(tmpl.ok());
-  auto pte = (*tmpl)->page_table().Lookup(AddrToVpn(kAddr));
+  auto pte = (*tmpl)->mm().page_table().Lookup(AddrToVpn(kAddr));
   ASSERT_TRUE(pte.has_value());
   EXPECT_EQ(pte->flags.pool, PoolKind::kCxl);
   EXPECT_TRUE(pte->flags.valid);
 }
 
 TEST_F(PromotionTest, HottestFirstAndSweepBounded) {
-  PromotionManager manager(
-      &tiered_, &api_.registry(),
-      PromotionManager::Options{.promote_threshold = 1, .max_promotions_per_sweep = 1});
-  MmtId id = api_.MmtCreate("fn");
-  PoolPlacement lukewarm = MakeColdChunk(id, kAddr, 8, 0x1);
-  PoolPlacement blazing = MakeColdChunk(id, kAddr + kMiB, 8, 0x2);
-  manager.RecordAccess(lukewarm, 2);
-  manager.RecordAccess(blazing, 50);
-  auto moves = manager.Sweep();
-  ASSERT_EQ(moves.size(), 1u);
-  EXPECT_EQ(moves[0].from.base, blazing.base);  // hottest chosen first
-  EXPECT_EQ(manager.tracked_chunks(), 1u);      // lukewarm still tracked
-  EXPECT_EQ(manager.Sweep().size(), 1u);        // next sweep picks it up
-}
-
-TEST_F(PromotionTest, HotTierChunksNeverTracked) {
   PromotionManager manager(&tiered_, &api_.registry());
-  manager.RecordAccess(PoolPlacement{PoolKind::kCxl, 0, 8}, 100);
-  EXPECT_EQ(manager.tracked_chunks(), 0u);
+  MmtId id = api_.MmtCreate("fn");
+  // One more eligible chunk than a sweep may move; the lukewarm one is the
+  // coolest of them and keeps enough heat to stay eligible after two halvings.
+  PoolPlacement lukewarm = MakeColdChunk(id, kAddr, 8, 0x1);
+  manager.RecordAccess(lukewarm, 2 * kHot);
+  std::vector<PoolOffset> blazing;
+  for (size_t i = 0; i < PromotionManager::kMaxPromotionsPerSweep; ++i) {
+    PoolPlacement chunk = MakeColdChunk(id, kAddr + (i + 1) * kMiB, 8, 0x100 * (i + 2));
+    manager.RecordAccess(chunk, 50 + 2 * i);  // distinct halved heats
+    blazing.push_back(chunk.base);
+  }
+  auto moves = manager.Sweep();
+  ASSERT_EQ(moves.size(), PromotionManager::kMaxPromotionsPerSweep);
+  for (size_t i = 0; i < moves.size(); ++i) {
+    // Hottest chosen first.
+    EXPECT_EQ(moves[i].from.base, blazing[blazing.size() - 1 - i]);
+  }
+  // Every chunk is still tracked, the promoted ones under their CXL home.
+  EXPECT_EQ(manager.tracked_chunks(), PromotionManager::kMaxPromotionsPerSweep + 1);
+  moves = manager.Sweep();  // next sweep picks the lukewarm one up
+  ASSERT_EQ(moves.size(), 1u);
+  EXPECT_EQ(moves[0].from.base, lukewarm.base);
 }
 
 TEST_F(PromotionTest, FullHotTierLeavesChunkInPlace) {
   // Fill CXL completely so promotion has nowhere to go.
   auto filler = cxl_.AllocatePages(cxl_.capacity_bytes() / kPageSize);
   ASSERT_TRUE(filler.ok());
-  PromotionManager manager(&tiered_, &api_.registry(),
-                           PromotionManager::Options{.promote_threshold = 1});
+  PromotionManager manager(&tiered_, &api_.registry());
   MmtId id = api_.MmtCreate("fn");
   PoolPlacement cold = MakeColdChunk(id, kAddr, 8, 0x3);
-  manager.RecordAccess(cold, 10);
+  manager.RecordAccess(cold, kHot);
   EXPECT_TRUE(manager.Sweep().empty());
   // The template still points at RDMA and still works.
   auto tmpl = api_.registry().Lookup(id);
-  auto pte = (*tmpl)->page_table().Lookup(AddrToVpn(kAddr));
+  auto pte = (*tmpl)->mm().page_table().Lookup(AddrToVpn(kAddr));
   EXPECT_EQ(pte->flags.pool, PoolKind::kRdma);
 }
 
@@ -150,11 +156,9 @@ TEST_F(PromotionTest, SweepOnEmptyPoolIsANoOp) {
 }
 
 TEST_F(PromotionTest, AllChunksAlreadyHotPromotesNothing) {
-  // With a demotion budget live, hot-tier chunks ARE tracked — but a sweep
+  // Hot-tier chunks ARE tracked (their heat ranks demotions), but a sweep
   // must never try to promote them further.
-  PromotionManager manager(&tiered_, &api_.registry(),
-                           PromotionManager::Options{.promote_threshold = 1,
-                                                     .hot_tier_budget_pages = 1024});
+  PromotionManager manager(&tiered_, &api_.registry());
   manager.RecordAccess(PoolPlacement{PoolKind::kCxl, 0, 8}, 50);
   manager.RecordAccess(PoolPlacement{PoolKind::kCxl, 8, 8}, 50);
   EXPECT_EQ(manager.tracked_chunks(), 2u);
@@ -163,41 +167,29 @@ TEST_F(PromotionTest, AllChunksAlreadyHotPromotesNothing) {
   EXPECT_EQ(manager.demoted_chunks(), 0u);
 }
 
-TEST_F(PromotionTest, ZeroPromotionsPerSweepFreezesPlacement) {
-  PromotionManager manager(
-      &tiered_, &api_.registry(),
-      PromotionManager::Options{.promote_threshold = 1, .max_promotions_per_sweep = 0});
-  MmtId id = api_.MmtCreate("fn");
-  PoolPlacement cold = MakeColdChunk(id, kAddr, 8, 0x4);
-  manager.RecordAccess(cold, 100);
-  EXPECT_TRUE(manager.Sweep().empty());
-  EXPECT_EQ(manager.tracked_chunks(), 1u);  // still eligible next time
-  EXPECT_EQ(manager.promoted_chunks(), 0u);
-}
-
 TEST_F(PromotionTest, BudgetDrivenDemotionChurnsColdestFirst) {
-  PromotionManager manager(&tiered_, &api_.registry(),
-                           PromotionManager::Options{.promote_threshold = 1,
-                                                     .heat_decay = 0.5,
-                                                     .hot_tier_budget_pages = 8,
-                                                     .demote_threshold = 2});
+  PromotionManager manager(&tiered_, &api_.registry());
   MmtId id = api_.MmtCreate("fn");
-  // Two 8-page chunks resident in the hot (CXL) tier, mapped by the template.
+  // Two budget-sized chunks resident in the hot (CXL) tier, mapped by the
+  // template: together they are twice the budget.
+  constexpr uint64_t kPages = PromotionManager::kHotTierBudgetPages;
   auto MakeHotChunk = [&](Vaddr addr, PageContent content) {
-    auto base = cxl_.AllocatePages(8);
+    auto base = cxl_.AllocatePages(kPages);
     EXPECT_TRUE(base.ok());
-    EXPECT_TRUE(cxl_.WriteContent(*base, 8, content).ok());
-    EXPECT_TRUE(api_.MmtAddMap(id, addr, 8 * kPageSize, Protection::ReadWrite(), true, -1, 0).ok());
-    EXPECT_TRUE(api_.MmtSetupPt(id, addr, 8 * kPageSize, *base, PoolKind::kCxl).ok());
-    return PoolPlacement{PoolKind::kCxl, *base, 8};
+    EXPECT_TRUE(cxl_.WriteContent(*base, kPages, content).ok());
+    EXPECT_TRUE(
+        api_.MmtAddMap(id, addr, kPages * kPageSize, Protection::ReadWrite(), true, -1, 0).ok());
+    EXPECT_TRUE(api_.MmtSetupPt(id, addr, kPages * kPageSize, *base, PoolKind::kCxl).ok());
+    return PoolPlacement{PoolKind::kCxl, *base, kPages};
   };
+  const Vaddr idle_addr = kAddr + kPages * kPageSize;
   PoolPlacement busy = MakeHotChunk(kAddr, 0x10);
-  PoolPlacement idle = MakeHotChunk(kAddr + kMiB, 0x20);
+  PoolPlacement idle = MakeHotChunk(idle_addr, 0x20);
   manager.RecordAccess(busy, 10);
   manager.RecordAccess(idle, 1);
 
-  // After decay: busy=5 (above demote_threshold), idle=0 (below). 16 hot
-  // pages exceed the 8-page budget, so exactly the idle chunk moves down.
+  // After halving: busy=5 (above the demote threshold), idle=0 (below). The
+  // hot pages exceed the budget, so exactly the idle chunk moves down.
   auto moves = manager.Sweep();
   ASSERT_EQ(moves.size(), 1u);
   EXPECT_EQ(moves[0].from.base, idle.base);
@@ -209,7 +201,7 @@ TEST_F(PromotionTest, BudgetDrivenDemotionChurnsColdestFirst) {
   EXPECT_EQ(*rdma_.ReadContent(moves[0].to.base + 2), 0x20u + 2);
   // The template's PTEs now point at the lazy RDMA placement.
   auto tmpl = api_.registry().Lookup(id);
-  auto pte = (*tmpl)->page_table().Lookup(AddrToVpn(kAddr + kMiB));
+  auto pte = (*tmpl)->mm().page_table().Lookup(AddrToVpn(idle_addr));
   ASSERT_TRUE(pte.has_value());
   EXPECT_EQ(pte->flags.pool, PoolKind::kRdma);
   EXPECT_FALSE(pte->flags.valid);
@@ -218,37 +210,41 @@ TEST_F(PromotionTest, BudgetDrivenDemotionChurnsColdestFirst) {
 }
 
 TEST_F(PromotionTest, DemotedChunkEarnsItsWayBackUp) {
-  PromotionManager manager(&tiered_, &api_.registry(),
-                           PromotionManager::Options{.promote_threshold = 3,
-                                                     .heat_decay = 0.5,
-                                                     .hot_tier_budget_pages = 64,
-                                                     .demote_threshold = 2});
+  PromotionManager manager(&tiered_, &api_.registry());
   MmtId id = api_.MmtCreate("fn");
   PoolPlacement cold = MakeColdChunk(id, kAddr, 16, 0x7A7A);
-  manager.RecordAccess(cold, 8);
+  manager.RecordAccess(cold, kHot);
   auto up = manager.Sweep();
   ASSERT_EQ(up.size(), 1u);
   EXPECT_EQ(up[0].to.kind, PoolKind::kCxl);
 
-  // Idle sweeps decay the chunk to zero heat; shrink the budget by flooding
-  // accesses on another hot chunk is unnecessary — just assert the demotion
-  // path picks it up once the tier is over budget.
-  PromotionManager::Options tight;
-  tight.promote_threshold = 3;
-  tight.heat_decay = 0.5;
-  tight.hot_tier_budget_pages = 8;  // the 16-page chunk no longer fits
-  tight.demote_threshold = 2;
-  PromotionManager tight_manager(&tiered_, &api_.registry(), tight);
-  tight_manager.RecordAccess(PoolPlacement{PoolKind::kCxl, up[0].to.base, 16}, 1);
-  auto down = tight_manager.Sweep();  // decayed heat 0 < 2, over budget
+  // Flood the hot tier past its budget with a chunk that stays busy, so the
+  // promoted chunk becomes the only demotion candidate once it cools.
+  auto flood = cxl_.AllocatePages(PromotionManager::kHotTierBudgetPages);
+  ASSERT_TRUE(flood.ok());
+  manager.RecordAccess(
+      PoolPlacement{PoolKind::kCxl, *flood, PromotionManager::kHotTierBudgetPages}, 1000);
+  // Its heat halves from kPromoteThreshold to 2: still recently hot.
+  EXPECT_TRUE(manager.Sweep().empty());
+  auto down = manager.Sweep();  // halved to 1 < 2, and the tier is over budget
   ASSERT_EQ(down.size(), 1u);
+  EXPECT_EQ(down[0].from.base, up[0].to.base);
   EXPECT_EQ(down[0].to.kind, PoolKind::kRdma);
   // Round trip preserved the content and the template stayed attached.
   EXPECT_EQ(*rdma_.ReadContent(down[0].to.base + 7), 0x7A7Au + 7);
   auto tmpl = api_.registry().Lookup(id);
-  auto pte = (*tmpl)->page_table().Lookup(AddrToVpn(kAddr));
+  auto pte = (*tmpl)->mm().page_table().Lookup(AddrToVpn(kAddr));
   ASSERT_TRUE(pte.has_value());
   EXPECT_EQ(pte->flags.pool, PoolKind::kRdma);
+
+  // Fresh heat brings it back up, though the tier is still over budget: the
+  // flood chunk is too hot to churn out.
+  manager.RecordAccess(down[0].to, kHot);
+  auto again = manager.Sweep();
+  ASSERT_EQ(again.size(), 1u);
+  EXPECT_EQ(again[0].to.kind, PoolKind::kCxl);
+  EXPECT_EQ(manager.promoted_chunks(), 2u);
+  EXPECT_EQ(manager.demoted_chunks(), 1u);
 }
 
 TEST(EnginePromotionTest, TieredEngineMigratesHotFunctionToCxl) {
@@ -266,11 +262,9 @@ TEST(EnginePromotionTest, TieredEngineMigratesHotFunctionToCxl) {
   SandboxFactory factory(std::make_shared<FsLayer>("base"));
   SandboxPool pool;
   MmtApi api(&backends);
-  PromotionManager promotion(&tiered, &api.registry(),
-                             PromotionManager::Options{.promote_threshold = 3,
-                                                       .max_promotions_per_sweep = 64});
+  PromotionManager promotion(&tiered, &api.registry());
   TrEnvEngine engine(&factory, &pool, &api, &dedup);
-  engine.EnablePromotion(&promotion, /*interval=*/4);
+  engine.EnablePromotion(&promotion);
 
   FunctionProfile profile;
   profile.name = "hot-fn";
@@ -286,8 +280,8 @@ TEST(EnginePromotionTest, TieredEngineMigratesHotFunctionToCxl) {
   ctx.pids = &pids;
 
   const uint64_t cxl_before = cxl.used_bytes();
-  // Execute repeatedly; sweeps run every 4 executions.
-  for (int i = 0; i < 12; ++i) {
+  // Execute repeatedly; two sweeps run.
+  for (uint64_t i = 0; i < 2 * TrEnvEngine::kPromotionSweepInterval; ++i) {
     auto outcome = engine.Restore(profile, ctx);
     ASSERT_TRUE(outcome.ok());
     ASSERT_TRUE(engine.OnExecute(profile, *outcome->instance, ctx).ok());
@@ -299,10 +293,40 @@ TEST(EnginePromotionTest, TieredEngineMigratesHotFunctionToCxl) {
   // Templates now map (at least partly) to CXL.
   uint64_t cxl_pages = 0;
   api.registry().ForEach([&](MmTemplate& tmpl) {
-    cxl_pages += tmpl.page_table().CountPagesIf(
+    cxl_pages += tmpl.mm().page_table().CountPagesIf(
         [](const PteFlags& f) { return f.pool == PoolKind::kCxl; });
   });
   EXPECT_GT(cxl_pages, 0u);
+}
+
+// T-DRAM-live end to end, wired as bench/ablation_dram_hot runs it: every
+// chunk starts on CXL, and the live policy earns node DRAM from observed heat.
+TEST(DramLiveTestbedTest, PromotesHotChunksIntoNodeDramDeterministically) {
+  auto run = []() -> std::pair<uint64_t, uint64_t> {
+    PlatformConfig config;
+    config.keep_alive_ttl = SimDuration::Seconds(1);  // every invocation restores
+    Testbed bed(SystemKind::kTrEnvDramLive, config);
+    EXPECT_TRUE(bed.DeployTable4Functions().ok());
+    const PromotionManager* promotion = bed.promotion();
+    if (promotion == nullptr) {
+      ADD_FAILURE() << "T-DRAM-live runs without a promotion manager";
+      return {};
+    }
+    // The dedup store's hotness override of 0 leaves node DRAM empty until a
+    // sweep promotes into it.
+    EXPECT_EQ(bed.tmpfs().used_bytes(), 0u);
+    std::vector<std::string> names;
+    for (const FunctionProfile& fn : Table4Functions()) {
+      names.push_back(fn.name);
+    }
+    Rng rng(404);
+    const Schedule schedule = MakePoissonWorkload(names, 5.0, SimDuration::Minutes(1), 0.3, rng);
+    EXPECT_TRUE(bed.platform().Run(schedule).ok());
+    EXPECT_GT(promotion->promoted_chunks(), 0u);
+    EXPECT_GT(bed.tmpfs().used_bytes(), 0u);
+    return {promotion->promoted_chunks(), promotion->demoted_chunks()};
+  };
+  EXPECT_EQ(run(), run());
 }
 
 TEST(RemapBackingTest, RewritesOnlyIntersectingSlices) {

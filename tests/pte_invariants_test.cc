@@ -26,9 +26,13 @@ namespace {
 
 class PteInvariantsTest : public ::testing::Test {
  protected:
-  // A deliberately small CXL tier so promotion sweeps hit capacity and the
-  // hot-tier budget forces demotions back out.
-  PteInvariantsTest() : cxl_(2 * kMiB), rdma_(1 * kGiB), api_(&backends_) {
+  // A deliberately small CXL tier (twice the promotion policy's hot-tier
+  // budget) so promotion sweeps hit capacity and the budget forces demotions
+  // back out.
+  PteInvariantsTest()
+      : cxl_(2 * PromotionManager::kHotTierBudgetPages * kPageSize),
+        rdma_(4 * kGiB),
+        api_(&backends_) {
     backends_.Register(&cxl_);
     backends_.Register(&rdma_);
     tiered_.AddTier(&cxl_);
@@ -55,7 +59,7 @@ class PteInvariantsTest : public ::testing::Test {
   // chunk currently placed on the run's pool, with tier-consistent flags.
   void CheckTemplates(const std::vector<Chunk>& chunks, int round) {
     api_.registry().ForEach([&](MmTemplate& tmpl) {
-      tmpl.page_table().ForEachRun([&](Vpn vpn, const PteRun& run) {
+      tmpl.mm().page_table().ForEachRun([&](Vpn vpn, const PteRun& run) {
         SCOPED_TRACE("round " + std::to_string(round) + " vpn " + std::to_string(vpn));
         EXPECT_FALSE(run.flags.shared);
         EXPECT_FALSE(run.flags.owner);
@@ -94,25 +98,22 @@ class PteInvariantsTest : public ::testing::Test {
 };
 
 TEST_F(PteInvariantsTest, RandomizedPromotionDemotionSpliceKeepsFlagsConsistent) {
-  PromotionManager::Options options;
-  options.promote_threshold = 2;
-  options.max_promotions_per_sweep = 4;
-  options.heat_decay = 0.5;
-  options.hot_tier_budget_pages = 64;  // ~2-3 chunks: forces constant churn
-  options.demote_threshold = 4;
-  options.max_demotions_per_sweep = 4;
-  PromotionManager manager(&tiered_, &api_.registry(), options);
+  PromotionManager manager(&tiered_, &api_.registry());
 
   Rng rng(0x9e3779b9);
   std::vector<Chunk> chunks;
   std::vector<MmtId> templates;
   constexpr Vaddr kBase = 0x40000000;
+  // Chunks of 8..32 units: the hot-tier budget holds ~2-3 of them, which
+  // forces constant churn.
+  constexpr uint64_t kUnit = PromotionManager::kHotTierBudgetPages / 64;
+  constexpr uint64_t kSlotBytes = 32 * kUnit * kPageSize;
   for (uint32_t t = 0; t < 3; ++t) {
     const MmtId id = api_.MmtCreate("fn" + std::to_string(t));
     templates.push_back(id);
     for (uint32_t c = 0; c < 4; ++c) {
-      const uint64_t npages = 8 + rng.NextU64() % 25;  // 8..32 pages
-      const Vaddr addr = kBase + (t * 64 + c * 16) * kMiB;
+      const uint64_t npages = (8 + rng.NextU64() % 25) * kUnit;
+      const Vaddr addr = kBase + (t * 4 + c) * kSlotBytes;
       chunks.push_back(MakeColdChunk(id, addr, npages, 0x1000 * (t * 4 + c + 1)));
     }
   }
@@ -122,7 +123,7 @@ TEST_F(PteInvariantsTest, RandomizedPromotionDemotionSpliceKeepsFlagsConsistent)
     // demotion threshold.
     for (Chunk& chunk : chunks) {
       if (rng.NextDouble() < 0.5) {
-        manager.RecordAccess(chunk.placement, 1 + rng.NextU64() % 4);
+        manager.RecordAccess(chunk.placement, 1 + rng.NextU64() % 16);
       }
     }
     // Occasional splice: a private local run punched into the middle of a
@@ -134,15 +135,15 @@ TEST_F(PteInvariantsTest, RandomizedPromotionDemotionSpliceKeepsFlagsConsistent)
         auto tmpl = api_.registry().Lookup(id);
         ASSERT_TRUE(tmpl.ok());
         // Only splice the template that actually maps this chunk's window.
-        if ((*tmpl)->FindVma(chunk.addr) != nullptr) {
+        if ((*tmpl)->mm().FindVma(chunk.addr) != nullptr) {
           const uint64_t offset = 1 + rng.NextU64() % (chunk.placement.npages - 2);
           PteFlags local;
           local.valid = true;
           local.write_protected = false;
           local.pool = PoolKind::kLocalDram;
-          (*tmpl)->page_table().MapRange(AddrToVpn(chunk.addr) + offset, 1, local,
-                                         /*backing_base=*/round + 1,
-                                         /*content_base=*/0xbeef);
+          (*tmpl)->mm().page_table().MapRange(AddrToVpn(chunk.addr) + offset, 1, local,
+                                              /*backing_base=*/round + 1,
+                                              /*content_base=*/0xbeef);
         }
       }
     }
@@ -179,8 +180,8 @@ TEST_F(PteInvariantsTest, AttachRefusesTemplateWithSharedRegionBits) {
   poisoned.pool = chunk.placement.kind;
   poisoned.shared = true;
   poisoned.owner = true;
-  (*tmpl)->page_table().MapRange(AddrToVpn(chunk.addr), 1, poisoned,
-                                 chunk.placement.base, 0x42);
+  (*tmpl)->mm().page_table().MapRange(AddrToVpn(chunk.addr), 1, poisoned,
+                                      chunk.placement.base, 0x42);
   MmStruct second;
   auto attach = api_.MmtAttach(id, &second);
   EXPECT_FALSE(attach.ok());

@@ -212,12 +212,14 @@ TEST(SandboxPoolTest, TakeIsFunctionAgnostic) {
 
 TEST(SandboxPoolTest, CapacityBound) {
   SandboxFactory factory(BaseLayer());
-  SandboxPool pool(/*max_idle=*/1);
-  auto a = factory.CreateCold(InternFunction("a"), nullptr, CgroupLimits{}, 0, true);
+  SandboxPool pool;
+  for (size_t i = 0; i < SandboxPool::kMaxIdle; ++i) {
+    auto a = factory.CreateCold(InternFunction("a"), nullptr, CgroupLimits{}, 0, true);
+    EXPECT_TRUE(pool.Put(std::move(a.sandbox)));
+  }
   auto b = factory.CreateCold(InternFunction("b"), nullptr, CgroupLimits{}, 0, true);
-  EXPECT_TRUE(pool.Put(std::move(a.sandbox)));
   EXPECT_FALSE(pool.Put(std::move(b.sandbox)));
-  EXPECT_EQ(pool.idle_count(), 1u);
+  EXPECT_EQ(pool.idle_count(), SandboxPool::kMaxIdle);
 }
 
 TEST(SandboxPoolTest, OverlayCacheRoundTrip) {

@@ -79,6 +79,8 @@ run "$b/fig4_latency_breakdown" --trace-out=trace.json --metrics-out=metrics.pro
 run "$b/fig17_w1_w2_cdf" --jobs=4
 run "$b/fig21_opt_breakdown" --jobs=1
 run "$b/fig21_opt_breakdown" --jobs=4
+run "$b/ablation_dram_hot" --jobs=1
+run "$b/ablation_dram_hot" --jobs=4
 run "$b/fig27_stateful_pipeline" --jobs=1
 run "$b/fig27_stateful_pipeline" --jobs=4
 run "$b/sharded_scale" --nodes=8 --shards=1 --invocations=300000
