@@ -1,8 +1,9 @@
 // Micro-operation benchmarks (google-benchmark): throughput of the hot
 // simulator primitives — page-table bulk faults, mm-template attach, dedup
-// ingestion, DES event dispatch and schedule/cancel churn, keep-alive churn
-// and trace generation. These guard the simulator's own performance; the
-// paper-figure benches above depend on them being fast.
+// ingestion, DES event dispatch and schedule/cancel churn, keep-alive churn,
+// trace generation and the pool control plane's steady-state tick. These
+// guard the simulator's own performance; the paper-figure benches above
+// depend on them being fast.
 //
 // Besides the console output, --bench-json=PATH appends one JSON-lines
 // record of the wall-clock timings to PATH (the BENCH_micro.json perf
@@ -20,6 +21,7 @@
 #include "src/mempool/cxl_pool.h"
 #include "src/mempool/rdma_pool.h"
 #include "src/mmtemplate/api.h"
+#include "src/platform/cluster.h"
 #include "src/platform/keep_alive_pool.h"
 #include "src/platform/testbed.h"
 #include "src/runtime/working_set.h"
@@ -402,6 +404,46 @@ void BM_FairShareCpuChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FairShareCpuChurn);
+
+// The pool control plane on an idle rack: perfbench rack_chaos's rack (8
+// workers, 16 pool nodes, replication 2, a 32768-page rebalance budget) with
+// 256 Table-4 clones that declare their base function's image (content_tag),
+// which gives 859 shards. Each iteration advances the rack 500 ms, which
+// runs one rebalance tick over every shard and one heartbeat tick.
+void BM_PoolCtlSteadyTick(benchmark::State& state) {
+  ClusterConfig config;
+  config.nodes = 8;
+  config.dispatch = ClusterConfig::Dispatch::kTemplateLocality;
+  config.poolmgr.enabled = true;
+  config.poolmgr.pool_nodes = 16;
+  config.poolmgr.replication = 2;
+  config.poolmgr.lease_ttl = SimDuration::Seconds(20);
+  config.poolctl.enabled = true;
+  config.poolctl.rebalance_budget_pages = 32768;
+  Cluster rack(config);
+  const std::vector<FunctionProfile> base = Table4Functions();
+  for (uint32_t i = 0; i < 256; ++i) {
+    FunctionProfile clone = base[i % base.size()];
+    clone.content_tag = clone.name;
+    clone.name = "f" + std::to_string(i) + "-" + clone.name;
+    if (!rack.Deploy(clone).ok()) {
+      state.SkipWithError("deploy failed");
+      return;
+    }
+  }
+  constexpr SimDuration kTick = SimDuration::Millis(500);
+  SimTime now;
+  // The first tick reconciles every shard once; time the ticks after it.
+  for (int i = 0; i < 2; ++i) {
+    now = now + kTick;
+    rack.AdvanceClocksTo(now);
+  }
+  for (auto _ : state) {
+    now = now + kTick;
+    rack.AdvanceClocksTo(now);
+  }
+}
+BENCHMARK(BM_PoolCtlSteadyTick);
 
 // Files each benchmark's wall-clock timings in the record while delegating
 // display to the console reporter. With --benchmark_repetitions above 1 only

@@ -16,6 +16,7 @@ constexpr uint64_t kHeartbeatLossSeed = 0x60551b;
 GossipMembership::GossipMembership(uint32_t fleet, EventScheduler* clock, obs::Registry& stats)
     : clock_(clock),
       rng_(kHeartbeatLossSeed),
+      in_view_(fleet),
       heartbeats_sent_(stats.GetCounter("poolctl.heartbeats")),
       heartbeats_dropped_(stats.GetCounter("poolctl.heartbeats_dropped")),
       suspicions_(stats.GetCounter("poolctl.suspicions")),
@@ -115,6 +116,7 @@ void GossipMembership::Deliver(uint32_t node, SimTime now) {
       ++state.join_streak;
       if (state.join_streak >= kJoinBeats) {
         state.state = State::kAlive;
+        ++in_view_;
         rejoins_->Increment();
         BumpEpoch();
         Announce(node, State::kJoining, State::kAlive, now);
@@ -150,6 +152,7 @@ void GossipMembership::Evaluate(uint32_t node, SimTime now) {
   if (state.state == State::kSuspect && phi >= kPhiDead) {
     state.state = State::kDead;
     state.join_streak = 0;
+    --in_view_;
     deaths_->Increment();
     BumpEpoch();
     if (!state.up) {
@@ -169,16 +172,6 @@ void GossipMembership::Announce(uint32_t node, State from, State to, SimTime whe
   if (listener_) {
     listener_(Transition{node, from, to, when});
   }
-}
-
-uint32_t GossipMembership::alive_in_view() const {
-  uint32_t count = 0;
-  for (uint32_t n = 0; n < nodes_.size(); ++n) {
-    if (InView(n)) {
-      ++count;
-    }
-  }
-  return count;
 }
 
 }  // namespace trenv

@@ -84,7 +84,9 @@ class GossipMembership {
     return nodes_[node].state == State::kAlive || nodes_[node].state == State::kSuspect;
   }
   uint32_t fleet() const { return static_cast<uint32_t>(nodes_.size()); }
-  uint32_t alive_in_view() const;
+  // Nodes InView() counts, kept as a counter: dispatch reads it per
+  // candidate node.
+  uint32_t alive_in_view() const { return in_view_; }
   // Bumped on every death and every completed rejoin — the rebalancer's
   // cheap "membership changed" signal.
   uint64_t epoch() const { return epoch_; }
@@ -128,6 +130,9 @@ class GossipMembership {
   EventId tick_event_ = kInvalidEventId;
   bool running_ = false;
   uint64_t epoch_ = 0;
+  // Every node starts alive; only suspect -> dead leaves the view and only
+  // joining -> alive re-enters it, the two transitions that bump the epoch.
+  uint32_t in_view_;
   Histogram detection_ms_;
 
   // Registry instruments: the only home of each count.

@@ -23,6 +23,7 @@ void HashRing::AddNode(uint32_t node) {
     return;
   }
   nodes_.insert(std::lower_bound(nodes_.begin(), nodes_.end(), node), node);
+  ++version_;
   ring_.reserve(ring_.size() + kVnodesPerNode);
   for (uint32_t r = 0; r < kVnodesPerNode; ++r) {
     const VNode vnode{VNodeHash(node, r), node};
@@ -36,6 +37,7 @@ void HashRing::RemoveNode(uint32_t node) {
     return;
   }
   nodes_.erase(it);
+  ++version_;
   ring_.erase(std::remove_if(ring_.begin(), ring_.end(),
                              [node](const VNode& v) { return v.node == node; }),
               ring_.end());

@@ -26,6 +26,10 @@ class HashRing {
   bool Contains(uint32_t node) const;
   size_t node_count() const { return nodes_.size(); }
   size_t vnode_count() const { return ring_.size(); }
+  // Bumped by every AddNode/RemoveNode that changes the membership, so an
+  // owner set computed at one version holds for as long as it is current.
+  // A ring that has held a node is never at version 0.
+  uint64_t version() const { return version_; }
 
   // The first min(replicas, node_count) distinct nodes clockwise from
   // hash(key), primary first. Deterministic for a fixed membership.
@@ -47,6 +51,7 @@ class HashRing {
 
   std::vector<VNode> ring_;     // sorted by (hash, node)
   std::vector<uint32_t> nodes_;  // sorted live membership
+  uint64_t version_ = 0;
 };
 
 }  // namespace trenv

@@ -1,6 +1,7 @@
 #include "src/poolmgr/pool_manager.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "src/common/cost_model.h"
 #include "src/common/rng.h"
@@ -63,6 +64,9 @@ void PoolManager::RegisterTemplate(FunctionId fid, const ConsolidatedImage& imag
   }
   if (templates_.size() <= fid) {
     templates_.resize(fid + 1);
+    for (std::vector<uint32_t>& worker_leases : leases_) {
+      worker_leases.resize(templates_.size(), 0);
+    }
   }
   if (!templates_[fid].empty()) {
     return;  // already registered (every node deploys the same function)
@@ -106,6 +110,7 @@ bool PoolManager::EnsureLivePrimary(uint32_t shard_index) {
   }
   // Every holder crashed: reseed from the dedup store (the durable content
   // source) onto the current ring owners.
+  shard.settled_ring_version = 0;
   ring_.OwnersFor(shard.fingerprint, config_.replication, &shard.replicas);
   if (shard.replicas.empty()) {
     return false;  // no pool node alive at all
@@ -125,8 +130,7 @@ PoolManager::AttachOutcome PoolManager::Attach(uint32_t worker, FunctionId fid, 
   }
   outcome.latency = cost::kPoolAttachMetadataBase +
                     cost::kPoolAttachMetadataPerShard * static_cast<double>(shard_ids->size());
-  auto lease_it = leases_[worker].find(fid);
-  if (lease_it != leases_[worker].end() && lease_it->second > 0) {
+  if (leases_[worker][fid] > 0) {
     // Lease hit: the shards are already mapped on this worker; renew only.
     outcome.lease_hit = true;
     lease_hits_->Increment();
@@ -227,28 +231,26 @@ void PoolManager::GrantLease(uint32_t worker, FunctionId fid, SimTime now) {
   // window lapses — refcounted expiry, driven by the rack clock.
   const SimTime expiry = std::max(now, clock_->now()) + config_.lease_ttl;
   clock_->ScheduleAt(expiry, [this, worker, fid] {
-    auto it = leases_[worker].find(fid);
-    if (it == leases_[worker].end() || it->second == 0) {
+    uint32_t& refs = leases_[worker][fid];
+    if (refs == 0) {
       return;  // already revoked or released with the worker
     }
-    if (--it->second == 0) {
-      leases_[worker].erase(it);
+    if (--refs == 0) {
       leases_expired_->Increment();
     }
   });
 }
 
 uint32_t PoolManager::LeaseRefs(uint32_t worker, FunctionId fid) const {
-  if (worker >= leases_.size() || fid == kInvalidFunctionId) {
+  if (worker >= leases_.size() || fid >= leases_[worker].size()) {
     return 0;
   }
-  const auto it = leases_[worker].find(fid);
-  return it == leases_[worker].end() ? 0 : it->second;
+  return leases_[worker][fid];
 }
 
 void PoolManager::ReleaseWorker(uint32_t worker) {
   if (worker < leases_.size()) {
-    leases_[worker].clear();
+    std::fill(leases_[worker].begin(), leases_[worker].end(), 0);
   }
 }
 
@@ -277,6 +279,7 @@ void PoolManager::RemoveFromPlacement(uint32_t pool_node) {
     }
     const bool was_primary = it == shard.replicas.begin();
     shard.replicas.erase(it);
+    shard.settled_ring_version = 0;
     if (shard.replicas.empty()) {
       shard_lost[s] = true;
     } else if (was_primary) {
@@ -298,10 +301,9 @@ void PoolManager::RemoveFromPlacement(uint32_t pool_node) {
     if (!lost) {
       continue;
     }
-    for (auto& worker_leases : leases_) {
-      const auto it = worker_leases.find(fid);
-      if (it != worker_leases.end()) {
-        worker_leases.erase(it);
+    for (std::vector<uint32_t>& worker_leases : leases_) {
+      if (worker_leases[fid] != 0) {
+        worker_leases[fid] = 0;
         leases_revoked_->Increment();
       }
     }
@@ -411,6 +413,7 @@ void PoolManager::RunRebalance(SimTime now) {
     // churn leases for no benefit.
     const uint32_t old_primary = was_lost ? 0 : shard.replicas.front();
     shard.replicas = desired;
+    shard.settled_ring_version = 0;
     if (!was_lost) {
       const auto it = std::find(shard.replicas.begin(), shard.replicas.end(), old_primary);
       if (it != shard.replicas.end() && it != shard.replicas.begin()) {
@@ -429,6 +432,17 @@ PoolManager::ReconcileResult PoolManager::ReconcileShard(uint32_t shard_index,
     return result;
   }
   Shard& shard = shards_[shard_index];
+  if (shard.settled_ring_version == ring_.version() &&
+      shard.settled_target == target_replication) {
+    // Settled: `replicas` is the ring's owner set at this target, so both
+    // phases below would add, count and drop nothing, whatever alive_ says.
+    assert(SameOwnerSet(shard.replicas, ring_.OwnersFor(shard.fingerprint, target_replication)));
+    return result;
+  }
+  // Unsettle before phase 1: a call at another target can add copies
+  // without converging, and a stamp left standing would let the next call
+  // at the stamped target keep them.
+  shard.settled_ring_version = 0;
   std::vector<uint32_t> desired;
   ring_.OwnersFor(shard.fingerprint, target_replication, &desired);
   if (desired.empty()) {
@@ -490,6 +504,9 @@ PoolManager::ReconcileResult PoolManager::ReconcileShard(uint32_t shard_index,
       replica_promotions_->Increment();
     }
   }
+  // Every desired owner holds a copy and no other node does.
+  shard.settled_ring_version = ring_.version();
+  shard.settled_target = target_replication;
   return result;
 }
 

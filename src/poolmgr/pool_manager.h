@@ -104,7 +104,9 @@ class PoolManager {
   // the worker's NIC queue and grants a fresh lease.
   AttachOutcome Attach(uint32_t worker, FunctionId fid, SimTime now);
 
-  // Active grant windows the worker holds on fid's template (0 = no lease).
+  // Active grant windows the worker holds on fid's template (0 = no lease,
+  // and for a worker or fid outside the table). An array read: dispatch
+  // asks once per candidate worker.
   uint32_t LeaseRefs(uint32_t worker, FunctionId fid) const;
   // Drops every lease a crashed worker held (nothing orderly to tear down).
   void ReleaseWorker(uint32_t worker);
@@ -150,7 +152,9 @@ class PoolManager {
   // `target_replication`, copying at most `budget_pages` pages. Additions
   // (restore replication first) precede drops; the serving primary is
   // preserved when it remains a desired owner. The continuous rebalancer's
-  // per-tick primitive; the single-shot RunRebalance has its own loop.
+  // per-tick primitive; the single-shot RunRebalance has its own loop. A
+  // shard this left converged returns {0, converged} without a ring walk
+  // until the ring's membership, the target or its replica set changes.
   ReconcileResult ReconcileShard(uint32_t shard_index, uint32_t target_replication,
                                  uint64_t budget_pages);
 
@@ -210,6 +214,12 @@ class PoolManager {
     // Live replica set, primary first. Empty = lost (every holder crashed);
     // reseeded from the dedup store on next use or rebalance.
     std::vector<uint32_t> replicas;
+    // The ring version and target at which ReconcileShard last left
+    // `replicas` equal (as a set) to the ring's owners; 0 = not settled.
+    // While both still match, a reconcile has nothing to add or drop. Every
+    // other write to `replicas` clears the version.
+    uint64_t settled_ring_version = 0;
+    uint32_t settled_target = 0;
   };
 
   void GrantLease(uint32_t worker, FunctionId fid, SimTime now);
@@ -249,9 +259,9 @@ class PoolManager {
   std::map<std::tuple<PageContent, uint64_t, bool>, uint32_t> shard_by_content_;
   // fid -> shard indices (sparse, indexed by interned FunctionId).
   std::vector<std::vector<uint32_t>> templates_;
-  // Per worker: fid -> lease refcount, one per grant window still open.
-  // std::map so revocation scans are in id order.
-  std::vector<std::map<FunctionId, uint32_t>> leases_;
+  // Lease refcounts, [worker][fid], one per grant window still open (0 = no
+  // lease). RegisterTemplate sizes every worker's row to templates_.
+  std::vector<std::vector<uint32_t>> leases_;
   bool rebalance_pending_ = false;
   bool continuous_ = false;
   ContinuousPoolPolicy policy_;

@@ -5,8 +5,12 @@
 // with zero accepted-invocation loss.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <optional>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/fault/fault_schedule.h"
 #include "src/mempool/rdma_pool.h"
 #include "src/platform/cluster.h"
@@ -23,6 +27,27 @@ using State = GossipMembership::State;
 SimTime At(double seconds) { return SimTime::Zero() + SimDuration::FromMicrosF(seconds * 1e6); }
 
 // ------------------------------------------------------- GossipMembership
+
+// The view recounted node by node: what alive_in_view() keeps as a counter.
+uint32_t RecountInView(const GossipMembership& membership) {
+  uint32_t count = 0;
+  for (uint32_t n = 0; n < membership.fleet(); ++n) {
+    count += membership.InView(n) ? 1 : 0;
+  }
+  return count;
+}
+
+// clock.RunUntil(t), one event (here: one heartbeat tick) at a time, with the
+// kept view count checked against a recount after each.
+void RunTicksUntil(EventScheduler& clock, const GossipMembership& membership, SimTime t) {
+  for (std::optional<SimTime> next = clock.NextEventTime(); next && *next <= t;
+       next = clock.NextEventTime()) {
+    clock.RunNext();
+    EXPECT_EQ(membership.alive_in_view(), RecountInView(membership))
+        << "after the tick at " << clock.now().nanos() << " ns";
+  }
+  clock.RunUntil(t);
+}
 
 TEST(MembershipTest, FaultFreeFleetStaysAlive) {
   EventScheduler clock;
@@ -53,17 +78,17 @@ TEST(MembershipTest, DeathIsDetectedDeclaredAndRejoined) {
   membership.SetListener(
       [&log](const GossipMembership::Transition& t) { log.push_back(t); });
   membership.Start(SimTime::Zero());
-  clock.RunUntil(At(1.0));  // last beat delivered at t=1.0s
+  RunTicksUntil(clock, membership, At(1.0));  // last beat delivered at t=1.0s
   membership.NodeDown(2);
   // phi = silent intervals / interval: suspect at 3 (t=2.5s), dead at 8
   // (t=5.0s).
-  clock.RunUntil(At(2.4));
+  RunTicksUntil(clock, membership, At(2.4));
   EXPECT_EQ(membership.state(2), State::kAlive);
-  clock.RunUntil(At(2.6));
+  RunTicksUntil(clock, membership, At(2.6));
   EXPECT_EQ(membership.state(2), State::kSuspect);
   EXPECT_TRUE(membership.InView(2));  // suspects still count as members
   EXPECT_EQ(membership.suspicions(), 1u);
-  clock.RunUntil(At(5.1));
+  RunTicksUntil(clock, membership, At(5.1));
   EXPECT_EQ(membership.state(2), State::kDead);
   EXPECT_FALSE(membership.InView(2));
   EXPECT_EQ(membership.alive_in_view(), 3u);
@@ -76,10 +101,10 @@ TEST(MembershipTest, DeathIsDetectedDeclaredAndRejoined) {
   // Rejoin: the node must deliver kJoinBeats consecutive beats; one beat
   // only reaches kJoining.
   membership.NodeUp(2);
-  clock.RunUntil(At(5.6));
+  RunTicksUntil(clock, membership, At(5.6));
   EXPECT_EQ(membership.state(2), State::kJoining);
   EXPECT_FALSE(membership.InView(2));
-  clock.RunUntil(At(6.1));
+  RunTicksUntil(clock, membership, At(6.1));
   EXPECT_EQ(membership.state(2), State::kAlive);
   EXPECT_EQ(membership.rejoins(), 1u);
   EXPECT_EQ(membership.epoch(), 2u);
@@ -104,12 +129,12 @@ TEST(MembershipTest, FlapWindowCausesFalseSuspicionNotDeath) {
     return node == 1 && now >= At(1.0) && now < At(3.5) ? 1.0 : 0.0;
   });
   membership.Start(SimTime::Zero());
-  clock.RunUntil(At(3.0));
+  RunTicksUntil(clock, membership, At(3.0));
   EXPECT_EQ(membership.state(1), State::kSuspect);
   EXPECT_EQ(membership.heartbeats_dropped(), 5u);  // ticks 1.0 .. 3.0
   // The window ends before phi reaches the death threshold: the first beat
   // through recovers the node and the suspicion is charged to the network.
-  clock.RunUntil(At(3.6));
+  RunTicksUntil(clock, membership, At(3.6));
   EXPECT_EQ(membership.state(1), State::kAlive);
   EXPECT_EQ(membership.false_suspicions(), 1u);
   EXPECT_EQ(membership.deaths(), 0u);
@@ -261,6 +286,179 @@ TEST(PoolCtlTest, ReconcileShardHonorsBudgetAndConverges) {
   EXPECT_EQ(demoted.pages_moved, 0u);
   EXPECT_TRUE(demoted.converged);
   EXPECT_EQ(mgr.ShardReplicas(0).size(), 1u);
+}
+
+// One manager of a differential pair, on its own fabric, clock and
+// registry: 16 pool nodes and 24 templates of six 8-page chunks each, all
+// contents distinct (144 shards).
+struct ChurnRack {
+  static constexpr uint32_t kPoolNodes = 16;
+  static constexpr uint64_t kChunkPages = 8;
+
+  explicit ChurnRack(uint32_t replication)
+      : fabric(kGiB),
+        mgr(ContinuousPoolConfig(replication, kPoolNodes), /*worker_nodes=*/2, &fabric, &clock,
+            stats) {
+    mgr.EnableContinuousControl(ContinuousPoolPolicy{});
+    for (FunctionId fid = 0; fid < 24; ++fid) {
+      ConsolidatedImage image;
+      PlacedRegion placed;
+      for (uint64_t c = 0; c < 6; ++c) {
+        placed.chunks.push_back(PlacedChunk{.pool = PoolKind::kCxl,
+                                            .offset = c * kChunkPages,
+                                            .npages = kChunkPages,
+                                            .content_base = 0x10000 * (fid + 1) + c * kChunkPages});
+      }
+      image.processes.push_back({placed});
+      image.total_pages = 6 * kChunkPages;
+      mgr.RegisterTemplate(fid, image);
+    }
+  }
+
+  // ReconcileShard over every shard at one target; pages summed, converged
+  // only if every shard converged.
+  PoolManager::ReconcileResult Sweep(uint32_t target, uint64_t budget_pages) {
+    PoolManager::ReconcileResult total;
+    for (uint32_t s = 0; s < mgr.shard_count(); ++s) {
+      const PoolManager::ReconcileResult one = mgr.ReconcileShard(s, target, budget_pages);
+      total.pages_moved += one.pages_moved;
+      total.converged = total.converged && one.converged;
+    }
+    return total;
+  }
+
+  RdmaPool fabric;
+  obs::Registry stats;
+  EventScheduler clock;
+  PoolManager mgr;
+};
+
+// Every shard holds the same replica set (order aside) in both managers.
+::testing::AssertionResult SamePlacement(const PoolManager& a, const PoolManager& b) {
+  for (uint32_t s = 0; s < a.shard_count(); ++s) {
+    std::vector<uint32_t> x = a.ShardReplicas(s);
+    std::vector<uint32_t> y = b.ShardReplicas(s);
+    std::sort(x.begin(), x.end());
+    std::sort(y.begin(), y.end());
+    if (x != y) {
+      return ::testing::AssertionFailure() << "shard " << s << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// A settled shard's reconcile returns before walking the ring. Differential
+// check: M reconciles shard by shard (settled shards skipped), W re-derives
+// every placement with the single-shot RunRebalance, and after every
+// membership change both must hold the same replica sets. In a build with
+// asserts on, ReconcileShard also recomputes the owners of each shard it
+// skips.
+TEST(PoolCtlTest, SettledShardsMatchAFullSweepUnderChurn) {
+  constexpr uint64_t kUnlimited = std::numeric_limits<uint64_t>::max();
+  constexpr uint32_t kNodes = ChurnRack::kPoolNodes;
+  ChurnRack m(2);
+  ChurnRack w(2);
+  const uint32_t base = m.mgr.base_replication();
+  ASSERT_EQ(m.mgr.shard_count(), 144u);
+  std::vector<bool> member(kNodes, true);
+  uint32_t members = kNodes;
+  SimTime when;
+  // One membership step on both managers, then M's two sweeps and W's
+  // rebalance.
+  const auto settle = [&](int step) {
+    const PoolManager::ReconcileResult first = m.Sweep(base, kUnlimited);
+    EXPECT_TRUE(first.converged) << "step " << step;
+    const PoolManager::ReconcileResult second = m.Sweep(base, kUnlimited);
+    EXPECT_EQ(second.pages_moved, 0u) << "step " << step;
+    EXPECT_TRUE(second.converged) << "step " << step;
+    w.mgr.RunRebalance(when);
+    // Both started the step from equal sets and copy exactly the owners
+    // they miss, so they count the same copy traffic too.
+    EXPECT_EQ(m.mgr.rebalanced_pages(), w.mgr.rebalanced_pages()) << "step " << step;
+    return SamePlacement(m.mgr, w.mgr);
+  };
+  ASSERT_TRUE(settle(-1));
+
+  Rng rng(20261019);
+  int deaths = 0;
+  int joins = 0;
+  for (int step = 0; step < 200; ++step) {
+    when = when + SimDuration::Seconds(1);
+    const uint32_t node = static_cast<uint32_t>(rng.NextBounded(kNodes));
+    if (member[node] && members > 1) {
+      m.mgr.DeclareDead(node, when);
+      w.mgr.DeclareDead(node, when);
+      member[node] = false;
+      --members;
+      ++deaths;
+    } else if (!member[node]) {
+      m.mgr.DeclareJoined(node, when);
+      w.mgr.DeclareJoined(node, when);
+      member[node] = true;
+      ++members;
+      ++joins;
+    }
+    ASSERT_TRUE(settle(step)) << "step " << step;
+  }
+  EXPECT_GT(deaths, 50);
+  EXPECT_GT(joins, 50);
+
+  // Every node rejoins, so the legs below have room for extra copies.
+  for (uint32_t node = 0; node < kNodes; ++node) {
+    m.mgr.DeclareJoined(node, when);
+    w.mgr.DeclareJoined(node, when);
+  }
+  ASSERT_TRUE(settle(200));
+
+  // Target change. A budget-starved pass at base+2 adds one copy per shard
+  // without converging; back at base, those copies must still be dropped,
+  // so the starved pass may not leave the base stamp standing.
+  const PoolManager::ReconcileResult starved = m.Sweep(base + 2, ChurnRack::kChunkPages);
+  EXPECT_FALSE(starved.converged);
+  EXPECT_EQ(starved.pages_moved, m.mgr.shard_count() * ChurnRack::kChunkPages);
+  EXPECT_FALSE(SamePlacement(m.mgr, w.mgr));
+  const PoolManager::ReconcileResult back = m.Sweep(base, kUnlimited);
+  EXPECT_TRUE(back.converged);
+  EXPECT_EQ(back.pages_moved, 0u);
+  EXPECT_TRUE(SamePlacement(m.mgr, w.mgr));
+  // A funded pass at base+1 settles every shard at that target, and the
+  // pass at base drops the extra copy again.
+  const PoolManager::ReconcileResult raised = m.Sweep(base + 1, kUnlimited);
+  EXPECT_TRUE(raised.converged);
+  EXPECT_EQ(raised.pages_moved, m.mgr.shard_count() * ChurnRack::kChunkPages);
+  EXPECT_EQ(m.Sweep(base + 1, kUnlimited).pages_moved, 0u);
+  EXPECT_FALSE(SamePlacement(m.mgr, w.mgr));
+  EXPECT_TRUE(m.Sweep(base, kUnlimited).converged);
+  EXPECT_TRUE(SamePlacement(m.mgr, w.mgr));
+
+  // Lost shard at replication 1: DeclareDead of its only holder erases it,
+  // an attach reseeds it onto the current ring, and the next reconcile
+  // starts from the reseeded set.
+  ChurnRack m1(1);
+  ChurnRack w1(1);
+  EXPECT_TRUE(m1.Sweep(1, kUnlimited).converged);  // settles every shard
+  const uint32_t holder = m1.mgr.ShardReplicas(0).front();
+  m1.mgr.DeclareDead(holder, when);
+  w1.mgr.DeclareDead(holder, when);
+  ASSERT_TRUE(m1.mgr.ShardReplicas(0).empty());
+  EXPECT_EQ(m1.mgr.reseeded_shards(), 0u);
+  (void)m1.mgr.Attach(0, 0, when);  // template 0's first chunk is shard 0
+  const std::vector<uint32_t> reseeded = m1.mgr.ShardReplicas(0);
+  ASSERT_EQ(reseeded.size(), 1u);
+  EXPECT_NE(reseeded.front(), holder);
+  const uint64_t reseeds = m1.mgr.reseeded_shards();
+  EXPECT_GT(reseeds, 0u);
+  const PoolManager::ReconcileResult after = m1.mgr.ReconcileShard(0, 1, kUnlimited);
+  EXPECT_TRUE(after.converged);
+  EXPECT_EQ(after.pages_moved, 0u);
+  EXPECT_EQ(m1.mgr.ShardReplicas(0), reseeded);
+  EXPECT_EQ(m1.mgr.reseeded_shards(), reseeds);
+  // The other lost shards are reseeded by the sweep, W's by its rebalance:
+  // the same shards, counted once each on either path.
+  EXPECT_TRUE(m1.Sweep(1, kUnlimited).converged);
+  w1.mgr.RunRebalance(when);
+  EXPECT_EQ(m1.mgr.reseeded_shards(), w1.mgr.reseeded_shards());
+  EXPECT_TRUE(SamePlacement(m1.mgr, w1.mgr));
 }
 
 // --------------------------------------------------------- PoolControlPlane

@@ -70,6 +70,22 @@ TEST(HashRingTest, RemovalRemapsOnlyAffectedKeys) {
   EXPECT_LT(moved, kKeys / 3);
 }
 
+TEST(HashRingTest, VersionCountsMembershipChanges) {
+  HashRing ring;
+  EXPECT_EQ(ring.version(), 0u);
+  ring.AddNode(1);
+  ring.AddNode(2);
+  EXPECT_EQ(ring.version(), 2u);
+  // Re-adding a member or removing a stranger changes no owner set.
+  ring.AddNode(2);
+  ring.RemoveNode(7);
+  EXPECT_EQ(ring.version(), 2u);
+  ring.RemoveNode(1);
+  EXPECT_EQ(ring.version(), 3u);
+  ring.AddNode(1);  // a rejoin is a change too, even back to an old ring
+  EXPECT_EQ(ring.version(), 4u);
+}
+
 TEST(HashRingTest, BalancesLoadAcrossNodes) {
   HashRing ring;
   for (uint32_t n = 0; n < 4; ++n) {
@@ -306,6 +322,42 @@ TEST(PoolManagerTest, LeaseHitSkipsTheFetch) {
   EXPECT_FALSE(other.lease_hit);
 }
 
+TEST(PoolManagerTest, LeaseRefsIsZeroOutsideTheTable) {
+  PoolManagerFixture fx(SmallPoolConfig(2));
+  fx.mgr.RegisterTemplate(0, TwoChunkImage(0xAA, 0xBB));
+  fx.mgr.RegisterTemplate(3, TwoChunkImage(0xCC, 0xDD));  // table rows: fids 0..3
+  (void)fx.mgr.Attach(0, 0, SimTime::Zero());
+  ASSERT_EQ(fx.mgr.LeaseRefs(0, 0), 1u);
+  EXPECT_EQ(fx.mgr.LeaseRefs(2, 0), 0u);  // out-of-range worker
+  EXPECT_EQ(fx.mgr.LeaseRefs(1000, 0), 0u);
+  EXPECT_EQ(fx.mgr.LeaseRefs(0, kInvalidFunctionId), 0u);
+  EXPECT_EQ(fx.mgr.LeaseRefs(0, 1), 0u);   // never registered, inside the table
+  EXPECT_EQ(fx.mgr.LeaseRefs(0, 99), 0u);  // never registered, past it
+  EXPECT_EQ(fx.mgr.LeaseRefs(0, 3), 0u);   // registered, never attached
+  EXPECT_EQ(fx.mgr.LeaseRefs(1, 0), 0u);   // attached on another worker only
+}
+
+TEST(PoolManagerTest, ReleaseWorkerZeroesOnlyItsLeases) {
+  PoolManagerFixture fx(SmallPoolConfig(2), /*workers=*/3);
+  fx.mgr.RegisterTemplate(0, TwoChunkImage(0xAA, 0xBB));
+  fx.mgr.RegisterTemplate(1, TwoChunkImage(0xCC, 0xDD));
+  for (uint32_t worker = 0; worker < 3; ++worker) {
+    for (FunctionId fid = 0; fid < 2; ++fid) {
+      (void)fx.mgr.Attach(worker, fid, SimTime::Zero());
+    }
+  }
+  fx.mgr.ReleaseWorker(1);
+  for (FunctionId fid = 0; fid < 2; ++fid) {
+    EXPECT_EQ(fx.mgr.LeaseRefs(0, fid), 1u);
+    EXPECT_EQ(fx.mgr.LeaseRefs(1, fid), 0u);
+    EXPECT_EQ(fx.mgr.LeaseRefs(2, fid), 1u);
+  }
+  // The released worker's grant windows lapse without counting an expiry.
+  fx.mgr.clock().RunUntil(SimTime::Zero() + SimDuration::Seconds(11));
+  EXPECT_EQ(fx.mgr.leases_expired(), 4u);
+  EXPECT_EQ(fx.mgr.LeaseRefs(0, 0), 0u);
+}
+
 TEST(PoolManagerTest, LeasesExpirePerGrantWindow) {
   PoolManagerFixture fx(SmallPoolConfig(2));
   fx.mgr.RegisterTemplate(0, TwoChunkImage(0xAA, 0xBB));
@@ -347,6 +399,7 @@ TEST(PoolManagerTest, UnreplicatedCrashRevokesAndReseeds) {
   PoolManagerFixture fx(SmallPoolConfig(1));
   fx.mgr.RegisterTemplate(0, TwoChunkImage(0xAA, 0xBB));
   (void)fx.mgr.Attach(0, 0, SimTime::Zero());
+  (void)fx.mgr.Attach(1, 0, SimTime::Zero());
   // Kill every pool node holding a shard of the template.
   for (uint32_t n = 0; n < 4; ++n) {
     fx.mgr.OnPoolNodeCrash(n, SimTime::Zero() + SimDuration::Seconds(1));
@@ -354,8 +407,10 @@ TEST(PoolManagerTest, UnreplicatedCrashRevokesAndReseeds) {
       break;
     }
   }
-  EXPECT_GT(fx.mgr.leases_revoked(), 0u);
+  // One revocation per worker that held the lease, and neither holds it now.
+  EXPECT_EQ(fx.mgr.leases_revoked(), 2u);
   EXPECT_EQ(fx.mgr.LeaseRefs(0, 0), 0u);
+  EXPECT_EQ(fx.mgr.LeaseRefs(1, 0), 0u);
   // Restart one node: the reseed path repopulates from the dedup store and
   // the next attach succeeds as a plain miss.
   fx.mgr.OnPoolNodeRestart(0, SimTime::Zero() + SimDuration::Seconds(2));
