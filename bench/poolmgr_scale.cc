@@ -277,6 +277,7 @@ int RunBench(bench::BenchEnv& env) {
         record
             .Add("poolmgr_scale/chaos_r" + std::to_string(chaos_points[i].replication) +
                  (chaos_points[i].continuous ? "_continuous" : ""))
+            .SimMs(r.attach_p99_ms)
             .Field("accepted", r.accepted)
             .Field("completed", r.completed)
             .Field("promotions", r.promotions)

@@ -157,7 +157,7 @@ size_t Cluster::PickNode(FunctionId function, SimTime arrival) {
       const Node& n = *nodes_[i];
       const bool warm = n.platform->keep_alive().CountFor(function) > 0;
       const bool leased = pool_mgr_ != nullptr &&
-                          pool_mgr_->LeaseRefs(static_cast<uint32_t>(i), function) > 0;
+                          pool_mgr_->HoldsLease(static_cast<uint32_t>(i), function);
       // Membership-view consult: with the continuous control plane on, a
       // node whose NIC is backlogged (or, during a degraded view, any cold
       // pull at all) is penalized before the load tie-breakers. Zero for
@@ -503,7 +503,8 @@ void Cluster::DrainRackClock() {
     pool_ctl_->Quiesce();
   }
   // Let outstanding lease expiries, rebalances, shootdowns and reader-lease
-  // expiries lapse; every grant schedules exactly one expiry, so this drains.
+  // expiries lapse. A lease has at most one expiry check pending, and a
+  // check re-arms only while its lease's deadline lies ahead, so this drains.
   clock_.RunUntilIdle();
 }
 

@@ -80,9 +80,9 @@ void PoolControlPlane::Quiesce() {
 void PoolControlPlane::OnTransition(const GossipMembership::Transition& transition) {
   using State = GossipMembership::State;
   if (transition.to == State::kDead && transition.from == State::kSuspect) {
-    mgr_->DeclareDead(transition.node, transition.when);
+    mgr_->DeclareDead(transition.node);
   } else if (transition.to == State::kAlive && transition.from == State::kJoining) {
-    mgr_->DeclareJoined(transition.node, transition.when);
+    mgr_->DeclareJoined(transition.node);
   }
   if (tracer_ != nullptr) {
     const char* name = nullptr;

@@ -103,14 +103,14 @@ void GossipMembership::Deliver(uint32_t node, SimTime now) {
       if (state.was_up_at_suspicion && state.downs == state.downs_at_suspicion) {
         false_suspicions_->Increment();
       }
-      Announce(node, State::kSuspect, State::kAlive, now);
+      Announce(node, State::kSuspect, State::kAlive);
       state.state = State::kAlive;
       break;
     }
     case State::kDead:
       state.state = State::kJoining;
       state.join_streak = 0;
-      Announce(node, State::kDead, State::kJoining, now);
+      Announce(node, State::kDead, State::kJoining);
       [[fallthrough]];  // this beat is the first of the join streak
     case State::kJoining:
       ++state.join_streak;
@@ -119,7 +119,7 @@ void GossipMembership::Deliver(uint32_t node, SimTime now) {
         ++in_view_;
         rejoins_->Increment();
         BumpEpoch();
-        Announce(node, State::kJoining, State::kAlive, now);
+        Announce(node, State::kJoining, State::kAlive);
       }
       break;
   }
@@ -136,7 +136,7 @@ void GossipMembership::Evaluate(uint32_t node, SimTime now) {
     if (now > state.last_beat) {
       state.state = State::kDead;
       state.join_streak = 0;
-      Announce(node, State::kJoining, State::kDead, now);
+      Announce(node, State::kJoining, State::kDead);
     }
     return;
   }
@@ -147,7 +147,7 @@ void GossipMembership::Evaluate(uint32_t node, SimTime now) {
     state.was_up_at_suspicion = state.up;
     state.downs_at_suspicion = state.downs;
     suspicions_->Increment();
-    Announce(node, State::kAlive, State::kSuspect, now);
+    Announce(node, State::kAlive, State::kSuspect);
   }
   if (state.state == State::kSuspect && phi >= kPhiDead) {
     state.state = State::kDead;
@@ -159,7 +159,7 @@ void GossipMembership::Evaluate(uint32_t node, SimTime now) {
       // True death: record how long the fleet served reads toward a corpse.
       detection_ms_.RecordDuration(now - state.down_since);
     }
-    Announce(node, State::kSuspect, State::kDead, now);
+    Announce(node, State::kSuspect, State::kDead);
   }
 }
 
@@ -168,9 +168,9 @@ void GossipMembership::BumpEpoch() {
   epoch_gauge_->Set(static_cast<double>(epoch_));
 }
 
-void GossipMembership::Announce(uint32_t node, State from, State to, SimTime when) {
+void GossipMembership::Announce(uint32_t node, State from, State to) {
   if (listener_) {
-    listener_(Transition{node, from, to, when});
+    listener_(Transition{node, from, to});
   }
 }
 

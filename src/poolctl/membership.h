@@ -46,7 +46,6 @@ class GossipMembership {
     uint32_t node = 0;
     State from = State::kAlive;
     State to = State::kAlive;
-    SimTime when;
   };
   using Listener = std::function<void(const Transition&)>;
 
@@ -120,7 +119,7 @@ class GossipMembership {
   void Evaluate(uint32_t node, SimTime now);
   // Bumps the membership epoch (a death or a completed rejoin).
   void BumpEpoch();
-  void Announce(uint32_t node, State from, State to, SimTime when);
+  void Announce(uint32_t node, State from, State to);
 
   EventScheduler* clock_;
   Rng rng_;

@@ -64,8 +64,8 @@ void PoolManager::RegisterTemplate(FunctionId fid, const ConsolidatedImage& imag
   }
   if (templates_.size() <= fid) {
     templates_.resize(fid + 1);
-    for (std::vector<uint32_t>& worker_leases : leases_) {
-      worker_leases.resize(templates_.size(), 0);
+    for (std::vector<Lease>& worker_leases : leases_) {
+      worker_leases.resize(templates_.size());
     }
   }
   if (!templates_[fid].empty()) {
@@ -130,7 +130,7 @@ PoolManager::AttachOutcome PoolManager::Attach(uint32_t worker, FunctionId fid, 
   }
   outcome.latency = cost::kPoolAttachMetadataBase +
                     cost::kPoolAttachMetadataPerShard * static_cast<double>(shard_ids->size());
-  if (leases_[worker][fid] > 0) {
+  if (leases_[worker][fid].held) {
     // Lease hit: the shards are already mapped on this worker; renew only.
     outcome.lease_hit = true;
     lease_hits_->Increment();
@@ -226,31 +226,21 @@ bool PoolManager::PickReadReplica(const Shard& shard, uint32_t worker, uint32_t*
 }
 
 void PoolManager::GrantLease(uint32_t worker, FunctionId fid, SimTime now) {
-  ++leases_[worker][fid];
-  // One expiry event per grant window: the lease dies when the last grant's
-  // window lapses — refcounted expiry, driven by the rack clock.
-  const SimTime expiry = std::max(now, clock_->now()) + config_.lease_ttl;
-  clock_->ScheduleAt(expiry, [this, worker, fid] {
-    uint32_t& refs = leases_[worker][fid];
-    if (refs == 0) {
-      return;  // already revoked or released with the worker
-    }
-    if (--refs == 0) {
-      leases_expired_->Increment();
-    }
-  });
+  trenv::GrantLease(
+      *clock_, leases_[worker][fid], std::max(now, clock_->now()) + config_.lease_ttl,
+      [this, worker, fid]() -> Lease& { return leases_[worker][fid]; },
+      [this] { leases_expired_->Increment(); });
 }
 
-uint32_t PoolManager::LeaseRefs(uint32_t worker, FunctionId fid) const {
-  if (worker >= leases_.size() || fid >= leases_[worker].size()) {
-    return 0;
-  }
-  return leases_[worker][fid];
+bool PoolManager::HoldsLease(uint32_t worker, FunctionId fid) const {
+  return worker < leases_.size() && fid < leases_[worker].size() && leases_[worker][fid].held;
 }
 
 void PoolManager::ReleaseWorker(uint32_t worker) {
   if (worker < leases_.size()) {
-    std::fill(leases_[worker].begin(), leases_[worker].end(), 0);
+    for (Lease& lease : leases_[worker]) {
+      lease.Drop();
+    }
   }
 }
 
@@ -301,9 +291,9 @@ void PoolManager::RemoveFromPlacement(uint32_t pool_node) {
     if (!lost) {
       continue;
     }
-    for (std::vector<uint32_t>& worker_leases : leases_) {
-      if (worker_leases[fid] != 0) {
-        worker_leases[fid] = 0;
+    for (std::vector<Lease>& worker_leases : leases_) {
+      if (worker_leases[fid].held) {
+        worker_leases[fid].Drop();
         leases_revoked_->Increment();
       }
     }
@@ -331,16 +321,14 @@ void PoolManager::OnPoolNodeUp(uint32_t pool_node) {
   }
 }
 
-void PoolManager::DeclareDead(uint32_t pool_node, SimTime when) {
-  (void)when;
+void PoolManager::DeclareDead(uint32_t pool_node) {
   if (pool_node >= alive_.size() || !ring_.Contains(pool_node)) {
     return;  // already declared (or never known) — idempotent
   }
   RemoveFromPlacement(pool_node);
 }
 
-void PoolManager::DeclareJoined(uint32_t pool_node, SimTime when) {
-  (void)when;
+void PoolManager::DeclareJoined(uint32_t pool_node) {
   if (pool_node >= alive_.size() || ring_.Contains(pool_node)) {
     return;  // already a member — idempotent
   }
@@ -356,7 +344,7 @@ void PoolManager::ScheduleRebalance(SimTime when) {
   rebalance_pending_ = true;
   clock_->ScheduleAt(std::max(when, clock_->now()), [this] {
     rebalance_pending_ = false;
-    RunRebalance(clock_->now());
+    RunRebalance();
   });
 }
 
@@ -373,8 +361,7 @@ bool PoolManager::SameOwnerSet(const std::vector<uint32_t>& replicas,
   return true;  // same size, no duplicates in either — equal as sets
 }
 
-void PoolManager::RunRebalance(SimTime now) {
-  (void)now;
+void PoolManager::RunRebalance() {
   if (ring_.node_count() == 0) {
     return;  // nothing alive to move to; retried after the next restart
   }

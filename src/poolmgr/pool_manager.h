@@ -9,10 +9,11 @@
 //     (HashRing) with a configurable replication factor. Placement is a pure
 //     function of (fingerprint, live membership): no directory service.
 //   * Lease-based remote attach — a worker taking a template pays the
-//     shard transfers once, then holds a refcounted, TTL-expiring lease;
-//     further attaches on that worker are metadata-only until every grant
-//     window lapses. Expiry runs on the rack clock: an EventScheduler the
-//     Cluster owns and advances in lock-step with the worker clocks.
+//     shard transfers once, then holds a TTL lease (src/sim/lease.h): a
+//     deadline each attach moves forward, with one expiry check pending on
+//     the rack clock, an EventScheduler the Cluster owns and advances in
+//     lock-step with the worker clocks. Further attaches on that worker are
+//     metadata-only until the latest grant's window lapses.
 //   * Failure wiring — a pool-node crash (FaultDomain::kPoolNodeCrash)
 //     revokes nothing when replication >= 2: a surviving replica is promoted
 //     to primary and leases stay valid. With replication 1 the lost shards'
@@ -43,6 +44,7 @@
 #include "src/poolmgr/fetch_queue.h"
 #include "src/poolmgr/hash_ring.h"
 #include "src/sim/event_scheduler.h"
+#include "src/sim/lease.h"
 
 namespace trenv {
 
@@ -52,8 +54,8 @@ struct PoolManagerConfig {
   bool enabled = false;
   uint32_t pool_nodes = 4;
   uint32_t replication = 2;
-  // How long one attach grant keeps a worker's lease alive; each grant is
-  // one refcount for one TTL window.
+  // How long one attach grant keeps a worker's lease alive: each grant
+  // moves the lease's deadline to at least its own time plus this.
   SimDuration lease_ttl = SimDuration::Seconds(60);
 };
 
@@ -104,10 +106,10 @@ class PoolManager {
   // the worker's NIC queue and grants a fresh lease.
   AttachOutcome Attach(uint32_t worker, FunctionId fid, SimTime now);
 
-  // Active grant windows the worker holds on fid's template (0 = no lease,
-  // and for a worker or fid outside the table). An array read: dispatch
-  // asks once per candidate worker.
-  uint32_t LeaseRefs(uint32_t worker, FunctionId fid) const;
+  // Whether the worker holds a lease on fid's template (false for a worker
+  // or fid outside the table). An array read: dispatch asks once per
+  // candidate worker.
+  bool HoldsLease(uint32_t worker, FunctionId fid) const;
   // Drops every lease a crashed worker held (nothing orderly to tear down).
   void ReleaseWorker(uint32_t worker);
 
@@ -139,8 +141,8 @@ class PoolManager {
   // lost shards; DeclareJoined re-adds it (its copies were dropped from the
   // metadata at declaration, so the rebalancer re-copies incrementally).
   // Both are idempotent.
-  void DeclareDead(uint32_t pool_node, SimTime when);
-  void DeclareJoined(uint32_t pool_node, SimTime when);
+  void DeclareDead(uint32_t pool_node);
+  void DeclareJoined(uint32_t pool_node);
 
   struct ReconcileResult {
     uint64_t pages_moved = 0;
@@ -163,7 +165,7 @@ class PoolManager {
   // a membership change; exposed for tests. Idempotent: a converged
   // shard (same owner set, primary preserved) is left untouched, so repeat
   // invocations — including after a node rejoin — change nothing.
-  void RunRebalance(SimTime now);
+  void RunRebalance();
 
   // --- accounting -----------------------------------------------------------
   const Histogram& attach_ms() const { return attach_ms_; }
@@ -259,9 +261,9 @@ class PoolManager {
   std::map<std::tuple<PageContent, uint64_t, bool>, uint32_t> shard_by_content_;
   // fid -> shard indices (sparse, indexed by interned FunctionId).
   std::vector<std::vector<uint32_t>> templates_;
-  // Lease refcounts, [worker][fid], one per grant window still open (0 = no
-  // lease). RegisterTemplate sizes every worker's row to templates_.
-  std::vector<std::vector<uint32_t>> leases_;
+  // Template leases, [worker][fid]. RegisterTemplate sizes every worker's
+  // row to templates_.
+  std::vector<std::vector<Lease>> leases_;
   bool rebalance_pending_ = false;
   bool continuous_ = false;
   ContinuousPoolPolicy policy_;

@@ -73,7 +73,7 @@ Status PipelineDriver::OnStageDone(const PipelineSpec& spec, uint32_t job,
     if (js.region == kInvalidRegionId) {
       TRENV_ASSIGN_OR_RETURN(
           js.region, sh->CreateRegion(spec.name + "-job" + std::to_string(job),
-                                      spec.payload_pages, node, t));
+                                      spec.payload_pages, node));
       t += cost::kShStateMapMetadata;
     } else if (sh->OwnerOf(js.region) != static_cast<int32_t>(node)) {
       TRENV_ASSIGN_OR_RETURN(RegionOp upgrade, sh->AcquireOwnership(js.region, node, t));

@@ -63,8 +63,7 @@ MemoryBackend* RegionManager::Backend(const Region& region) const {
 
 bool RegionManager::ReaderMapped(RegionId id, uint32_t worker) const {
   const Region& region = regions_[id];
-  auto it = region.readers.find(worker);
-  return it != region.readers.end() && it->second.mapped;
+  return worker < region.readers.size() && region.readers[worker].mapped;
 }
 
 void RegionManager::MapOwner(Region& region, uint32_t worker) {
@@ -94,9 +93,17 @@ void RegionManager::UnmapWindow(Region& region, uint32_t worker) {
   mms_[worker].page_table().UnmapRange(region.window, region.npages);
 }
 
+void RegionManager::DropReader(Region& region, uint32_t worker) {
+  Reader& reader = region.readers[worker];
+  if (reader.mapped) {
+    UnmapWindow(region, worker);
+    reader.mapped = false;
+  }
+  reader.lease.Drop();
+}
+
 Result<RegionId> RegionManager::CreateRegion(const std::string& name, uint64_t npages,
-                                             uint32_t owner, SimTime now) {
-  (void)now;
+                                             uint32_t owner) {
   if (npages == 0 || owner >= mms_.size()) {
     return Status::InvalidArgument("bad region size or owner");
   }
@@ -120,6 +127,7 @@ Result<RegionId> RegionManager::CreateRegion(const std::string& name, uint64_t n
   region.window = next_window_;
   region.home = HomeOf(owner);
   region.owner = static_cast<int32_t>(owner);
+  region.readers.resize(mms_.size());
   region.live = true;
   next_window_ = window_end;
   regions_.push_back(std::move(region));
@@ -131,7 +139,8 @@ Result<RegionId> RegionManager::CreateRegion(const std::string& name, uint64_t n
 SimDuration RegionManager::RevokeReaders(RegionId id, int32_t keep, SimTime now) {
   Region& region = regions_[id];
   SimDuration latency;
-  for (auto& [worker, reader] : region.readers) {
+  for (uint32_t worker = 0; worker < region.readers.size(); ++worker) {
+    Reader& reader = region.readers[worker];
     if (!reader.mapped || static_cast<int32_t>(worker) == keep) {
       continue;
     }
@@ -141,21 +150,17 @@ SimDuration RegionManager::RevokeReaders(RegionId id, int32_t keep, SimTime now)
     // The unmap itself lands asynchronously on the rack clock — modeled
     // after a TLB-shootdown IPI. The reader sees the revocation once the
     // event runs; its next ReadRegion re-maps and re-fetches.
-    const uint32_t w = worker;
     clock_->ScheduleAt(std::max(now, clock_->now()) + cost::kShStateInvalidatePerReader,
-                       [this, id, w] {
+                       [this, id, worker] {
                          Region& r = regions_[id];
                          // Skip if the worker re-opened (mapped again) or took
                          // ownership since the shootdown was posted — its
                          // current mapping is live, not the revoked one.
-                         if (!r.live || r.owner == static_cast<int32_t>(w)) {
+                         if (!r.live || r.owner == static_cast<int32_t>(worker) ||
+                             r.readers[worker].mapped) {
                            return;
                          }
-                         auto it = r.readers.find(w);
-                         if (it != r.readers.end() && it->second.mapped) {
-                           return;
-                         }
-                         UnmapWindow(r, w);
+                         UnmapWindow(r, worker);
                        });
   }
   return latency;
@@ -185,29 +190,16 @@ Result<RegionOp> RegionManager::WriteRegion(RegionId id, uint32_t worker, SimTim
 }
 
 void RegionManager::GrantLease(RegionId id, uint32_t worker, SimTime now) {
-  Region& region = regions_[id];
-  Reader& reader = region.readers[worker];
-  reader.lease_expires = now + config_.lease_ttl;
   lease_grants_->Increment();
-  // One expiry event per grant window (poolmgr's scheme): renewals push
-  // lease_expires forward, so earlier events find the lease still live. A
-  // poolmgr attach may already have run the rack clock past `now`, so the
-  // event never lands behind the clock.
-  clock_->ScheduleAt(std::max(reader.lease_expires, clock_->now()), [this, id, worker] {
-    Region& r = regions_[id];
-    if (!r.live) {
-      return;
-    }
-    auto it = r.readers.find(worker);
-    if (it == r.readers.end() || clock_->now() < it->second.lease_expires) {
-      return;  // renewed (or already gone)
-    }
-    if (it->second.mapped) {
-      UnmapWindow(r, worker);
-    }
-    r.readers.erase(it);
-    leases_expired_->Increment();
-  });
+  // A poolmgr attach may already have run the rack clock past `now`; the
+  // lease's check then lands at the clock, not behind it.
+  trenv::GrantLease(
+      *clock_, regions_[id].readers[worker].lease, now + config_.lease_ttl,
+      [this, id, worker]() -> Lease& { return regions_[id].readers[worker].lease; },
+      [this, id, worker] {
+        DropReader(regions_[id], worker);
+        leases_expired_->Increment();
+      });
 }
 
 Result<RegionOp> RegionManager::OpenReader(RegionId id, uint32_t worker, SimTime now) {
@@ -231,15 +223,16 @@ Result<RegionOp> RegionManager::OpenReader(RegionId id, uint32_t worker, SimTime
 
 Result<RegionOp> RegionManager::ReadRegion(RegionId id, uint32_t worker, SimTime now) {
   TRENV_ASSIGN_OR_RETURN(Region * region, Find(id));
+  if (worker >= mms_.size()) {
+    return Status::InvalidArgument("bad reader worker");
+  }
   MemoryBackend* backend = Backend(*region);
   if (backend == nullptr) {
     return Status::Internal("no backend for region tier");
   }
   RegionOp op;
   if (region->owner != static_cast<int32_t>(worker)) {
-    auto it = region->readers.find(worker);
-    const bool warm = it != region->readers.end() && it->second.mapped;
-    if (!warm) {
+    if (!region->readers[worker].mapped) {
       // Fresh open or revoked/expired mapping: re-map (metadata) and stream
       // the region back in — the measurable cost of an invalidation.
       TRENV_ASSIGN_OR_RETURN(RegionOp open, OpenReader(id, worker, now));
@@ -269,8 +262,9 @@ Result<RegionOp> RegionManager::MoveOwnership(RegionId id, uint32_t to, SimTime 
     UnmapWindow(region, static_cast<uint32_t>(region.owner));
   }
   // The new owner's reader mapping (if any) is replaced synchronously by the
-  // owner mapping below; drop its lease bookkeeping.
-  region.readers.erase(to);
+  // owner mapping below; drop its reader lease.
+  region.readers[to].mapped = false;
+  region.readers[to].lease.Drop();
   op.latency += cost::kShStateOwnershipTransfer;
   const uint32_t to_home = HomeOf(to);
   if (to_home != region.home) {
@@ -327,12 +321,9 @@ Status RegionManager::DestroyRegion(RegionId id) {
   if (region->owner >= 0) {
     UnmapWindow(*region, static_cast<uint32_t>(region->owner));
   }
-  for (auto& [worker, reader] : region->readers) {
-    if (reader.mapped) {
-      UnmapWindow(*region, worker);
-    }
+  for (uint32_t worker = 0; worker < region->readers.size(); ++worker) {
+    DropReader(*region, worker);
   }
-  region->readers.clear();
   region->owner = -1;
   region->live = false;
   return pool_->FreePages(region->placement);
@@ -353,13 +344,7 @@ void RegionManager::ReleaseWorker(uint32_t worker) {
       UnmapWindow(region, worker);
       region.owner = -1;
     }
-    auto it = region.readers.find(worker);
-    if (it != region.readers.end()) {
-      if (it->second.mapped) {
-        UnmapWindow(region, worker);
-      }
-      region.readers.erase(it);
-    }
+    DropReader(region, worker);
   }
 }
 

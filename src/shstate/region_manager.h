@@ -16,11 +16,13 @@
 //     Cluster-owned EventScheduler that poolmgr's leases also run on).
 //     A revoked reader's next read re-maps the window and re-fetches the
 //     pages, so coherence traffic is modeled and measurable.
-//   * Leases — cross-node readers hold TTL leases mirroring the poolmgr
-//     machinery (one expiry event per grant window); an expired, unmapped
-//     reader re-opens on next use. A worker crash drops its leases and
-//     releases any ownership it held; the region bytes are durable in the
-//     pool, so recovery is lease-based with no data loss.
+//   * Leases — cross-node readers hold TTL leases, the scheme poolmgr's
+//     template leases use (src/sim/lease.h): each open or read moves the
+//     deadline forward, and one expiry check per reader is pending on the
+//     rack clock. An expired reader is unmapped and re-opens on next use. A
+//     worker crash drops its leases and releases any ownership it held; the
+//     region bytes are durable in the pool, so recovery is lease-based with
+//     no data loss.
 //   * I/O offload channel (Nexus-style) — Transfer() hands a region from a
 //     producer to a consumer by ownership transfer: metadata-only when both
 //     workers' pool homes match, a pool-to-pool page migration otherwise.
@@ -33,7 +35,6 @@
 #define TRENV_SHSTATE_REGION_MANAGER_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,7 @@
 #include "src/mempool/tiered_pool.h"
 #include "src/obs/registry.h"
 #include "src/sim/event_scheduler.h"
+#include "src/sim/lease.h"
 #include "src/simkernel/fault_handler.h"
 #include "src/simkernel/frame_allocator.h"
 #include "src/simkernel/mm_struct.h"
@@ -53,7 +55,8 @@ struct ShStateConfig {
   bool enabled = false;
   // Pool-side homes for region bytes; worker w's home is w % pool_nodes.
   uint32_t pool_nodes = 4;
-  // Reader lease TTL (one grant window per OpenReader/ReadRegion renew).
+  // Reader lease TTL: each OpenReader/ReadRegion moves the reader's
+  // deadline to at least its time plus this.
   SimDuration lease_ttl = SimDuration::Seconds(60);
 };
 
@@ -88,7 +91,7 @@ class RegionManager {
   // Allocates a named region of `npages` on the pool and maps it into the
   // owner's window (valid + !wp + shared + owner); costs kShStateMapMetadata.
   [[nodiscard]] Result<RegionId> CreateRegion(const std::string& name, uint64_t npages,
-                                              uint32_t owner, SimTime now);
+                                              uint32_t owner);
 
   // Owner writes the whole region: write-through stores via the fault
   // handler's shared-owner path (sets dirty) plus invalidation of every
@@ -147,7 +150,7 @@ class RegionManager {
  private:
   struct Reader {
     bool mapped = false;
-    SimTime lease_expires;
+    Lease lease;
   };
   struct Region {
     std::string name;
@@ -157,7 +160,9 @@ class RegionManager {
     uint32_t home = 0;   // pool node currently holding the bytes
     int32_t owner = -1;  // worker holding write ownership; -1 = vacant
     uint64_t version = 0;
-    std::map<uint32_t, Reader> readers;  // worker -> lease/mapping state
+    // Indexed by worker. A dropped reader keeps its slot, so its pending
+    // lease check still finds it.
+    std::vector<Reader> readers;
     bool live = false;
   };
 
@@ -167,6 +172,8 @@ class RegionManager {
   void MapOwner(Region& region, uint32_t worker);
   void MapReader(Region& region, uint32_t worker);
   void UnmapWindow(Region& region, uint32_t worker);
+  // Unmaps the worker's reader window if it is mapped and drops its lease.
+  void DropReader(Region& region, uint32_t worker);
   // Schedules invalidation events for every mapped reader (except `keep`,
   // the upgrading worker, whose window is replaced synchronously) and
   // returns the coherence latency the mutator pays.

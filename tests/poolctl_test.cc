@@ -206,7 +206,7 @@ TEST(PoolCtlTest, BackloggedNicShedsColdAttachToNas) {
   // Shed, not dropped: the NAS path is slower than metadata but the lease
   // is granted all the same.
   EXPECT_GT(shed.latency, SimDuration::Zero());
-  EXPECT_EQ(mgr.LeaseRefs(0, 1), 1u);
+  EXPECT_TRUE(mgr.HoldsLease(0, 1));
   // Worker 1's NIC is idle: same attach, no shed.
   const auto other = mgr.Attach(1, 1, SimTime::Zero());
   EXPECT_EQ(other.fetched_pages, 1024u);
@@ -255,7 +255,7 @@ TEST(PoolCtlTest, AllReplicasDownFallsBackToNas) {
   EXPECT_FALSE(attach.lease_hit);
   EXPECT_EQ(attach.fetched_pages, 0u);
   EXPECT_EQ(mgr.nas_fallback_pages(), 1024u);
-  EXPECT_EQ(mgr.LeaseRefs(0, 0), 1u);
+  EXPECT_TRUE(mgr.HoldsLease(0, 0));
   EXPECT_GT(attach.latency, SimDuration::Zero());
 }
 
@@ -371,7 +371,7 @@ TEST(PoolCtlTest, SettledShardsMatchAFullSweepUnderChurn) {
     const PoolManager::ReconcileResult second = m.Sweep(base, kUnlimited);
     EXPECT_EQ(second.pages_moved, 0u) << "step " << step;
     EXPECT_TRUE(second.converged) << "step " << step;
-    w.mgr.RunRebalance(when);
+    w.mgr.RunRebalance();
     // Both started the step from equal sets and copy exactly the owners
     // they miss, so they count the same copy traffic too.
     EXPECT_EQ(m.mgr.rebalanced_pages(), w.mgr.rebalanced_pages()) << "step " << step;
@@ -386,14 +386,14 @@ TEST(PoolCtlTest, SettledShardsMatchAFullSweepUnderChurn) {
     when = when + SimDuration::Seconds(1);
     const uint32_t node = static_cast<uint32_t>(rng.NextBounded(kNodes));
     if (member[node] && members > 1) {
-      m.mgr.DeclareDead(node, when);
-      w.mgr.DeclareDead(node, when);
+      m.mgr.DeclareDead(node);
+      w.mgr.DeclareDead(node);
       member[node] = false;
       --members;
       ++deaths;
     } else if (!member[node]) {
-      m.mgr.DeclareJoined(node, when);
-      w.mgr.DeclareJoined(node, when);
+      m.mgr.DeclareJoined(node);
+      w.mgr.DeclareJoined(node);
       member[node] = true;
       ++members;
       ++joins;
@@ -405,8 +405,8 @@ TEST(PoolCtlTest, SettledShardsMatchAFullSweepUnderChurn) {
 
   // Every node rejoins, so the legs below have room for extra copies.
   for (uint32_t node = 0; node < kNodes; ++node) {
-    m.mgr.DeclareJoined(node, when);
-    w.mgr.DeclareJoined(node, when);
+    m.mgr.DeclareJoined(node);
+    w.mgr.DeclareJoined(node);
   }
   ASSERT_TRUE(settle(200));
 
@@ -438,8 +438,8 @@ TEST(PoolCtlTest, SettledShardsMatchAFullSweepUnderChurn) {
   ChurnRack w1(1);
   EXPECT_TRUE(m1.Sweep(1, kUnlimited).converged);  // settles every shard
   const uint32_t holder = m1.mgr.ShardReplicas(0).front();
-  m1.mgr.DeclareDead(holder, when);
-  w1.mgr.DeclareDead(holder, when);
+  m1.mgr.DeclareDead(holder);
+  w1.mgr.DeclareDead(holder);
   ASSERT_TRUE(m1.mgr.ShardReplicas(0).empty());
   EXPECT_EQ(m1.mgr.reseeded_shards(), 0u);
   (void)m1.mgr.Attach(0, 0, when);  // template 0's first chunk is shard 0
@@ -456,7 +456,7 @@ TEST(PoolCtlTest, SettledShardsMatchAFullSweepUnderChurn) {
   // The other lost shards are reseeded by the sweep, W's by its rebalance:
   // the same shards, counted once each on either path.
   EXPECT_TRUE(m1.Sweep(1, kUnlimited).converged);
-  w1.mgr.RunRebalance(when);
+  w1.mgr.RunRebalance();
   EXPECT_EQ(m1.mgr.reseeded_shards(), w1.mgr.reseeded_shards());
   EXPECT_TRUE(SamePlacement(m1.mgr, w1.mgr));
 }

@@ -3,6 +3,7 @@
 // pool-node crash recovery, and locality-aware cluster dispatch.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 
 #include "src/mempool/rdma_pool.h"
@@ -316,25 +317,28 @@ TEST(PoolManagerTest, LeaseHitSkipsTheFetch) {
   EXPECT_TRUE(hit.lease_hit);
   EXPECT_EQ(hit.fetched_pages, 0u);
   EXPECT_LT(hit.latency, miss.latency);
-  EXPECT_EQ(fx.mgr.LeaseRefs(0, 0), 2u);  // two grant windows outstanding
+  EXPECT_TRUE(fx.mgr.HoldsLease(0, 0));
   // A different worker has no lease: it pays its own fetch.
   const auto other = fx.mgr.Attach(1, 0, SimTime::Zero() + SimDuration::Seconds(1));
   EXPECT_FALSE(other.lease_hit);
+  // The hit renewed the lease past the miss's 10 s window.
+  fx.mgr.clock().RunUntil(SimTime::Zero() + SimDuration::Millis(10500));
+  EXPECT_TRUE(fx.mgr.HoldsLease(0, 0));
 }
 
-TEST(PoolManagerTest, LeaseRefsIsZeroOutsideTheTable) {
+TEST(PoolManagerTest, HoldsLeaseIsFalseOutsideTheTable) {
   PoolManagerFixture fx(SmallPoolConfig(2));
   fx.mgr.RegisterTemplate(0, TwoChunkImage(0xAA, 0xBB));
   fx.mgr.RegisterTemplate(3, TwoChunkImage(0xCC, 0xDD));  // table rows: fids 0..3
   (void)fx.mgr.Attach(0, 0, SimTime::Zero());
-  ASSERT_EQ(fx.mgr.LeaseRefs(0, 0), 1u);
-  EXPECT_EQ(fx.mgr.LeaseRefs(2, 0), 0u);  // out-of-range worker
-  EXPECT_EQ(fx.mgr.LeaseRefs(1000, 0), 0u);
-  EXPECT_EQ(fx.mgr.LeaseRefs(0, kInvalidFunctionId), 0u);
-  EXPECT_EQ(fx.mgr.LeaseRefs(0, 1), 0u);   // never registered, inside the table
-  EXPECT_EQ(fx.mgr.LeaseRefs(0, 99), 0u);  // never registered, past it
-  EXPECT_EQ(fx.mgr.LeaseRefs(0, 3), 0u);   // registered, never attached
-  EXPECT_EQ(fx.mgr.LeaseRefs(1, 0), 0u);   // attached on another worker only
+  ASSERT_TRUE(fx.mgr.HoldsLease(0, 0));
+  EXPECT_FALSE(fx.mgr.HoldsLease(2, 0));  // out-of-range worker
+  EXPECT_FALSE(fx.mgr.HoldsLease(1000, 0));
+  EXPECT_FALSE(fx.mgr.HoldsLease(0, kInvalidFunctionId));
+  EXPECT_FALSE(fx.mgr.HoldsLease(0, 1));   // never registered, inside the table
+  EXPECT_FALSE(fx.mgr.HoldsLease(0, 99));  // never registered, past it
+  EXPECT_FALSE(fx.mgr.HoldsLease(0, 3));   // registered, never attached
+  EXPECT_FALSE(fx.mgr.HoldsLease(1, 0));   // attached on another worker only
 }
 
 TEST(PoolManagerTest, ReleaseWorkerZeroesOnlyItsLeases) {
@@ -348,14 +352,14 @@ TEST(PoolManagerTest, ReleaseWorkerZeroesOnlyItsLeases) {
   }
   fx.mgr.ReleaseWorker(1);
   for (FunctionId fid = 0; fid < 2; ++fid) {
-    EXPECT_EQ(fx.mgr.LeaseRefs(0, fid), 1u);
-    EXPECT_EQ(fx.mgr.LeaseRefs(1, fid), 0u);
-    EXPECT_EQ(fx.mgr.LeaseRefs(2, fid), 1u);
+    EXPECT_TRUE(fx.mgr.HoldsLease(0, fid));
+    EXPECT_FALSE(fx.mgr.HoldsLease(1, fid));
+    EXPECT_TRUE(fx.mgr.HoldsLease(2, fid));
   }
   // The released worker's grant windows lapse without counting an expiry.
   fx.mgr.clock().RunUntil(SimTime::Zero() + SimDuration::Seconds(11));
   EXPECT_EQ(fx.mgr.leases_expired(), 4u);
-  EXPECT_EQ(fx.mgr.LeaseRefs(0, 0), 0u);
+  EXPECT_FALSE(fx.mgr.HoldsLease(0, 0));
 }
 
 TEST(PoolManagerTest, LeasesExpirePerGrantWindow) {
@@ -363,13 +367,85 @@ TEST(PoolManagerTest, LeasesExpirePerGrantWindow) {
   fx.mgr.RegisterTemplate(0, TwoChunkImage(0xAA, 0xBB));
   (void)fx.mgr.Attach(0, 0, SimTime::Zero());
   (void)fx.mgr.Attach(0, 0, SimTime::Zero() + SimDuration::Seconds(5));
-  ASSERT_EQ(fx.mgr.LeaseRefs(0, 0), 2u);
-  // First grant lapses at t=10s, second at t=15s.
+  ASSERT_TRUE(fx.mgr.HoldsLease(0, 0));
+  // First grant's window ends at t=10s, second's at t=15s.
   fx.mgr.clock().RunUntil(SimTime::Zero() + SimDuration::Seconds(12));
-  EXPECT_EQ(fx.mgr.LeaseRefs(0, 0), 1u);
+  EXPECT_TRUE(fx.mgr.HoldsLease(0, 0));
   fx.mgr.clock().RunUntil(SimTime::Zero() + SimDuration::Seconds(16));
-  EXPECT_EQ(fx.mgr.LeaseRefs(0, 0), 0u);
-  EXPECT_EQ(fx.mgr.leases_expired(), 1u);  // counted when refs hit zero
+  EXPECT_FALSE(fx.mgr.HoldsLease(0, 0));
+  EXPECT_EQ(fx.mgr.leases_expired(), 1u);  // counted once, when the last window lapses
+}
+
+SimTime At(int64_t seconds) { return SimTime::Zero() + SimDuration::Seconds(seconds); }
+
+// Both workers attach at 0 s, lose the lease at 3 s through `drop`, and
+// attach again at 7 s. The 0 s grants' checks, still pending, run at 10 s
+// and must re-arm at 17 s instead of cutting the new leases short. Worker 1
+// renews at 11 s, so worker 0's lapse at 17 s is the only expiry.
+void ExpectStaleCheckKeepsTheNewLease(PoolManagerFixture& fx,
+                                      const std::function<void()>& drop) {
+  fx.mgr.RegisterTemplate(0, TwoChunkImage(0xAA, 0xBB));
+  for (uint32_t worker = 0; worker < 2; ++worker) {
+    (void)fx.mgr.Attach(worker, 0, At(0));
+  }
+  fx.mgr.clock().RunUntil(At(3));
+  drop();
+  fx.mgr.clock().RunUntil(At(7));
+  for (uint32_t worker = 0; worker < 2; ++worker) {
+    EXPECT_FALSE(fx.mgr.Attach(worker, 0, At(7)).lease_hit);
+  }
+  fx.mgr.clock().RunUntil(At(11));
+  EXPECT_TRUE(fx.mgr.HoldsLease(0, 0));
+  EXPECT_TRUE(fx.mgr.HoldsLease(1, 0));
+  EXPECT_EQ(fx.mgr.leases_expired(), 0u);
+  EXPECT_TRUE(fx.mgr.Attach(1, 0, At(11)).lease_hit);
+  fx.mgr.clock().RunUntil(At(18));
+  EXPECT_FALSE(fx.mgr.HoldsLease(0, 0));
+  EXPECT_TRUE(fx.mgr.HoldsLease(1, 0));
+  EXPECT_EQ(fx.mgr.leases_expired(), 1u);
+}
+
+TEST(PoolManagerTest, ReleasedWorkersStaleCheckKeepsTheNewLease) {
+  PoolManagerFixture fx(SmallPoolConfig(2));
+  ExpectStaleCheckKeepsTheNewLease(fx, [&] {
+    fx.mgr.ReleaseWorker(0);
+    fx.mgr.ReleaseWorker(1);
+  });
+}
+
+TEST(PoolManagerTest, RevokedLeasesStaleCheckKeepsTheNewLease) {
+  // Replication 1: every holder of a template shard crashes, which revokes
+  // both leases, and one node restarts for the re-attach to reseed onto.
+  PoolManagerFixture fx(SmallPoolConfig(1));
+  ExpectStaleCheckKeepsTheNewLease(fx, [&] {
+    for (uint32_t n = 0; n < 4 && fx.mgr.leases_revoked() == 0; ++n) {
+      fx.mgr.OnPoolNodeCrash(n, At(3));
+    }
+    ASSERT_EQ(fx.mgr.leases_revoked(), 2u);
+    fx.mgr.OnPoolNodeRestart(0, At(3));
+  });
+}
+
+TEST(PoolManagerTest, RenewalsKeepOneCheckPending) {
+  PoolManagerFixture fx(SmallPoolConfig(2));
+  fx.mgr.RegisterTemplate(0, TwoChunkImage(0xAA, 0xBB));
+  SimTime last;
+  for (int64_t i = 0; i < 100; ++i) {
+    last = SimTime::Zero() + SimDuration::Millis(10 * i);
+    fx.mgr.clock().RunUntil(last);
+    (void)fx.mgr.Attach(0, 0, last);
+  }
+  EXPECT_EQ(fx.mgr.lease_hits(), 99u);
+  EXPECT_EQ(fx.mgr.clock().pending_count(), 1u);
+  // The first grant's check runs at 10 s and re-arms at the last deadline.
+  const SimTime deadline = last + SimDuration::Seconds(10);
+  fx.mgr.clock().RunUntil(deadline - SimDuration::Nanos(1));
+  EXPECT_TRUE(fx.mgr.HoldsLease(0, 0));
+  EXPECT_EQ(fx.mgr.clock().pending_count(), 1u);
+  fx.mgr.clock().RunUntil(deadline);
+  EXPECT_FALSE(fx.mgr.HoldsLease(0, 0));
+  EXPECT_EQ(fx.mgr.leases_expired(), 1u);
+  EXPECT_EQ(fx.mgr.clock().pending_count(), 0u);
 }
 
 TEST(PoolManagerTest, ReplicatedCrashPromotesWithoutRevoking) {
@@ -389,7 +465,7 @@ TEST(PoolManagerTest, ReplicatedCrashPromotesWithoutRevoking) {
   fx.mgr.OnPoolNodeCrash(victim, SimTime::Zero() + SimDuration::Seconds(1));
   EXPECT_EQ(fx.mgr.leases_revoked(), 0u);
   EXPECT_GT(fx.mgr.replica_promotions(), 0u);
-  EXPECT_EQ(fx.mgr.LeaseRefs(0, 0), 1u);
+  EXPECT_TRUE(fx.mgr.HoldsLease(0, 0));
   // The next miss still finds a live source for every shard.
   const auto attach = fx.mgr.Attach(1, 0, SimTime::Zero() + SimDuration::Seconds(2));
   EXPECT_EQ(attach.fetched_pages, 1024u);
@@ -409,8 +485,8 @@ TEST(PoolManagerTest, UnreplicatedCrashRevokesAndReseeds) {
   }
   // One revocation per worker that held the lease, and neither holds it now.
   EXPECT_EQ(fx.mgr.leases_revoked(), 2u);
-  EXPECT_EQ(fx.mgr.LeaseRefs(0, 0), 0u);
-  EXPECT_EQ(fx.mgr.LeaseRefs(1, 0), 0u);
+  EXPECT_FALSE(fx.mgr.HoldsLease(0, 0));
+  EXPECT_FALSE(fx.mgr.HoldsLease(1, 0));
   // Restart one node: the reseed path repopulates from the dedup store and
   // the next attach succeeds as a plain miss.
   fx.mgr.OnPoolNodeRestart(0, SimTime::Zero() + SimDuration::Seconds(2));
@@ -504,9 +580,9 @@ TEST(PoolManagerTest, RebalanceIsIdempotentAcrossRejoinEpochs) {
   };
   const auto churn_epoch = [&](SimTime t) {
     fx.mgr.OnPoolNodeCrash(victim, t);
-    fx.mgr.RunRebalance(t);
+    fx.mgr.RunRebalance();
     fx.mgr.OnPoolNodeRestart(victim, t + SimDuration::Seconds(1));
-    fx.mgr.RunRebalance(t + SimDuration::Seconds(1));
+    fx.mgr.RunRebalance();
   };
   churn_epoch(SimTime::Zero() + SimDuration::Seconds(1));
   const auto converged = snapshot();
@@ -514,9 +590,9 @@ TEST(PoolManagerTest, RebalanceIsIdempotentAcrossRejoinEpochs) {
   // so the promoted-primary rotation a rejoin leaves behind made every later
   // sweep re-enter the mutation body. Repeat sweeps must be structural
   // no-ops — placements AND counters untouched.
-  fx.mgr.RunRebalance(SimTime::Zero() + SimDuration::Seconds(3));
+  fx.mgr.RunRebalance();
   EXPECT_EQ(snapshot(), converged);
-  fx.mgr.RunRebalance(SimTime::Zero() + SimDuration::Seconds(4));
+  fx.mgr.RunRebalance();
   EXPECT_EQ(snapshot(), converged);
   // A second crash/rejoin epoch of the same node (the "assumes one crash
   // epoch" bug) converges to the identical placement, and repeat sweeps
@@ -526,7 +602,7 @@ TEST(PoolManagerTest, RebalanceIsIdempotentAcrossRejoinEpochs) {
   EXPECT_EQ(std::get<0>(second), std::get<0>(converged));
   EXPECT_EQ(std::get<1>(second), std::get<1>(converged));
   EXPECT_EQ(std::get<2>(second), std::get<2>(converged));
-  fx.mgr.RunRebalance(SimTime::Zero() + SimDuration::Seconds(7));
+  fx.mgr.RunRebalance();
   EXPECT_EQ(snapshot(), second);
 }
 
@@ -549,10 +625,10 @@ TEST(PoolManagerTest, ChurnLeavesNoOrphanedReplicas) {
   for (int cycle = 0; cycle < 3; ++cycle) {
     const SimTime t = SimTime::Zero() + SimDuration::Seconds(1 + 2 * cycle);
     fx.mgr.OnPoolNodeCrash(1, t);
-    fx.mgr.RunRebalance(t);
+    fx.mgr.RunRebalance();
     check_replicas(2);  // mid-churn: nothing points at the dead node
     fx.mgr.OnPoolNodeRestart(1, t + SimDuration::Seconds(1));
-    fx.mgr.RunRebalance(t + SimDuration::Seconds(1));
+    fx.mgr.RunRebalance();
     check_replicas(2);
   }
 }
@@ -573,12 +649,12 @@ TEST(PoolManagerTest, LeaseRenewalRacesShardMigration) {
   const auto renew = fx.mgr.Attach(0, 0, SimTime::Zero() + SimDuration::Millis(1500));
   EXPECT_TRUE(renew.lease_hit);
   EXPECT_EQ(renew.fetched_pages, 0u);
-  EXPECT_EQ(fx.mgr.LeaseRefs(0, 0), 2u);
+  EXPECT_TRUE(fx.mgr.HoldsLease(0, 0));
   // Migration completes; the lease is still valid and renews again.
-  fx.mgr.RunRebalance(SimTime::Zero() + SimDuration::Seconds(2));
+  fx.mgr.RunRebalance();
   const auto renew2 = fx.mgr.Attach(0, 0, SimTime::Zero() + SimDuration::Millis(2500));
   EXPECT_TRUE(renew2.lease_hit);
-  EXPECT_EQ(fx.mgr.LeaseRefs(0, 0), 3u);
+  EXPECT_TRUE(fx.mgr.HoldsLease(0, 0));
   EXPECT_EQ(fx.mgr.leases_revoked(), 0u);
   // A cold worker fetches the full template from the post-migration
   // placement, and every shard's serving primary is a live node.
@@ -588,6 +664,12 @@ TEST(PoolManagerTest, LeaseRenewalRacesShardMigration) {
   for (uint32_t s = 0; s < fx.mgr.shard_count(); ++s) {
     EXPECT_TRUE(fx.mgr.pool_node_alive(fx.mgr.ShardReplicas(s).front()));
   }
+  // Both renewals moved the deadline: the lease outlives the miss's 10 s
+  // window and lapses 10 s after the last renewal.
+  fx.mgr.clock().RunUntil(At(11));
+  EXPECT_TRUE(fx.mgr.HoldsLease(0, 0));
+  fx.mgr.clock().RunUntil(SimTime::Zero() + SimDuration::Millis(12500));
+  EXPECT_FALSE(fx.mgr.HoldsLease(0, 0));
 }
 
 // ------------------------------------------------------------ Cluster level

@@ -242,7 +242,7 @@ TEST(ShardedClusterTest, SharedStateClockFollowsRunShardedAsRun) {
   // The shstate plane and poolmgr schedule on the one rack clock: a reader
   // lease opened at t=0 and the template leases must lapse under RunSharded
   // exactly as under the sequential loop, with both planes' events sharing
-  // that clock.
+  // that clock, and the drain must leave no lease held and no check pending.
   ClusterConfig config = BaseConfig();
   config.poolmgr.enabled = true;
   config.poolmgr.lease_ttl = SimDuration::Seconds(5);
@@ -253,7 +253,7 @@ TEST(ShardedClusterTest, SharedStateClockFollowsRunShardedAsRun) {
     Cluster cluster(config);
     EXPECT_TRUE(cluster.DeployTable4Functions().ok());
     RegionManager& plane = *cluster.shared_state();
-    const Result<RegionId> id = plane.CreateRegion("state", 16, /*owner=*/0, SimTime::Zero());
+    const Result<RegionId> id = plane.CreateRegion("state", 16, /*owner=*/0);
     EXPECT_TRUE(id.ok());
     EXPECT_TRUE(plane.OpenReader(*id, /*worker=*/1, SimTime::Zero()).ok());
     if (sharded) {
@@ -266,7 +266,16 @@ TEST(ShardedClusterTest, SharedStateClockFollowsRunShardedAsRun) {
     }
     const char* loop = sharded ? "RunSharded" : "RunLegacyLoop";
     EXPECT_EQ(plane.leases_expired(), 1u) << loop;
-    EXPECT_GT(cluster.pool_manager()->leases_expired(), 0u) << loop;
+    EXPECT_FALSE(plane.ReaderMapped(*id, 1)) << loop;
+    PoolManager& pool = *cluster.pool_manager();
+    EXPECT_GT(pool.leases_expired(), 0u) << loop;
+    // Drained: every lease has lapsed and no expiry check is left pending.
+    for (const Invocation& invocation : schedule) {
+      for (uint32_t worker = 0; worker < cluster.node_count(); ++worker) {
+        EXPECT_FALSE(pool.HoldsLease(worker, invocation.function)) << loop;
+      }
+    }
+    EXPECT_EQ(pool.clock().pending_count(), 0u) << loop;
     return Fingerprint(cluster);
   };
   EXPECT_EQ(run(false), run(true));

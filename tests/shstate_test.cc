@@ -3,6 +3,7 @@
 // ownership transfer, crash recovery, and the stateful pipeline driver.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -44,7 +45,7 @@ class ShStateTest : public ::testing::Test {
 
 TEST_F(ShStateTest, CreateMapsOwnerWithSharedOwnerFlags) {
   RegionManager mgr(Config(), /*workers=*/4, &tiered_, &backends_, &clock_, stats_);
-  auto id_or = mgr.CreateRegion("r", kPages, /*owner=*/1, SimTime::Zero());
+  auto id_or = mgr.CreateRegion("r", kPages, /*owner=*/1);
   ASSERT_TRUE(id_or.ok());
   const RegionId id = *id_or;
   EXPECT_EQ(mgr.OwnerOf(id), 1);
@@ -72,14 +73,14 @@ TEST_F(ShStateTest, LocalDramCannotBackARegion) {
   TieredPool local_only;
   local_only.AddTier(&dram);
   RegionManager mgr(Config(), 2, &local_only, &registry, &clock_, stats_);
-  auto id_or = mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
+  auto id_or = mgr.CreateRegion("r", kPages, 0);
   EXPECT_FALSE(id_or.ok());
   EXPECT_EQ(id_or.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST_F(ShStateTest, OwnerWriteSetsDirtyAndBumpsVersion) {
   RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
-  const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
+  const RegionId id = *mgr.CreateRegion("r", kPages, 0);
   auto op = mgr.WriteRegion(id, 0, SimTime::Zero());
   ASSERT_TRUE(op.ok());
   EXPECT_GT(op->latency, SimDuration::Zero());
@@ -93,7 +94,7 @@ TEST_F(ShStateTest, OwnerWriteSetsDirtyAndBumpsVersion) {
 
 TEST_F(ShStateTest, NonOwnerWriteIsRefused) {
   RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
-  const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
+  const RegionId id = *mgr.CreateRegion("r", kPages, 0);
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
   auto op = mgr.WriteRegion(id, 1, SimTime::Zero());
   EXPECT_FALSE(op.ok());
@@ -102,7 +103,7 @@ TEST_F(ShStateTest, NonOwnerWriteIsRefused) {
 
 TEST_F(ShStateTest, ReaderMappingIsWriteProtectedShared) {
   RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
-  const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
+  const RegionId id = *mgr.CreateRegion("r", kPages, 0);
   ASSERT_TRUE(mgr.OpenReader(id, 2, SimTime::Zero()).ok());
   EXPECT_TRUE(mgr.ReaderMapped(id, 2));
   auto pte = mgr.worker_mm(2).page_table().Lookup(mgr.WindowOf(id));
@@ -115,7 +116,7 @@ TEST_F(ShStateTest, ReaderMappingIsWriteProtectedShared) {
 
 TEST_F(ShStateTest, OwnerWriteRevokesReadersAndReadRefetches) {
   RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
-  const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
+  const RegionId id = *mgr.CreateRegion("r", kPages, 0);
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
   ASSERT_TRUE(mgr.OpenReader(id, 2, SimTime::Zero()).ok());
   // Warm read: direct remote load, no refetch traffic.
@@ -143,7 +144,7 @@ TEST_F(ShStateTest, OwnerWriteRevokesReadersAndReadRefetches) {
 
 TEST_F(ShStateTest, ReopenBeforeShootdownEventKeepsWindowMapped) {
   RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
-  const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
+  const RegionId id = *mgr.CreateRegion("r", kPages, 0);
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
   ASSERT_TRUE(mgr.WriteRegion(id, 0, SimTime::Zero()).ok());  // revokes reader 1
   // Reader 1 re-opens before the deferred shootdown unmap runs; the stale
@@ -158,7 +159,7 @@ TEST_F(ShStateTest, ReopenBeforeShootdownEventKeepsWindowMapped) {
 
 TEST_F(ShStateTest, SameHomeTransferIsMetadataOnly) {
   RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
-  const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
+  const RegionId id = *mgr.CreateRegion("r", kPages, 0);
   // Workers 0 and 2 share pool home 0 (2 pool nodes).
   auto op = mgr.Transfer(id, 0, 2, SimTime::Zero());
   ASSERT_TRUE(op.ok());
@@ -176,7 +177,7 @@ TEST_F(ShStateTest, SameHomeTransferIsMetadataOnly) {
 
 TEST_F(ShStateTest, CrossHomeTransferMigratesPoolToPool) {
   RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
-  const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
+  const RegionId id = *mgr.CreateRegion("r", kPages, 0);
   auto meta = mgr.Transfer(id, 0, 2, SimTime::Zero());
   ASSERT_TRUE(meta.ok());
   auto op = mgr.Transfer(id, 2, 1, SimTime::Zero());  // home 0 -> home 1
@@ -190,7 +191,7 @@ TEST_F(ShStateTest, CrossHomeTransferMigratesPoolToPool) {
 
 TEST_F(ShStateTest, TransferRequiresOwnership) {
   RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
-  const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
+  const RegionId id = *mgr.CreateRegion("r", kPages, 0);
   auto op = mgr.Transfer(id, 1, 2, SimTime::Zero());
   EXPECT_FALSE(op.ok());
   EXPECT_EQ(op.status().code(), StatusCode::kPermissionDenied);
@@ -198,7 +199,7 @@ TEST_F(ShStateTest, TransferRequiresOwnership) {
 
 TEST_F(ShStateTest, LeaseExpiryUnmapsIdleReader) {
   RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
-  const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
+  const RegionId id = *mgr.CreateRegion("r", kPages, 0);
   ASSERT_TRUE(mgr.OpenReader(id, 3, SimTime::Zero()).ok());
   EXPECT_EQ(mgr.lease_grants(), 1u);
   mgr.clock().RunUntil(SimTime::Zero() + SimDuration::Seconds(11));
@@ -209,7 +210,7 @@ TEST_F(ShStateTest, LeaseExpiryUnmapsIdleReader) {
 
 TEST_F(ShStateTest, ReadRenewsLeaseAcrossTheOriginalWindow) {
   RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
-  const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
+  const RegionId id = *mgr.CreateRegion("r", kPages, 0);
   ASSERT_TRUE(mgr.OpenReader(id, 3, SimTime::Zero()).ok());
   // Renew at t=8s; the original grant's expiry event at t=10s must see the
   // pushed-out deadline and keep the mapping.
@@ -227,7 +228,7 @@ TEST_F(ShStateTest, ReadRenewsLeaseAcrossTheOriginalWindow) {
 
 TEST_F(ShStateTest, CrashVacatesOwnershipAndRecoveryReacquires) {
   RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
-  const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
+  const RegionId id = *mgr.CreateRegion("r", kPages, 0);
   ASSERT_TRUE(mgr.WriteRegion(id, 0, SimTime::Zero()).ok());
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
 
@@ -247,7 +248,7 @@ TEST_F(ShStateTest, CrashVacatesOwnershipAndRecoveryReacquires) {
 
 TEST_F(ShStateTest, CrashedReaderLosesItsLease) {
   RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
-  const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
+  const RegionId id = *mgr.CreateRegion("r", kPages, 0);
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
   mgr.ReleaseWorker(1);
   EXPECT_FALSE(mgr.ReaderMapped(id, 1));
@@ -257,10 +258,82 @@ TEST_F(ShStateTest, CrashedReaderLosesItsLease) {
   EXPECT_EQ(mgr.leases_expired(), 0u);
 }
 
+TEST_F(ShStateTest, ReadRenewalsKeepOneCheckPending) {
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
+  const RegionId id = *mgr.CreateRegion("r", kPages, 0);
+  SimTime last;
+  for (int64_t i = 0; i < 100; ++i) {
+    last = SimTime::Zero() + SimDuration::Millis(10 * i);
+    mgr.clock().RunUntil(last);
+    ASSERT_TRUE(mgr.ReadRegion(id, 3, last).ok());
+  }
+  EXPECT_EQ(mgr.lease_grants(), 100u);
+  EXPECT_EQ(mgr.clock().pending_count(), 1u);
+  const SimTime deadline = last + SimDuration::Seconds(10);
+  mgr.clock().RunUntil(deadline - SimDuration::Nanos(1));
+  EXPECT_TRUE(mgr.ReaderMapped(id, 3));
+  mgr.clock().RunUntil(deadline);
+  EXPECT_EQ(mgr.leases_expired(), 1u);
+  EXPECT_FALSE(mgr.ReaderMapped(id, 3));
+  EXPECT_EQ(mgr.clock().pending_count(), 0u);
+}
+
+// Worker 2 opens a reader at 0 s, loses it at 3 s through `drop`, and opens
+// again at 7 s. The 0 s grant's check, still pending, re-arms at 17 s, where
+// the lease expires once.
+void ExpectReopenedReaderExpiresOnce(RegionManager& mgr,
+                                     const std::function<void(RegionId)>& drop) {
+  const auto at = [](int64_t seconds) { return SimTime::Zero() + SimDuration::Seconds(seconds); };
+  const RegionId id = *mgr.CreateRegion("r", kPages, 0);
+  ASSERT_TRUE(mgr.OpenReader(id, 2, at(0)).ok());
+  mgr.clock().RunUntil(at(3));
+  drop(id);
+  EXPECT_FALSE(mgr.ReaderMapped(id, 2));
+  mgr.clock().RunUntil(at(7));
+  ASSERT_TRUE(mgr.OpenReader(id, 2, at(7)).ok());
+  mgr.clock().RunUntil(at(17) - SimDuration::Nanos(1));
+  EXPECT_TRUE(mgr.ReaderMapped(id, 2));
+  EXPECT_EQ(mgr.leases_expired(), 0u);
+  mgr.clock().RunUntil(at(17));
+  EXPECT_FALSE(mgr.ReaderMapped(id, 2));
+  EXPECT_FALSE(mgr.worker_mm(2).page_table().IsMapped(mgr.WindowOf(id)));
+  mgr.clock().RunUntilIdle();
+  EXPECT_EQ(mgr.leases_expired(), 1u);
+}
+
+TEST_F(ShStateTest, ReaderReleasedAndReopenedExpiresOnce) {
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
+  ExpectReopenedReaderExpiresOnce(mgr, [&](RegionId) { mgr.ReleaseWorker(2); });
+}
+
+TEST_F(ShStateTest, ReaderTransferredToAndReopenedExpiresOnce) {
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
+  ExpectReopenedReaderExpiresOnce(mgr, [&](RegionId id) {
+    // Ownership to the reader drops its lease; handing it back lets it read.
+    const SimTime now = mgr.clock().now();
+    ASSERT_TRUE(mgr.Transfer(id, 0, 2, now).ok());
+    ASSERT_TRUE(mgr.Transfer(id, 2, 0, now).ok());
+  });
+}
+
+TEST_F(ShStateTest, ReaderOpsRejectAnOutOfRangeWorker) {
+  RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
+  const RegionId id = *mgr.CreateRegion("r", kPages, 0);
+  for (const uint32_t worker : {4u, 1000u}) {
+    EXPECT_EQ(mgr.OpenReader(id, worker, SimTime::Zero()).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(mgr.ReadRegion(id, worker, SimTime::Zero()).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_FALSE(mgr.ReaderMapped(id, worker));
+  }
+  EXPECT_EQ(mgr.lease_grants(), 0u);
+  EXPECT_EQ(mgr.clock().pending_count(), 0u);
+}
+
 TEST_F(ShStateTest, DestroyFreesPoolPagesAndUnmapsEverything) {
   RegionManager mgr(Config(), 4, &tiered_, &backends_, &clock_, stats_);
   const uint64_t before = cxl_.used_bytes();
-  const RegionId id = *mgr.CreateRegion("r", kPages, 0, SimTime::Zero());
+  const RegionId id = *mgr.CreateRegion("r", kPages, 0);
   ASSERT_TRUE(mgr.OpenReader(id, 1, SimTime::Zero()).ok());
   EXPECT_GT(cxl_.used_bytes(), before);
   ASSERT_TRUE(mgr.DestroyRegion(id).ok());
